@@ -1,6 +1,6 @@
 """Incremental quasi-Newton solvers and benchmark harness."""
 
-from ._backend import BACKEND
+from .matkernel import BACKEND
 from .objectives import (
     LogisticObjective,
     QuadraticComponents,

@@ -17,7 +17,7 @@ import numpy as np
 from .data import GeneratorSpec, generate_quadratic, initial_point, load_libsvm, rows_to_csr
 from .errors import HarnessError, IqnLabError
 from .objectives import LogisticObjective, QuadraticObjective
-from .solvers import METHODS, AlphaSchedule, SolverConfig, run
+from .solvers import DIVERGENCE_GRAD_NORM, METHODS, AlphaSchedule, SolverConfig, run
 
 TRACE_COLUMNS = ("t", "epoch", "grad_norm", "normalized_error", "sigma_max", "wall_ms")
 
@@ -59,6 +59,11 @@ class ExperimentConfig:
                 raise HarnessError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.problem == "logistic" and not self.data:
             raise HarnessError("logistic problems need a 'data' path")
+        try:
+            for m in self.methods:
+                _solver_config(self, m)
+        except ValueError as exc:
+            raise HarnessError(f"invalid solver settings: {exc}") from exc
 
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -153,9 +158,15 @@ def _reference_minimizer(objective, x0, gstop=1e-12, max_epochs=200):
         f"reference NIM run did not reach {gstop:g} (got {grad_norm:.3e})")
 
 
-def _solver_config(config: ExperimentConfig, method: str, constants) -> SolverConfig:
-    alpha = AlphaSchedule()
-    if config.alpha_mode != "zero":
+def _solver_config(config: ExperimentConfig, method: str, constants=None) -> SolverConfig:
+    """The SolverConfig of one method; raises ValueError on bad settings.
+
+    ``constants`` scale the geometric alpha schedule. Validation runs before
+    the problem exists and passes none: the scale does not affect validity.
+    """
+    alpha = AlphaSchedule(mode=config.alpha_mode, epsilon=config.alpha_epsilon,
+                          rho=config.alpha_rho)
+    if config.alpha_mode == "geometric" and constants is not None:
         alpha = AlphaSchedule.geometric(constants, epsilon=config.alpha_epsilon,
                                         rho=config.alpha_rho)
     return SolverConfig(
@@ -188,9 +199,9 @@ def run_experiment(config: ExperimentConfig, log=print):
 
     Writes ``<method>.csv`` per method plus ``summary.csv`` into the output
     directory and returns the summary rows. A method whose averaged gradient
-    norm exceeds 1e12 is recorded as diverged without failing its siblings;
-    solver exceptions are recorded as failures and re-raised collectively at
-    the end.
+    norm exceeds DIVERGENCE_GRAD_NORM is recorded as diverged without
+    failing its siblings; solver exceptions are recorded as failures and
+    re-raised collectively at the end.
     """
     config.validate()
     objective, x0, x_star = build_problem(config)  # validates data before any output
@@ -219,7 +230,8 @@ def run_experiment(config: ExperimentConfig, log=print):
             continue
         last = records[-1]
         reached = last.grad_norm < config.gstop
-        diverged = not math.isfinite(last.grad_norm) or last.grad_norm > 1e12
+        diverged = (not math.isfinite(last.grad_norm)
+                    or last.grad_norm > DIVERGENCE_GRAD_NORM)
         status = "diverged" if diverged else ("ok" if reached else "max_epochs")
         epochs = last.t / objective.n if reached else ""
         summary.append({"method": method,

@@ -122,6 +122,9 @@ class QuadraticObjective(FiniteSumObjective):
         self.a = np.ascontiguousarray(components.a_diag, dtype=np.float64)
         self.b = np.ascontiguousarray(components.b, dtype=np.float64)
         self.n, self.d = self.a.shape
+        # Summed once: the stopping rule evaluates full_gradient every iteration.
+        self._a_sum = self.a.sum(axis=0)
+        self._b_sum = self.b.sum(axis=0)
 
     def value(self, i, x):
         return float(0.5 * (x @ (self.a[i] * x)) + self.b[i] @ x)
@@ -147,14 +150,14 @@ class QuadraticObjective(FiniteSumObjective):
         return SmoothnessConstants(mu=float(self.a.min()), L=float(self.a.max()))
 
     def full_gradient(self, x):
-        return self.a.sum(axis=0) * x + self.b.sum(axis=0)
+        return self._a_sum * x + self._b_sum
 
     def gradients_at(self, x):
         return self.a * x[None, :] + self.b
 
     def exact_minimizer(self):
         """Closed-form x* = -(sum A_i)^{-1} sum b_i (diagonal solve)."""
-        return -self.b.sum(axis=0) / self.a.sum(axis=0)
+        return -self._b_sum / self._a_sum
 
 
 class LogisticObjective(FiniteSumObjective):

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg.lapack
 
 from . import matkernel as mk
 from .errors import IqnLabError, LazyInconsistency, SingularAggregate, SingularUpdate
@@ -152,12 +153,37 @@ class StepResult:
     x: np.ndarray
     omega: float = 1.0
     q: Optional[np.ndarray] = None           # post-classic-stage matrix
-    d_unscaled: Optional[np.ndarray] = None  # new curvature before omega
+    # New curvature before omega. Memoized and greedy solvers update the
+    # stored D[i] in place and return it here: read it before the tuple is
+    # touched again, or copy it.
+    d_unscaled: Optional[np.ndarray] = None
     classic_skipped: bool = False
 
 
 def _tiny_step(s, z_old):
     return np.linalg.norm(s) <= TINY_STEP * (1.0 + np.linalg.norm(z_old))
+
+
+def _summed_inverse(dbar):
+    """Symmetrized inverse of the summed curvature; the one place the
+    memoized solvers factorize it."""
+    try:
+        h = np.linalg.inv(dbar)
+    except np.linalg.LinAlgError as exc:
+        raise SingularAggregate(f"summed curvature is singular: {exc}") from exc
+    return mk.symmetrize(h)
+
+
+def _apply_chain(h, chain):
+    """Apply the rank-one inverse updates of ``chain`` to ``h`` in place, in
+    order. False when an intermediate is singular: ``h`` is then partly
+    updated and must be rebuilt."""
+    try:
+        for u, v in chain:
+            mk.sm_inverse_update(h, u, v, out=h)
+    except SingularUpdate:
+        return False
+    return True
 
 
 class BaseSolver:
@@ -222,13 +248,15 @@ class MemoizedSolver(BaseSolver):
             d_i = self.eager_curvature(i)
             dbar += d_i
             phi += d_i @ self.z[i]
-        try:
-            h = np.linalg.inv(dbar)
-        except np.linalg.LinAlgError as exc:
-            raise SingularAggregate(f"summed curvature is singular: {exc}") from exc
-        self.H = mk.symmetrize(h)
+        self.H = _summed_inverse(dbar)
         self.phi = phi
         self.g = self.grads.sum(axis=0)
+
+    def _curvature_sum(self):
+        dbar = np.zeros((self.d, self.d))
+        for i in range(self.n):
+            dbar += self.eager_curvature(i)
+        return dbar
 
     def _maybe_refresh(self):
         if self.t % self.refresh_period == 0:
@@ -236,10 +264,7 @@ class MemoizedSolver(BaseSolver):
 
     def aggregate_drift(self) -> float:
         """|| H (sum D_i) - I ||_F for the current memoized inverse."""
-        dbar = np.zeros((self.d, self.d))
-        for i in range(self.n):
-            dbar += self.eager_curvature(i)
-        return float(np.linalg.norm(self.H @ dbar - np.eye(self.d)))
+        return float(np.linalg.norm(self.H @ self._curvature_sum() - np.eye(self.d)))
 
 
 def _classic_terms(tau, y, sy, bu, ubu):
@@ -316,7 +341,11 @@ class SharpenedLazySolver(MemoizedSolver):
                 f"epoch {current_epoch}; pending scaling spans more than one epoch")
         a_prev = self.alpha.value(current_epoch - 1)
         pend = (1.0 + a_prev) ** 2
-        d_old = self.D[i] if pend == 1.0 else pend * self.D[i]
+        d_i = self.D[i]
+        # q starts as the eager old curvature and becomes the post-classic
+        # matrix; it is the one fresh d x d array per step (audits keep it).
+        q = d_i.copy() if pend == 1.0 else pend * d_i
+        dz_old = q @ z_old
 
         grad_new = self.objective.gradient(i, x)
         y_raw = grad_new - grad_old
@@ -324,14 +353,12 @@ class SharpenedLazySolver(MemoizedSolver):
 
         chain = []
         skipped = _tiny_step(s, z_old)
-        if skipped:
-            q = d_old.copy()  # d_old may alias D[i], which is reassigned below
-        else:
+        if not skipped:
             y = y_raw if a_prev == 0.0 else (1.0 + a_prev) * y_raw
             sy = float(s @ y)
-            bu = d_old @ s
+            bu = q @ s
             ubu = float(s @ bu)
-            q = mk.broyden_update(self.tau1, d_old, y, sy, s)
+            mk.broyden_update(self.tau1, q, y, sy, s, out=q)
             chain.extend(_classic_terms(self.tau1, y, sy, bu, ubu))
 
         h_diag = self.objective.hessian_diag(i, x)
@@ -340,7 +367,7 @@ class SharpenedLazySolver(MemoizedSolver):
         h_kk = float(h_diag[k_idx])
         e_k = np.zeros(self.d)
         e_k[k_idx] = 1.0
-        d_unscaled = mk.broyden_update(self.tau2, q, h_col, h_kk, e_k)
+        mk.broyden_update(self.tau2, q, h_col, h_kk, e_k, out=d_i)
         q_col = q[:, k_idx].copy()
         q_kk = float(q[k_idx, k_idx])
         chain.extend(_greedy_terms(self.tau2, q_col, q_kk, h_col, h_kk))
@@ -348,32 +375,30 @@ class SharpenedLazySolver(MemoizedSolver):
         # The chain can pass through an exactly singular intermediate even
         # though the final sum stays invertible (n = 1 always does). Fall
         # back to direct materialization in that case.
-        h_new = self.H
-        try:
-            for u, v in chain:
-                h_new = mk.sm_inverse_update(h_new, u, v)
-        except SingularUpdate:
-            h_new = None
+        chained = _apply_chain(self.H, chain)
 
-        self.phi = w * (self.phi - d_old @ z_old + d_unscaled @ x)
+        self.phi = w * (self.phi - dz_old + d_i @ x)
         self.g = self.g + y_raw
 
-        self.D[i] = d_unscaled
         self.scale_epoch[i] = current_epoch
         self.z[i] = x
         self.grads[i] = grad_new
         self.x = x
         self.t = t
-        if h_new is None:
-            dbar = np.zeros((self.d, self.d))
-            for j in range(self.n):
-                dbar += self.eager_curvature(j)
-            self.H = mk.symmetrize(np.linalg.inv(dbar))
+        if not chained:
+            self.H = _summed_inverse(self._curvature_sum())
         else:
-            self.H = h_new if w == 1.0 else h_new / w
+            if self.tau1 != 0.0 or self.tau2 != 0.0:
+                # The cross terms of tau != 0 leave H asymmetric in its last
+                # bits; unremoved, that part grows from step to step until H
+                # diverges (n = 10, d = 40, no refresh: drift 1e13 by step
+                # 1000). The tau = 0 chain is exactly symmetric throughout.
+                mk.symmetrize(self.H, out=self.H)
+            if w != 1.0:
+                self.H /= w
         self._maybe_refresh()
         return StepResult(t=t, index=i + 1, x=x, omega=w, q=q,
-                          d_unscaled=d_unscaled, classic_skipped=skipped)
+                          d_unscaled=d_i, classic_skipped=skipped)
 
 
 class IqnSolver(MemoizedSolver):
@@ -386,37 +411,32 @@ class IqnSolver(MemoizedSolver):
         t, i = self._next_index()
         x = self.H @ (self.phi - self.g)
         z_old = self.z[i]
-        b_old = self.D[i]
+        b_i = self.D[i]
         s = x - z_old
         grad_new = self.objective.gradient(i, x)
         y = grad_new - self.grads[i]
+        bz_old = b_i @ z_old
 
+        chained = True
         skipped = _tiny_step(s, z_old)
-        if skipped:
-            b_new = b_old
-        else:
+        if not skipped:
             sy = float(s @ y)
-            bu = b_old @ s
+            bu = b_i @ s
             ubu = float(s @ bu)
-            b_new = mk.bfgs_update(b_old, y, sy, s)
-            try:
-                h = mk.sm_inverse_update(self.H, y, y / sy)
-                self.H = mk.sm_inverse_update(h, -bu, bu / ubu)
-            except SingularUpdate:
-                self.H = None  # rebuilt below once the tuple is updated
+            mk.bfgs_update(b_i, y, sy, s, out=b_i)
+            chained = _apply_chain(self.H, [(y, y / sy), (-bu, bu / ubu)])
 
-        self.phi = self.phi + b_new @ x - b_old @ z_old
+        self.phi = self.phi + b_i @ x - bz_old
         self.g = self.g + y
-        self.D[i] = b_new
         self.z[i] = x
         self.grads[i] = grad_new
         self.x = x
         self.t = t
-        if self.H is None:
+        if not chained:
             self._materialize_aggregates()
         else:
             self._maybe_refresh()
-        return StepResult(t=t, index=i + 1, x=x, d_unscaled=b_new,
+        return StepResult(t=t, index=i + 1, x=x, d_unscaled=b_i,
                           classic_skipped=skipped)
 
 
@@ -427,10 +447,13 @@ class DirectAggregateSolver(BaseSolver):
     def _solve_iterate(self):
         dbar = self.D.sum(axis=0)
         rhs = np.einsum("nij,nj->i", self.D, self.z) - self.grads.sum(axis=0)
-        try:
-            return np.linalg.solve(dbar, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularAggregate(f"aggregate solve failed: {exc}") from exc
+        # scipy's LAPACK, not numpy's: the curvature kernels run on scipy's
+        # OpenBLAS, and a numpy solve leaves its own pool's workers spinning
+        # on the shared cores, which stalls the next kernel call.
+        _, _, x, info = scipy.linalg.lapack.dgesv(dbar, rhs)
+        if info != 0:
+            raise SingularAggregate(f"aggregate solve failed: dgesv info {info}")
+        return x
 
     def _beta(self, i, s):
         """(M/2) * ||s||_{z_i} with the norm taken in the component Hessian."""
@@ -458,22 +481,21 @@ class SiqnSolver(DirectAggregateSolver):
 
         skipped = _tiny_step(s, z_old)
         if skipped:
-            q = self.D[i]
+            q = self.D[i].copy()
         else:
             beta = self._beta(i, s)
             scale = 1.0 + beta
             sy = float(s @ y_raw)
-            q = mk.bfgs_update(scale ** 2 * self.D[i], scale * y_raw,
-                               scale * sy, s)
+            q = scale ** 2 * self.D[i]
+            mk.bfgs_update(q, scale * y_raw, scale * sy, s, out=q)
 
         h_diag = self.objective.hessian_diag(i, x)
         k_idx = mk.greedy_vector(np.diagonal(q), h_diag)
         h_col = self.objective.hessian_column(i, x, k_idx)
         e_k = np.zeros(self.d)
         e_k[k_idx] = 1.0
-        b_new = mk.bfgs_update(q, h_col, float(h_diag[k_idx]), e_k)
+        b_new = mk.bfgs_update(q, h_col, float(h_diag[k_idx]), e_k, out=self.D[i])
 
-        self.D[i] = b_new
         self.z[i] = x
         self.grads[i] = grad_new
         self.x = x
@@ -502,9 +524,9 @@ class IgsSolver(DirectAggregateSolver):
         h_col = self.objective.hessian_column(i, x, k_idx)
         e_k = np.zeros(self.d)
         e_k[k_idx] = 1.0
-        b_new = mk.bfgs_update(d_scaled, h_col, float(h_diag[k_idx]), e_k)
+        b_new = mk.bfgs_update(d_scaled, h_col, float(h_diag[k_idx]), e_k,
+                               out=self.D[i])
 
-        self.D[i] = b_new
         self.z[i] = x
         self.grads[i] = grad_new
         self.x = x
@@ -573,9 +595,9 @@ def run(objective, x0, config: SolverConfig, x_star=None):
     Returns the list of TraceRecords, one per executed iteration. The
     stopping rule checks (1/n) * ||sum_i grad f_i(x^t)|| at every iterate;
     a non-finite gstop (e.g. inf) disables it, so exactly
-    max_epochs * n records are produced. A non-finite or > 1e12 gradient
-    norm also ends the run (divergence). Step failures re-raise with the
-    failing iteration attached.
+    max_epochs * n records are produced. A non-finite or
+    > DIVERGENCE_GRAD_NORM gradient norm also ends the run (divergence).
+    Step failures re-raise with the failing iteration attached.
     """
     solver = make_solver(objective, x0, config)
     records = []

@@ -173,6 +173,18 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["tau1 = 2.0", "alpha_mode = geometric",
+                                         "alpha_mode = sometimes", "refresh_period = -1"])
+    def test_run_bad_solver_setting_exits_before_output(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = quadratic\nn = 4\nd = 6\nmethods = GSLIQN\n"
+                       f"{setting}\nout = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid solver settings")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_gen_quadratic_subcommand(self, tmp_path):
         out = tmp_path / "quad.npz"
         assert cli_main(["gen-quadratic", "--n", "3", "--d", "4", "--xi", "1.5",

@@ -6,8 +6,9 @@ import pytest
 import scipy.sparse
 
 from iqnlab import matkernel as mk
+from iqnlab import solvers
 from iqnlab.data import GeneratorSpec, generate_quadratic, initial_point
-from iqnlab.errors import LazyInconsistency
+from iqnlab.errors import LazyInconsistency, SingularAggregate
 from iqnlab.objectives import LogisticObjective, QuadraticComponents, QuadraticObjective
 from iqnlab.oracle import lazy_eager_audit, memoization_audit, recompute_aggregates
 from iqnlab.solvers import (
@@ -195,6 +196,20 @@ class TestMemoization:
         report = drift_audit(quad, initial_point(quad.d, 1.0, 4), cfg, steps=1000)
         assert report.passed, report.line()
 
+    @pytest.mark.parametrize("method,tau", [("IQN", 0.0), ("SLIQN", 0.0), ("GSLIQN", 0.5)])
+    def test_inverse_stays_symmetric_and_accurate_without_refresh(self, method, tau):
+        # The in-place chain keeps H exactly symmetric at every step end;
+        # at tau = 0.5 an unremoved last-bit asymmetry would grow until H
+        # diverges (drift above 1 by step 500 here).
+        quad = small_quadratic(n=10, d=40, xi=2.0, seed=4)
+        solver = make_solver(quad, initial_point(quad.d, 1.0, 4), SolverConfig(
+            method=method, tau1=tau, tau2=tau, gstop=1e-300, max_epochs=100,
+            refresh_period=10 ** 6))
+        for _ in range(500):
+            solver.step()
+            assert np.array_equal(solver.H, solver.H.T)
+        assert solver.aggregate_drift() < 1e-10
+
 
 class TestLazyScaling:
     def test_lazy_matches_eager_with_geometric_alpha(self, rng):
@@ -262,6 +277,44 @@ class TestStateInvariants:
             assert np.linalg.norm(solver.H - h) <= 1e-9 * np.linalg.norm(h)
             assert np.linalg.norm(solver.phi - phi) <= 1e-9 * max(np.linalg.norm(phi), 1.0)
         assert np.linalg.norm(res.x - x_star) <= 1e-8 * (1 + np.linalg.norm(x_star))
+
+    @pytest.mark.parametrize("method", ["SLIQN", "GSLIQN"])
+    def test_singular_chain_rebuilds_inverse_from_scratch(self, method, monkeypatch):
+        # n = 1: removing the greedy Q column makes the chain's intermediate
+        # singular, so the in-place H is abandoned part-way through. What
+        # remains must be the direct inverse, bit for bit, not that buffer.
+        outcomes = []
+        chain = solvers._apply_chain
+        monkeypatch.setattr(solvers, "_apply_chain",
+                            lambda h, terms: outcomes.append(chain(h, terms)) or outcomes[-1])
+        quad = QuadraticObjective(QuadraticComponents(
+            a_diag=np.array([[3.0, 0.5, 1.5, 2.0]]), b=np.array([[10.0, -20.0, 5.0, 0.0]])))
+        solver = make_solver(quad, np.array([1.0, -1.0, 0.5, 2.0]), SolverConfig(
+            method=method, tau1=0.5, tau2=0.0, gstop=1e-300))
+        for _ in range(6):
+            solver.step()
+            np.testing.assert_array_equal(
+                solver.H, mk.symmetrize(np.linalg.inv(solver.eager_curvature(0))))
+        assert outcomes and not any(outcomes)
+
+    def test_singular_fallback_raises_typed_error(self, monkeypatch):
+        quad = small_quadratic(n=2, d=4)
+        solver = make_solver(quad, initial_point(quad.d, 1.0, 0),
+                             SolverConfig(method="SLIQN", gstop=1e-300))
+        monkeypatch.setattr(solvers, "_apply_chain", lambda h, terms: False)
+        monkeypatch.setattr(type(solver), "_curvature_sum",
+                            lambda self: np.zeros((self.d, self.d)))
+        with pytest.raises(SingularAggregate, match="singular"):
+            solver.step()
+
+    @pytest.mark.parametrize("method", ["SIQN", "IGS"])
+    def test_singular_direct_solve_raises_typed_error(self, method):
+        quad = small_quadratic(n=2, d=4)
+        solver = make_solver(quad, initial_point(quad.d, 1.0, 0),
+                             SolverConfig(method=method, gstop=1e-300))
+        solver.D[:] = 0.0
+        with pytest.raises(SingularAggregate, match="aggregate solve failed"):
+            solver.step()
 
     def test_lazy_matches_eager_logistic_geometric_many_epochs(self, rng):
         logi = small_logistic(rng)
