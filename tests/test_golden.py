@@ -1,0 +1,121 @@
+"""Golden traces: each method's deterministic trace columns, byte for byte.
+
+Every case runs ``solvers.run`` on a fixed problem and writes its trace with
+``harness.write_trace_csv``; every column except ``wall_ms`` must equal the
+committed CSV under ``tests/golden/`` string for string. These traces pin
+the arithmetic of each method, including the pinned order of the inverse
+chain, so a refactor that only moves code keeps them exactly.
+
+A change that alters traces on purpose rewrites them with
+``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
+"""
+
+import csv
+import functools
+from pathlib import Path
+
+import pytest
+
+from iqnlab.harness import ExperimentConfig, build_problem, write_trace_csv
+from iqnlab.solvers import AlphaSchedule, SolverConfig, run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Quadratics have M = 0, so the harness's geometric schedule is all zeros
+# there; this one is set directly to exercise the lazy epoch scaling.
+GEOMETRIC = AlphaSchedule(mode="geometric", epsilon=0.05, rho=0.5, m_sqrt_l=1.0)
+
+PROBLEMS = {
+    "quad": ExperimentConfig(problem="quadratic", n=8, d=10, xi=1.5, b_max=10.0,
+                             seed=5),
+    # 60 rows, d = 12, parsed from committed LIBSVM text.
+    "logi": ExperimentConfig(problem="logistic", data=str(GOLDEN / "logistic60.libsvm"),
+                             x0_scale=0.5, seed=7),
+}
+
+QUAD = dict(gstop=1e-10, max_epochs=40)
+# Exact curvature lands on x* at t = 1, so from t = n + 1 on, the touched
+# tuple already sits at the iterate and the classic stage is skipped.
+EXACT_START = dict(gstop=float("inf"), max_epochs=3, init_curvature="exact-hessian")
+LOGI = dict(gstop=1e-8, max_epochs=15)
+# SIQN's beta correction stalls on this logistic problem: it raises
+# DegenerateDirection at t = 241, so its budget stays below four passes.
+LOGI_BETA = dict(gstop=1e-8, max_epochs=3)
+
+CASES = {
+    "quad-IQN": ("quad", dict(method="IQN", **QUAD)),
+    "quad-SIQN": ("quad", dict(method="SIQN", **QUAD)),
+    "quad-SLIQN": ("quad", dict(method="SLIQN", **QUAD)),
+    "quad-GSLIQN": ("quad", dict(method="GSLIQN", **QUAD)),
+    "quad-IGS": ("quad", dict(method="IGS", track_sigma=True, **QUAD)),
+    "quad-NIM": ("quad", dict(method="NIM", **QUAD)),
+    "quad-GSLIQN-tau": ("quad", dict(method="GSLIQN", tau1=0.5, tau2=0.3, **QUAD)),
+    "quad-GSLIQN-dfp": ("quad", dict(method="GSLIQN", tau1=1.0, tau2=1.0, **QUAD)),
+    "quad-SLIQN-geometric": ("quad", dict(method="SLIQN", alpha=GEOMETRIC,
+                                          track_sigma=True, **QUAD)),
+    "quad-GSLIQN-geometric": ("quad", dict(method="GSLIQN", tau1=0.5, tau2=0.5,
+                                           alpha=GEOMETRIC, **QUAD)),
+    "quad-IQN-refresh": ("quad", dict(method="IQN", refresh_period=7, **QUAD)),
+    "quad-SLIQN-refresh": ("quad", dict(method="SLIQN", refresh_period=7, **QUAD)),
+    "quad-IQN-skip": ("quad", dict(method="IQN", **EXACT_START)),
+    "quad-SIQN-skip": ("quad", dict(method="SIQN", **EXACT_START)),
+    "quad-SLIQN-skip": ("quad", dict(method="SLIQN", **EXACT_START)),
+    "quad-GSLIQN-skip": ("quad", dict(method="GSLIQN", tau1=0.5, tau2=0.5, **EXACT_START)),
+    "logi-IQN": ("logi", dict(method="IQN", **LOGI)),
+    "logi-SIQN": ("logi", dict(method="SIQN", **LOGI_BETA)),
+    "logi-SLIQN": ("logi", dict(method="SLIQN", track_sigma=True, **LOGI)),
+    "logi-GSLIQN": ("logi", dict(method="GSLIQN", **LOGI)),
+    "logi-IGS": ("logi", dict(method="IGS", **LOGI_BETA)),
+    "logi-NIM": ("logi", dict(method="NIM", **LOGI)),
+    "logi-GSLIQN-tau": ("logi", dict(method="GSLIQN", tau1=0.3, tau2=0.7, **LOGI)),
+    "logi-SLIQN-geometric": ("logi", dict(method="SLIQN", alpha=GEOMETRIC, **LOGI)),
+    "logi-SLIQN-hessian-init": ("logi", dict(method="SLIQN", init_curvature="exact-hessian",
+                                             **LOGI)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _problem(name):
+    return build_problem(PROBLEMS[name])
+
+
+def write_case(case, path):
+    problem, settings = CASES[case]
+    objective, x0, x_star = _problem(problem)
+    write_trace_csv(path, run(objective, x0, SolverConfig(**settings), x_star=x_star))
+
+
+def deterministic_columns(path):
+    """Rows of a trace CSV, header included, without the wall_ms column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    keep = [j for j, name in enumerate(rows[0]) if name != "wall_ms"]
+    return [[row[j] for j in keep] for row in rows]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_matches_golden(case, tmp_path):
+    write_case(case, tmp_path / "trace.csv")
+    got = deterministic_columns(tmp_path / "trace.csv")
+    want = deterministic_columns(GOLDEN / f"{case}.csv")
+    for line, (g, w) in enumerate(zip(got, want), start=1):
+        assert g == w, f"{case}: line {line} differs: {g} != {w}"
+    assert len(got) == len(want), f"{case}: {len(got)} lines, golden has {len(want)}"
+
+
+def test_goldens_cover_refresh_and_full_beta_budget():
+    # The refresh cases cross several refresh boundaries; the logistic beta
+    # cases spend their whole budget rather than stopping early.
+    for case in ("quad-IQN-refresh", "quad-SLIQN-refresh"):
+        last_t = int(deterministic_columns(GOLDEN / f"{case}.csv")[-1][0])
+        assert last_t > 3 * CASES[case][1]["refresh_period"]
+    n_logi = _problem("logi")[0].n
+    for case in ("logi-SIQN", "logi-IGS"):
+        last_t = int(deterministic_columns(GOLDEN / f"{case}.csv")[-1][0])
+        assert last_t == LOGI_BETA["max_epochs"] * n_logi
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        write_case(name, GOLDEN / f"{name}.csv")
+        print(f"wrote {GOLDEN / f'{name}.csv'}")
