@@ -172,7 +172,7 @@ def _solver_config(config: ExperimentConfig, method: str, constants=None) -> Sol
     return SolverConfig(
         method=method, tau1=config.tau1, tau2=config.tau2, alpha=alpha,
         gstop=config.gstop, max_epochs=config.max_epochs,
-        refresh_period=config.refresh_period or None, seed=config.seed,
+        refresh_period=config.refresh_period or None,
         track_sigma=config.track_sigma)
 
 

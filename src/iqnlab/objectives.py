@@ -87,10 +87,6 @@ class FiniteSumObjective:
     def hessian_column(self, i, x, j):
         raise NotImplementedError
 
-    def grad_difference(self, i, x_new, x_old):
-        """gradient(i, x_new) - gradient(i, x_old)."""
-        return self.gradient(i, x_new) - self.gradient(i, x_old)
-
     def estimate_constants(self) -> SmoothnessConstants:
         raise NotImplementedError
 
@@ -142,9 +138,6 @@ class QuadraticObjective(FiniteSumObjective):
         col = np.zeros(self.d)
         col[j] = self.a[i, j]
         return col
-
-    def grad_difference(self, i, x_new, x_old):
-        return self.a[i] * (x_new - x_old)
 
     def estimate_constants(self):
         return SmoothnessConstants(mu=float(self.a.min()), L=float(self.a.max()))
@@ -291,11 +284,6 @@ class LogisticObjective(FiniteSumObjective):
         margins = self.features @ x
         residual = expit(margins) - self.labels
         return self.features.T @ residual + self.n * self._reg_gradient(x)
-
-    def full_value(self, x):
-        margins = self.features @ x
-        signs = 1.0 - 2.0 * self.labels
-        return float(np.logaddexp(0.0, signs * margins).sum() + self.n * self._reg_value(x))
 
     def gradients_at(self, x):
         margins = self.features @ x

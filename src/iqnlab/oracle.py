@@ -232,11 +232,6 @@ class EagerReference:
         return x
 
 
-def eager_reference_step(reference: EagerReference):
-    """Advance the eager reference one iteration and return the iterate."""
-    return reference.step()
-
-
 # ---------------------------------------------------------------------------
 # audits
 # ---------------------------------------------------------------------------

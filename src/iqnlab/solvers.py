@@ -1,27 +1,27 @@
 """Incremental quasi-Newton solvers over finite-sum objectives.
 
-All methods maintain one tuple (z_i, grad_i, D_i) per component and touch the
-components in cyclic order. They differ in the curvature update applied to
-the touched tuple and in how the aggregate solve
+All methods maintain one tuple (z_i, grad_i, D_i) per component, touch the
+components in cyclic order and take each iterate from the aggregate system
 
-    x = (sum_i D_i)^{-1} (sum_i D_i z_i - sum_i grad_i)
+    x = (sum_i D_i)^{-1} (sum_i D_i z_i - sum_i grad_i).
 
-is carried out:
+One step() runs every method: the touched tuple's curvature passes through
+the method's stages, then its aggregate strategy folds the change in.
 
-IQN      classic update along the step direction; aggregates memoized, the
-         summed inverse maintained by two rank-one inverse updates.
-SIQN     classic + greedy two-stage update with the per-step correction
-         beta = (M/2) * ||s||_{z_old}; aggregates recomputed directly every
-         step (O(n d^2 + d^3) reference path).
-SLIQN    two-stage update with the epoch-constant correction alpha_k in
-         place of beta, per-epoch scaling omega applied lazily, and the
-         summed inverse maintained by a fixed four-term rank-one chain.
-GSLIQN   SLIQN with the two stages generalized to restricted Broyden
-         operators (tau1 classic, tau2 greedy); tau1 = tau2 = 0 runs the
-         identical code path as SLIQN.
-IGS      greedy-only update (scale by (1+beta)^2, one greedy step against
-         the current Hessian); aggregates recomputed directly.
-NIM      exact component Hessians; direct solve.
+method  scale c        classic stage   greedy stage    aggregate strategy
+IQN     0              BFGS along s    -               memoized inverse chain
+SLIQN   pending alpha  BFGS along s    BFGS on e_k     chain, lazy omega
+GSLIQN  pending alpha  Broyden(tau1)   Broyden(tau2)   chain, lazy omega
+SIQN    beta           BFGS along s    BFGS on e_k     direct rebuild + dgesv
+IGS     beta           -               BFGS on e_k     direct rebuild + dgesv
+NIM     exact component Hessian instead of stages      incremental exact sums
+
+The scale stage multiplies D_i by (1 + c)^2 and the reference Hessian K by
+(1 + c), with beta = (M/2) ||s||_{z_i} per step (0 when the classic stage is
+skipped along a tiny step). The greedy coordinate e_k maximizes the ratio
+of the diagonals of Q and the Hessian. The memoized chain keeps
+H = (sum D_i)^{-1} by rank-one inverse updates in O(d^2); the direct
+rebuild costs O(n d^2 + d^3).
 
 Lazy scaling (SLIQN/GSLIQN): stored matrices omit multiplicative epoch
 scalings. The stored value of a tuple written in epoch e equals its true
@@ -109,7 +109,6 @@ class SolverConfig:
     gstop: float = 1e-10
     max_epochs: int = 50
     refresh_period: Optional[int] = None  # defaults to 10 n at solver init
-    seed: int = 0
     init_curvature: str = "scaled-identity"  # or "exact-hessian"
     track_sigma: bool = False
 
@@ -146,22 +145,22 @@ class TraceRecord:
 
 @dataclass
 class StepResult:
-    """What one solver step exposes for diagnostics and audits."""
+    """What one solver step exposes for diagnostics and audits.
+
+    ``q`` is the matrix the greedy stage started from, after the scale and
+    classic stages; it is None for IQN and NIM, which have no greedy stage.
+    ``d_unscaled`` is the new curvature before omega. For every method it is
+    a view of the stored D[i]: read it before the tuple is touched again,
+    or copy it.
+    """
 
     t: int
     index: int  # 1-based component index that was touched
     x: np.ndarray
     omega: float = 1.0
-    q: Optional[np.ndarray] = None           # post-classic-stage matrix
-    # New curvature before omega. Memoized and greedy solvers update the
-    # stored D[i] in place and return it here: read it before the tuple is
-    # touched again, or copy it.
+    q: Optional[np.ndarray] = None
     d_unscaled: Optional[np.ndarray] = None
     classic_skipped: bool = False
-
-
-def _tiny_step(s, z_old):
-    return np.linalg.norm(s) <= TINY_STEP * (1.0 + np.linalg.norm(z_old))
 
 
 def _summed_inverse(dbar):
@@ -186,11 +185,40 @@ def _apply_chain(h, chain):
     return True
 
 
+def _broyden(tau, b, ku, uku, u, out):
+    """Broyden(tau) update of ``b`` into ``out``; tau = 0 calls BFGS directly."""
+    if tau == 0.0:
+        return mk.bfgs_update(b, ku, uku, u, out=out)
+    return mk.broyden_update(tau, b, ku, uku, u, out=out)
+
+
+def _broyden_terms(tau, ku, uku, bu, ubu, k_first):
+    """Rank-one factors (u, v) of a Broyden(tau) stage's change to B along a
+    direction u, from ku = K u, uku = <u, K u>, bu = B u and ubu = <u, B u>:
+    the K-term and the B-term in the pinned order, then the two cross terms
+    of tau != 0."""
+    if tau == 0.0:
+        k_term, b_term, cross = (ku, ku / uku), (-bu, bu / ubu), []
+    else:
+        c_k = (1.0 - tau) + tau * (1.0 + ubu / uku)
+        k_term, b_term = (c_k * ku, ku / uku), (-(1.0 - tau) * bu, bu / ubu)
+        cross = [(-tau * ku, bu / uku), (-tau * bu, ku / uku)]
+    return ([k_term, b_term] if k_first else [b_term, k_term]) + cross
+
+
 class BaseSolver:
     """Shared tuple state: iterates z (n, d), gradients (n, d), curvature
-    D (n, d, d), and the iteration counter t (completed iterations)."""
+    D (n, d, d), and the iteration counter t (completed iterations).
+
+    step() runs every method: the class flags below pick its curvature
+    stages, and its aggregate strategy overrides the hooks after step().
+    """
 
     method = "?"
+    classic = False        # classic Broyden(tau1) stage along the step s
+    greedy = False         # greedy Broyden(tau2) stage on the greedy coordinate
+    inverse_chain = False  # the strategy needs the stages' rank-one factors
+    tau1 = tau2 = 0.0
 
     def __init__(self, objective: FiniteSumObjective, x0, config: SolverConfig):
         self.objective = objective
@@ -201,7 +229,6 @@ class BaseSolver:
         x0 = np.ascontiguousarray(x0, dtype=np.float64)
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have shape ({self.d},)")
-        self.x = x0.copy()
         self.z = np.tile(x0, (self.n, 1))
         self.grads = np.ascontiguousarray(objective.gradients_at(x0))
         self.D = self._initial_curvature(x0)
@@ -214,43 +241,95 @@ class BaseSolver:
         stack[:, np.arange(self.d), np.arange(self.d)] = big_l
         return stack
 
-    @property
-    def epoch(self) -> int:
-        return (self.t + self.n - 1) // self.n
-
-    def _next_index(self):
-        """(t, 0-based component index) for the step about to execute."""
-        t = self.t + 1
-        return t, (t - 1) % self.n
-
     def eager_curvature(self, i: int) -> np.ndarray:
         """True curvature matrix of tuple i at the current time (identity for
         the non-lazy methods; overridden by the lazy solver)."""
         return self.D[i]
 
     def step(self) -> StepResult:
+        t = self.t + 1
+        i = (t - 1) % self.n
+        x = self._solve_iterate()
+        z_old = self.z[i]
+        s = x - z_old
+        grad_new = self.objective.gradient(i, x)
+        y_raw = grad_new - self.grads[i]
+        skipped = self.classic and (
+            np.linalg.norm(s) <= TINY_STEP * (1.0 + np.linalg.norm(z_old)))
+        c = self._correction(t, i, s, skipped)
+
+        # Stage 1, scale: q = (1 + c)^2 D_i. With a greedy stage q is a fresh
+        # copy (the one d x d array a step allocates; audits keep it) that
+        # becomes the post-classic matrix; without one the classic stage
+        # updates D_i in place.
+        d_i = self.D[i]
+        q = d_i
+        if self.greedy:
+            q = d_i.copy() if c == 0.0 else (1.0 + c) ** 2 * d_i
+        outgoing = self._outgoing(i, q, z_old)
+
+        terms = []
+        if self.classic and not skipped:
+            y, sy = self._secant(s, y_raw, c)
+            bu = q @ s if self.inverse_chain else None
+            _broyden(self.tau1, q, y, sy, s, out=q)
+            if self.inverse_chain:
+                terms += _broyden_terms(self.tau1, y, sy, bu, float(s @ bu), k_first=True)
+        if self.greedy:
+            h_diag = self.objective.hessian_diag(i, x)
+            k = mk.greedy_vector(np.diagonal(q), h_diag)
+            h_col = self.objective.hessian_column(i, x, k)
+            h_kk = float(h_diag[k])
+            e_k = np.zeros(self.d)
+            e_k[k] = 1.0
+            _broyden(self.tau2, q, h_col, h_kk, e_k, out=d_i)
+            if self.inverse_chain:
+                terms += _broyden_terms(self.tau2, h_col, h_kk, q[:, k], float(q[k, k]),
+                                        k_first=False)
+
+        self.z[i] = x
+        self.grads[i] = grad_new
+        self.t = t
+        w = self._fold(t, i, x, y_raw, outgoing, terms)
+        return StepResult(t=t, index=i + 1, x=x, omega=w, q=q if self.greedy else None,
+                          d_unscaled=d_i, classic_skipped=skipped)
+
+    def _solve_iterate(self):
+        """The iterate from the aggregate system of the current tuples."""
         raise NotImplementedError
+
+    def _correction(self, t, i, s, skipped):
+        """c of the scale stage (1 + c)^2 D_i and of K = (1 + c) Hessian."""
+        return 0.0
+
+    def _secant(self, s, y_raw, c):
+        """(K s, <s, K s>) for the classic stage, K = (1 + c) Hessian."""
+        y = y_raw if c == 0.0 else (1.0 + c) * y_raw
+        return y, float(s @ y)
+
+    def _outgoing(self, i, q, z_old):
+        """What the aggregates lose with the old tuple, read before it changes."""
+        return None
+
+    def _fold(self, t, i, x, y_raw, outgoing, terms):
+        """Bring the aggregates up to date with the written-back tuple i;
+        returns the step's omega."""
+        return 1.0
 
 
 class MemoizedSolver(BaseSolver):
-    """Adds the memoized aggregates H = (sum D_i)^{-1}, phi = sum D_i z_i,
-    g = sum grad_i, plus the periodic eager refresh that bounds drift."""
+    """Memoized aggregates H = (sum D_i)^{-1}, phi = sum D_i z_i,
+    g = sum grad_i. H follows every step through the rank-one inverse chain
+    of the stages' factors, with the epoch scaling omega applied lazily; a
+    periodic eager refresh bounds its drift."""
+
+    inverse_chain = True
+    alpha = AlphaSchedule()  # omega = 1 unless a method sets a schedule
 
     def __init__(self, objective, x0, config):
         super().__init__(objective, x0, config)
         self.refresh_period = config.refresh_period or 10 * self.n
         self._materialize_aggregates()
-
-    def _materialize_aggregates(self):
-        dbar = np.zeros((self.d, self.d))
-        phi = np.zeros(self.d)
-        for i in range(self.n):
-            d_i = self.eager_curvature(i)
-            dbar += d_i
-            phi += d_i @ self.z[i]
-        self.H = _summed_inverse(dbar)
-        self.phi = phi
-        self.g = self.grads.sum(axis=0)
 
     def _curvature_sum(self):
         dbar = np.zeros((self.d, self.d))
@@ -258,134 +337,33 @@ class MemoizedSolver(BaseSolver):
             dbar += self.eager_curvature(i)
         return dbar
 
-    def _maybe_refresh(self):
-        if self.t % self.refresh_period == 0:
-            self._materialize_aggregates()
+    def _materialize_aggregates(self):
+        phi = np.zeros(self.d)
+        for i in range(self.n):
+            phi += self.eager_curvature(i) @ self.z[i]
+        self.H = _summed_inverse(self._curvature_sum())
+        self.phi = phi
+        self.g = self.grads.sum(axis=0)
 
     def aggregate_drift(self) -> float:
         """|| H (sum D_i) - I ||_F for the current memoized inverse."""
         return float(np.linalg.norm(self.H @ self._curvature_sum() - np.eye(self.d)))
 
+    def _solve_iterate(self):
+        return self.H @ (self.phi - self.g)
 
-def _classic_terms(tau, y, sy, bu, ubu):
-    """Rank-one factors of the classic-stage correction, K-term first."""
-    c_k = (1.0 - tau) + tau * (1.0 + ubu / sy)
-    terms = [(c_k * y, y / sy), (-(1.0 - tau) * bu, bu / ubu)]
-    if tau != 0.0:
-        terms.append((-tau * y, bu / sy))
-        terms.append((-tau * bu, y / sy))
-    return terms
+    def _outgoing(self, i, q, z_old):
+        return q @ z_old
 
-
-def _greedy_terms(tau, qcol, qkk, hcol, hkk):
-    """Rank-one factors of the greedy-stage correction, B-term first."""
-    c_k = (1.0 - tau) + tau * (1.0 + qkk / hkk)
-    terms = [(-(1.0 - tau) * qcol, qcol / qkk), (c_k * hcol, hcol / hkk)]
-    if tau != 0.0:
-        terms.append((-tau * hcol, qcol / hkk))
-        terms.append((-tau * qcol, hcol / hkk))
-    return terms
-
-
-class SharpenedLazySolver(MemoizedSolver):
-    """SLIQN / G-SLIQN: two-stage updates with lazy epoch scaling and the
-    rank-one inverse chain.
-
-    The inverse chain applies, in this pinned order: the scaled gradient
-    difference term, the negative B s term, the negative Q column term, the
-    Hessian column term, then the 1/omega scaling. Reordering changes
-    rounding; the lazy/eager equivalence tests pin this order.
-    """
-
-    method = "SLIQN"
-
-    def __init__(self, objective, x0, config):
-        self.tau1 = config.tau1 if config.method == "GSLIQN" else 0.0
-        self.tau2 = config.tau2 if config.method == "GSLIQN" else 0.0
-        self.alpha = config.alpha
-        self.scale_epoch = None  # set before aggregates materialize
-        super().__init__(objective, x0, config)
-
-    def _initial_curvature(self, x0):
-        # Stored matrices are the unscaled I_i^0; the (1 + alpha_0)^2 factor
-        # is pending from epoch 0.
-        self.scale_epoch = np.zeros(self.n, dtype=np.int64)
-        return super()._initial_curvature(x0)
-
-    def _pending_factor(self, i):
-        """Product of epoch-boundary scalings not yet folded into D[i]."""
-        factor = 1.0
-        for k in range(int(self.scale_epoch[i]), self.t // self.n + 1):
-            a = self.alpha.value(k)
-            if a != 0.0:
-                factor *= (1.0 + a) ** 2
-        return factor
-
-    def eager_curvature(self, i):
-        factor = self._pending_factor(i)
-        return self.D[i] if factor == 1.0 else factor * self.D[i]
-
-    def step(self) -> StepResult:
-        t, i = self._next_index()
-        n = self.n
-        current_epoch = (t + n - 1) // n
-
-        x = self.H @ (self.phi - self.g)
-        z_old = self.z[i]
-        grad_old = self.grads[i]
-        s = x - z_old
-
-        if self.scale_epoch[i] != current_epoch - 1:
-            raise LazyInconsistency(
-                f"tuple {i} stored in epoch {self.scale_epoch[i]}, touched in "
-                f"epoch {current_epoch}; pending scaling spans more than one epoch")
-        a_prev = self.alpha.value(current_epoch - 1)
-        pend = (1.0 + a_prev) ** 2
-        d_i = self.D[i]
-        # q starts as the eager old curvature and becomes the post-classic
-        # matrix; it is the one fresh d x d array per step (audits keep it).
-        q = d_i.copy() if pend == 1.0 else pend * d_i
-        dz_old = q @ z_old
-
-        grad_new = self.objective.gradient(i, x)
-        y_raw = grad_new - grad_old
-        w = omega(t, n, self.alpha)
-
-        chain = []
-        skipped = _tiny_step(s, z_old)
-        if not skipped:
-            y = y_raw if a_prev == 0.0 else (1.0 + a_prev) * y_raw
-            sy = float(s @ y)
-            bu = q @ s
-            ubu = float(s @ bu)
-            mk.broyden_update(self.tau1, q, y, sy, s, out=q)
-            chain.extend(_classic_terms(self.tau1, y, sy, bu, ubu))
-
-        h_diag = self.objective.hessian_diag(i, x)
-        k_idx = mk.greedy_vector(np.diagonal(q), h_diag)
-        h_col = self.objective.hessian_column(i, x, k_idx)
-        h_kk = float(h_diag[k_idx])
-        e_k = np.zeros(self.d)
-        e_k[k_idx] = 1.0
-        mk.broyden_update(self.tau2, q, h_col, h_kk, e_k, out=d_i)
-        q_col = q[:, k_idx].copy()
-        q_kk = float(q[k_idx, k_idx])
-        chain.extend(_greedy_terms(self.tau2, q_col, q_kk, h_col, h_kk))
-
-        # The chain can pass through an exactly singular intermediate even
-        # though the final sum stays invertible (n = 1 always does). Fall
-        # back to direct materialization in that case.
-        chained = _apply_chain(self.H, chain)
-
-        self.phi = w * (self.phi - dz_old + d_i @ x)
+    def _fold(self, t, i, x, y_raw, dz_old, terms):
+        w = omega(t, self.n, self.alpha)
+        chained = _apply_chain(self.H, terms)
+        self.phi = self._swap_phi(dz_old, self.D[i] @ x, w)
         self.g = self.g + y_raw
-
-        self.scale_epoch[i] = current_epoch
-        self.z[i] = x
-        self.grads[i] = grad_new
-        self.x = x
-        self.t = t
         if not chained:
+            # The chain can pass through an exactly singular intermediate
+            # even though the final sum stays invertible (SLIQN at n = 1
+            # always does). H is then part-updated: rebuild it directly.
             self.H = _summed_inverse(self._curvature_sum())
         else:
             if self.tau1 != 0.0 or self.tau2 != 0.0:
@@ -396,9 +374,56 @@ class SharpenedLazySolver(MemoizedSolver):
                 mk.symmetrize(self.H, out=self.H)
             if w != 1.0:
                 self.H /= w
-        self._maybe_refresh()
-        return StepResult(t=t, index=i + 1, x=x, omega=w, q=q,
-                          d_unscaled=d_i, classic_skipped=skipped)
+        if t % self.refresh_period == 0:
+            self._materialize_aggregates()
+        return w
+
+
+class SharpenedLazySolver(MemoizedSolver):
+    """SLIQN / G-SLIQN: classic then greedy stage, scaled by the pending
+    epoch factor, with lazy omega scaling of the memoized aggregates.
+
+    The inverse chain applies, in this pinned order: the scaled gradient
+    difference term, the negative B s term, the negative Q column term, the
+    Hessian column term, then the 1/omega scaling. Reordering changes
+    rounding; the lazy/eager equivalence tests pin this order.
+    """
+
+    method = "SLIQN"
+    classic = True
+    greedy = True
+
+    def __init__(self, objective, x0, config):
+        self.tau1 = config.tau1 if config.method == "GSLIQN" else 0.0
+        self.tau2 = config.tau2 if config.method == "GSLIQN" else 0.0
+        self.alpha = config.alpha
+        # Stored matrices are the unscaled I_i^0; the (1 + alpha_0)^2 factor
+        # is pending from epoch 0.
+        self.scale_epoch = np.zeros(objective.n, dtype=np.int64)
+        super().__init__(objective, x0, config)
+
+    def eager_curvature(self, i):
+        """D[i] times the epoch-boundary scalings not yet folded into it."""
+        factor = 1.0
+        for k in range(int(self.scale_epoch[i]), self.t // self.n + 1):
+            a = self.alpha.value(k)
+            if a != 0.0:
+                factor *= (1.0 + a) ** 2
+        return self.D[i] if factor == 1.0 else factor * self.D[i]
+
+    def _correction(self, t, i, s, skipped):
+        """alpha of the one epoch end still pending on tuple i, which this
+        step folds in."""
+        epoch = (t + self.n - 1) // self.n
+        if self.scale_epoch[i] != epoch - 1:
+            raise LazyInconsistency(
+                f"tuple {i} stored in epoch {self.scale_epoch[i]}, touched in "
+                f"epoch {epoch}; pending scaling spans more than one epoch")
+        self.scale_epoch[i] = epoch
+        return self.alpha.value(epoch - 1)
+
+    def _swap_phi(self, dz_old, dx, w):
+        return w * (self.phi - dz_old + dx)
 
 
 class IqnSolver(MemoizedSolver):
@@ -406,43 +431,16 @@ class IqnSolver(MemoizedSolver):
     inverse is maintained by two rank-one inverse updates per step."""
 
     method = "IQN"
+    classic = True
 
-    def step(self) -> StepResult:
-        t, i = self._next_index()
-        x = self.H @ (self.phi - self.g)
-        z_old = self.z[i]
-        b_i = self.D[i]
-        s = x - z_old
-        grad_new = self.objective.gradient(i, x)
-        y = grad_new - self.grads[i]
-        bz_old = b_i @ z_old
-
-        chained = True
-        skipped = _tiny_step(s, z_old)
-        if not skipped:
-            sy = float(s @ y)
-            bu = b_i @ s
-            ubu = float(s @ bu)
-            mk.bfgs_update(b_i, y, sy, s, out=b_i)
-            chained = _apply_chain(self.H, [(y, y / sy), (-bu, bu / ubu)])
-
-        self.phi = self.phi + b_i @ x - bz_old
-        self.g = self.g + y
-        self.z[i] = x
-        self.grads[i] = grad_new
-        self.x = x
-        self.t = t
-        if not chained:
-            self._materialize_aggregates()
-        else:
-            self._maybe_refresh()
-        return StepResult(t=t, index=i + 1, x=x, d_unscaled=b_i,
-                          classic_skipped=skipped)
+    def _swap_phi(self, dz_old, dx, w):
+        return self.phi + dx - dz_old
 
 
 class DirectAggregateSolver(BaseSolver):
-    """Reference-path solvers: the aggregate system is rebuilt from the
-    tuples and solved directly at every step (O(n d^2 + d^3))."""
+    """Reference-path strategy: the aggregate system is rebuilt from the
+    tuples and solved directly at every step (O(n d^2 + d^3)). The scale
+    stage uses the per-step beta = (M/2) ||s||_{z_i}."""
 
     def _solve_iterate(self):
         dbar = self.D.sum(axis=0)
@@ -455,14 +453,19 @@ class DirectAggregateSolver(BaseSolver):
             raise SingularAggregate(f"aggregate solve failed: dgesv info {info}")
         return x
 
-    def _beta(self, i, s):
-        """(M/2) * ||s||_{z_i} with the norm taken in the component Hessian."""
+    def _correction(self, t, i, s, skipped):
+        """beta = (M/2) * ||s||_{z_i} with the norm taken in the component
+        Hessian; 0 when the classic stage is skipped."""
         m_const = self.objective.constants.M
-        if m_const == 0.0:
+        if skipped or m_const == 0.0:
             return 0.0
         h_old = self.objective.hessian(i, self.z[i])
         quad = float(s @ (h_old @ s))
         return 0.5 * m_const * np.sqrt(max(quad, 0.0))
+
+    def _secant(self, s, y_raw, c):
+        # (1 + beta) <s, y_raw>, not <s, (1 + beta) y_raw>: SIQN's rounding.
+        return (1.0 + c) * y_raw, (1.0 + c) * float(s @ y_raw)
 
 
 class SiqnSolver(DirectAggregateSolver):
@@ -470,38 +473,8 @@ class SiqnSolver(DirectAggregateSolver):
     correction; the O(d^3) correctness reference for the lazy solver."""
 
     method = "SIQN"
-
-    def step(self) -> StepResult:
-        t, i = self._next_index()
-        x = self._solve_iterate()
-        z_old = self.z[i]
-        s = x - z_old
-        grad_new = self.objective.gradient(i, x)
-        y_raw = grad_new - self.grads[i]
-
-        skipped = _tiny_step(s, z_old)
-        if skipped:
-            q = self.D[i].copy()
-        else:
-            beta = self._beta(i, s)
-            scale = 1.0 + beta
-            sy = float(s @ y_raw)
-            q = scale ** 2 * self.D[i]
-            mk.bfgs_update(q, scale * y_raw, scale * sy, s, out=q)
-
-        h_diag = self.objective.hessian_diag(i, x)
-        k_idx = mk.greedy_vector(np.diagonal(q), h_diag)
-        h_col = self.objective.hessian_column(i, x, k_idx)
-        e_k = np.zeros(self.d)
-        e_k[k_idx] = 1.0
-        b_new = mk.bfgs_update(q, h_col, float(h_diag[k_idx]), e_k, out=self.D[i])
-
-        self.z[i] = x
-        self.grads[i] = grad_new
-        self.x = x
-        self.t = t
-        return StepResult(t=t, index=i + 1, x=x, q=q, d_unscaled=b_new,
-                          classic_skipped=skipped)
+    classic = True
+    greedy = True
 
 
 class IgsSolver(DirectAggregateSolver):
@@ -510,64 +483,40 @@ class IgsSolver(DirectAggregateSolver):
     Hessian at the new iterate."""
 
     method = "IGS"
-
-    def step(self) -> StepResult:
-        t, i = self._next_index()
-        x = self._solve_iterate()
-        s = x - self.z[i]
-        grad_new = self.objective.gradient(i, x)
-
-        beta = self._beta(i, s)
-        d_scaled = (1.0 + beta) ** 2 * self.D[i]
-        h_diag = self.objective.hessian_diag(i, x)
-        k_idx = mk.greedy_vector(np.diagonal(d_scaled), h_diag)
-        h_col = self.objective.hessian_column(i, x, k_idx)
-        e_k = np.zeros(self.d)
-        e_k[k_idx] = 1.0
-        b_new = mk.bfgs_update(d_scaled, h_col, float(h_diag[k_idx]), e_k,
-                               out=self.D[i])
-
-        self.z[i] = x
-        self.grads[i] = grad_new
-        self.x = x
-        self.t = t
-        return StepResult(t=t, index=i + 1, x=x, q=d_scaled, d_unscaled=b_new)
+    greedy = True
 
 
 class NimSolver(BaseSolver):
     """Exact-Hessian incremental Newton: the tuple curvature is the true
-    component Hessian and the aggregate system is solved directly."""
+    component Hessian, and the Hessian sum and right-hand side are kept as
+    incremental exact sums and solved directly."""
 
     method = "NIM"
 
     def __init__(self, objective, x0, config):
         super().__init__(objective, x0, config)
-        self.D = np.stack([objective.hessian(i, x0) for i in range(self.n)])
         self._hsum = self.D.sum(axis=0)
         self._rhs = (np.einsum("nij,nj->i", self.D, self.z)
                      - self.grads.sum(axis=0))
 
-    def step(self) -> StepResult:
-        t, i = self._next_index()
+    def _initial_curvature(self, x0):
+        return np.stack([self.objective.hessian(i, x0) for i in range(self.n)])
+
+    def _solve_iterate(self):
         try:
-            x = np.linalg.solve(self._hsum, self._rhs)
+            return np.linalg.solve(self._hsum, self._rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularAggregate(f"Hessian sum solve failed: {exc}") from exc
-        h_old = self.D[i]
-        z_old = self.z[i]
-        grad_old = self.grads[i]
+
+    def _outgoing(self, i, q, z_old):
+        return q @ z_old - self.grads[i]
+
+    def _fold(self, t, i, x, y_raw, outgoing, terms):
         h_new = self.objective.hessian(i, x)
-        grad_new = self.objective.gradient(i, x)
-
-        self._hsum = self._hsum + (h_new - h_old)
-        self._rhs = self._rhs + (h_new @ x - grad_new) - (h_old @ z_old - grad_old)
-
+        self._hsum = self._hsum + (h_new - self.D[i])
+        self._rhs = self._rhs + (h_new @ x - self.grads[i]) - outgoing
         self.D[i] = h_new
-        self.z[i] = x
-        self.grads[i] = grad_new
-        self.x = x
-        self.t = t
-        return StepResult(t=t, index=i + 1, x=x, d_unscaled=h_new)
+        return 1.0
 
 
 _SOLVERS = {
@@ -618,7 +567,7 @@ def run(objective, x0, config: SolverConfig, x_star=None):
             err = float(np.linalg.norm(result.x - x_star))
             normalized = err / denom if denom > 0.0 else err
         sigma_max = None
-        if config.track_sigma and result.d_unscaled is not None:
+        if config.track_sigma:
             hess = objective.hessian(result.index - 1, result.x)
             sigma_max = mk.sigma_metric(hess, result.d_unscaled)
         records.append(TraceRecord(

@@ -1,7 +1,8 @@
-"""Experiment-runner tests: config grammar, trace files, determinism, and
-the plot-table condenser."""
+"""Experiment-runner tests: config grammar, trace files, determinism,
+fault isolation between methods, and the plot-table condenser."""
 
 import csv
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from iqnlab.harness import (
     parse_config_file,
     run_experiment,
 )
+from iqnlab.objectives import QuadraticObjective
+from iqnlab.solvers import METHODS
 
 
 def quad_config(tmp_path, **overrides):
@@ -129,6 +132,69 @@ class TestRunExperiment:
         run_experiment(cfg, log=lambda *_: None)
         rows = read_csv(Path(cfg.out) / "SLIQN.csv")
         assert all(row["sigma_max"] != "" for row in rows)
+
+
+def poison_gradient(monkeypatch, value, call=7):
+    """Make the call-th component gradient of the experiment return value.
+    Every step calls gradient once, so call 7 is step 7 of the first method."""
+    real = QuadraticObjective.gradient
+    calls = itertools.count(1)
+    monkeypatch.setattr(QuadraticObjective, "gradient", lambda self, i, x: (
+        np.full(self.d, value) if next(calls) == call else real(self, i, x)))
+
+
+# Nine rows, one of them a label with no features: its loss term is constant
+# and only the regularizer gives that component curvature.
+EMPTY_ROW_LIBSVM = """\
+0 1:0.749 2:1.635 3:0.273 4:-1.233
+0 4:-1.163
+1 1:-0.589 3:0.41
+1
+1 1:-1.289 4:0.021
+1 1:-1.355 2:0.225 3:-1.109
+0 2:0.033 3:0.044
+0 1:0.738 3:-1.099
+1 3:0.642
+"""
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("target", ["IQN", "SIQN", "SLIQN", "GSLIQN", "IGS"])
+    def test_nan_gradient_diverges_only_its_method(self, tmp_path, monkeypatch, target):
+        poison_gradient(monkeypatch, np.nan)
+        methods = (target,) + tuple(m for m in METHODS if m != target)
+        summary = run_experiment(quad_config(tmp_path, methods=methods, max_epochs=60),
+                                 log=lambda *_: None)
+        assert {row["method"]: row["status"] for row in summary} == {
+            m: "diverged" if m == target else "ok" for m in methods}
+
+    @pytest.mark.parametrize("target", ["IQN", "SIQN", "SLIQN", "GSLIQN", "IGS"])
+    def test_inf_gradient_fails_only_its_method(self, tmp_path, monkeypatch, target):
+        # An infinite y fails the classic stage's guard as a typed error;
+        # IGS has no classic stage and diverges instead.
+        poison_gradient(monkeypatch, np.inf)
+        methods = (target,) + tuple(m for m in METHODS if m != target)
+        cfg = quad_config(tmp_path, methods=methods, max_epochs=60)
+        if target == "IGS":
+            run_experiment(cfg, log=lambda *_: None)
+        else:
+            with pytest.raises(HarnessError, match=f"^{target}: step t=7 failed: BFGS"):
+                run_experiment(cfg, log=lambda *_: None)
+        status = {row["method"]: row["status"]
+                  for row in read_csv(Path(cfg.out) / "summary.csv")}
+        assert status.pop(target).startswith(
+            "diverged" if target == "IGS" else "error: step t=7 failed")
+        assert set(status.values()) == {"ok"}
+
+    def test_libsvm_row_without_features_converges(self, tmp_path):
+        data = tmp_path / "empty-row.libsvm"
+        data.write_text(EMPTY_ROW_LIBSVM)
+        cfg = ExperimentConfig(problem="logistic", data=str(data), methods=METHODS,
+                               x0_scale=0.5, seed=5, gstop=1e-8, max_epochs=100,
+                               out=str(tmp_path / "out"))
+        summary = run_experiment(cfg, log=lambda *_: None)
+        assert [row["status"] for row in summary] == ["ok"] * len(METHODS)
+        assert all(float(row["final_grad_norm"]) < 1e-8 for row in summary)
 
 
 class TestEmitPlotData:

@@ -13,7 +13,7 @@ import pytest
 from iqnlab import matkernel as mk
 from iqnlab.errors import DegenerateDirection, SingularUpdate
 from iqnlab.oracle import _bfgs_explicit, _broyden_explicit, _classic_explicit, _dfp_explicit
-from iqnlab.solvers import _classic_terms
+from iqnlab.solvers import _broyden_terms
 
 from conftest import rand_spd
 
@@ -129,7 +129,7 @@ def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
     bu = b @ s
     expected = np.linalg.inv(_classic_explicit(tau, b, y, sy, s))
     h = mk.symmetrize(np.linalg.inv(b))
-    for u, v in _classic_terms(tau, y, sy, bu, float(s @ bu)):
+    for u, v in _broyden_terms(tau, y, sy, bu, float(s @ bu), k_first=True):
         mk.sm_inverse_update(h, u, v, out=h)
     assert rel_err(h, expected) < 1e-10
 

@@ -47,13 +47,6 @@ class TestQuadratic:
             np.testing.assert_array_equal(obj.hessian_diag(0, x), [2.0, 0.5, 1.5])
             np.testing.assert_array_equal(obj.hessian_column(0, x, 1), [0.0, 0.5, 0.0])
 
-    def test_grad_difference_is_linear(self, rng):
-        obj = make_quadratic([[2.0, 0.5]], [[3.0, -1.0]])
-        x_new, x_old = rng.standard_normal(2), rng.standard_normal(2)
-        np.testing.assert_allclose(obj.grad_difference(0, x_new, x_old),
-                                   np.array([2.0, 0.5]) * (x_new - x_old), atol=0)
-        np.testing.assert_array_equal(obj.grad_difference(0, x_old, x_old), np.zeros(2))
-
     def test_constants_min_max(self):
         obj = make_quadratic([[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)))
         consts = obj.estimate_constants()
@@ -139,13 +132,6 @@ class TestLogisticDerivatives:
             j = int(rng.integers(obj.d))
             np.testing.assert_allclose(obj.hessian_column(i, x, j), full[:, j],
                                        atol=1e-12)
-
-    def test_grad_difference_is_direct_subtraction(self, rng, random_logistic):
-        obj = random_logistic
-        x_new, x_old = rng.standard_normal(obj.d), rng.standard_normal(obj.d)
-        np.testing.assert_array_equal(
-            obj.grad_difference(0, x_new, x_old),
-            obj.gradient(0, x_new) - obj.gradient(0, x_old))
 
     def test_full_gradient_matches_component_sum(self, rng, random_logistic):
         obj = random_logistic

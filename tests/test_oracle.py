@@ -8,7 +8,6 @@ from iqnlab.objectives import QuadraticComponents, QuadraticObjective
 from iqnlab.oracle import (
     AuditReport,
     EagerReference,
-    eager_reference_step,
     finite_diff_gradient,
     finite_diff_hessian,
     lazy_eager_audit,
@@ -90,7 +89,7 @@ class TestEagerReference:
         eager = EagerReference(quad, x0, cfg)
         for _ in range(2 * quad.n):
             x_lazy = lazy.step().x
-            x_eager = eager_reference_step(eager)
+            x_eager = eager.step()
             assert np.linalg.norm(x_lazy - x_eager) <= 1e-12 * (1 + np.linalg.norm(x_eager))
 
     def test_matches_lazy_with_geometric_alpha_over_three_epochs(self):
@@ -132,7 +131,7 @@ class TestEagerReference:
             d_mat = (d_mat - np.outer(du, du) / d_mat[idx, idx]
                      + np.outer(au, au) / a_mat[idx, idx])
             z, grad = x, grad_new
-            np.testing.assert_allclose(eager_reference_step(eager), x,
+            np.testing.assert_allclose(eager.step(), x,
                                        atol=1e-12 * (1 + np.linalg.norm(x)))
 
 

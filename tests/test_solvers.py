@@ -1,6 +1,8 @@
 """Solver-family tests: scheduling primitives, per-method oracles, lazy
 bookkeeping, memoization exactness, and the convergence contracts."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -8,7 +10,7 @@ import scipy.sparse
 from iqnlab import matkernel as mk
 from iqnlab import solvers
 from iqnlab.data import GeneratorSpec, generate_quadratic, initial_point
-from iqnlab.errors import LazyInconsistency, SingularAggregate
+from iqnlab.errors import DegenerateDirection, LazyInconsistency, SingularAggregate
 from iqnlab.objectives import LogisticObjective, QuadraticComponents, QuadraticObjective
 from iqnlab.oracle import lazy_eager_audit, memoization_audit, recompute_aggregates
 from iqnlab.solvers import (
@@ -278,15 +280,22 @@ class TestStateInvariants:
             assert np.linalg.norm(solver.phi - phi) <= 1e-9 * max(np.linalg.norm(phi), 1.0)
         assert np.linalg.norm(res.x - x_star) <= 1e-8 * (1 + np.linalg.norm(x_star))
 
-    @pytest.mark.parametrize("method", ["SLIQN", "GSLIQN"])
+    @pytest.mark.parametrize("method", ["IQN", "SLIQN", "GSLIQN"])
     def test_singular_chain_rebuilds_inverse_from_scratch(self, method, monkeypatch):
-        # n = 1: removing the greedy Q column makes the chain's intermediate
-        # singular, so the in-place H is abandoned part-way through. What
-        # remains must be the direct inverse, bit for bit, not that buffer.
+        # n = 1: removing the greedy Q column makes the SLIQN chain's
+        # intermediate singular, so the in-place H is abandoned part-way
+        # through. The IQN chain stays regular at n = 1 (its denominator is
+        # sy^2 / ((sy + y^T H y) s^T B s) > 0), so there the chain runs in
+        # full and is then reported singular. Either way what remains must
+        # be the direct inverse, bit for bit, not that buffer.
         outcomes = []
         chain = solvers._apply_chain
-        monkeypatch.setattr(solvers, "_apply_chain",
-                            lambda h, terms: outcomes.append(chain(h, terms)) or outcomes[-1])
+        forced = method == "IQN"
+
+        def apply_chain(h, terms):
+            outcomes.append(chain(h, terms))
+            return outcomes[-1] and not forced
+        monkeypatch.setattr(solvers, "_apply_chain", apply_chain)
         quad = QuadraticObjective(QuadraticComponents(
             a_diag=np.array([[3.0, 0.5, 1.5, 2.0]]), b=np.array([[10.0, -20.0, 5.0, 0.0]])))
         solver = make_solver(quad, np.array([1.0, -1.0, 0.5, 2.0]), SolverConfig(
@@ -295,17 +304,18 @@ class TestStateInvariants:
             solver.step()
             np.testing.assert_array_equal(
                 solver.H, mk.symmetrize(np.linalg.inv(solver.eager_curvature(0))))
-        assert outcomes and not any(outcomes)
+        assert outcomes and (all(outcomes) if forced else not any(outcomes))
 
     def test_singular_fallback_raises_typed_error(self, monkeypatch):
         quad = small_quadratic(n=2, d=4)
-        solver = make_solver(quad, initial_point(quad.d, 1.0, 0),
-                             SolverConfig(method="SLIQN", gstop=1e-300))
         monkeypatch.setattr(solvers, "_apply_chain", lambda h, terms: False)
-        monkeypatch.setattr(type(solver), "_curvature_sum",
-                            lambda self: np.zeros((self.d, self.d)))
-        with pytest.raises(SingularAggregate, match="singular"):
-            solver.step()
+        for method in ("IQN", "SLIQN"):
+            solver = make_solver(quad, initial_point(quad.d, 1.0, 0),
+                                 SolverConfig(method=method, gstop=1e-300))
+            monkeypatch.setattr(type(solver), "_curvature_sum",
+                                lambda self: np.zeros((self.d, self.d)))
+            with pytest.raises(SingularAggregate, match="singular"):
+                solver.step()
 
     @pytest.mark.parametrize("method", ["SIQN", "IGS"])
     def test_singular_direct_solve_raises_typed_error(self, method):
@@ -399,7 +409,8 @@ class TestSiqn:
         s = rng.standard_normal(logi.d)
         m_const = logi.constants.M
         expected = 0.5 * m_const * np.sqrt(s @ logi.hessian(0, solver.z[0]) @ s)
-        assert solver._beta(0, s) == pytest.approx(expected, rel=1e-12)
+        assert solver._correction(1, 0, s, False) == pytest.approx(expected, rel=1e-12)
+        assert solver._correction(1, 0, s, True) == 0.0
 
 
 class TestIgs:
@@ -518,6 +529,24 @@ class TestRunLoop:
         records = run(quad, initial_point(quad.d, 1.0, 0), cfg)
         for rec in records:
             assert rec.epoch == -(-rec.t // 4)
+
+    @pytest.mark.parametrize("method", ["IQN", "SIQN", "SLIQN", "GSLIQN"])
+    def test_stale_gradient_raises_degenerate_direction_at_its_step(self, method,
+                                                                    monkeypatch):
+        # At t = 7 the touched component returns its previous gradient, so
+        # y = 0 along a nonzero step and the classic stage has no curvature.
+        quad = small_quadratic(n=6, d=8)
+        real = QuadraticObjective.gradient
+        last, calls = {}, itertools.count(1)
+
+        def gradient(self, i, x):
+            if next(calls) != 7:
+                last[i] = real(self, i, x)
+            return last[i]
+        monkeypatch.setattr(QuadraticObjective, "gradient", gradient)
+        cfg = SolverConfig(method=method, gstop=1e-300, max_epochs=3)
+        with pytest.raises(DegenerateDirection, match="^step t=7 failed"):
+            run(quad, initial_point(quad.d, 1.0, 0), cfg)
 
     def test_step_errors_carry_iteration_number(self):
         quad = small_quadratic()
