@@ -31,6 +31,7 @@ pending when a tuple is touched; memoized aggregates always hold eager
 values.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -147,11 +148,10 @@ class TraceRecord:
 class StepResult:
     """What one solver step exposes for diagnostics and audits.
 
-    ``q`` is the matrix the greedy stage started from, after the scale and
-    classic stages; it is None for IQN and NIM, which have no greedy stage.
-    ``d_unscaled`` is the new curvature before omega. For every method it is
-    a view of the stored D[i]: read it before the tuple is touched again,
-    or copy it.
+    ``q`` is the matrix the greedy stage started from (after the scale and
+    classic stages), None for IQN and NIM. ``d_unscaled`` is the new
+    curvature before omega, for every method a view of the stored D[i]:
+    read it before the tuple is touched again, or copy it.
     """
 
     t: int
@@ -183,13 +183,6 @@ def _apply_chain(h, chain):
     except SingularUpdate:
         return False
     return True
-
-
-def _broyden(tau, b, ku, uku, u, out):
-    """Broyden(tau) update of ``b`` into ``out``; tau = 0 calls BFGS directly."""
-    if tau == 0.0:
-        return mk.bfgs_update(b, ku, uku, u, out=out)
-    return mk.broyden_update(tau, b, ku, uku, u, out=out)
 
 
 def _broyden_terms(tau, ku, uku, bu, ubu, k_first):
@@ -242,8 +235,7 @@ class BaseSolver:
         return stack
 
     def eager_curvature(self, i: int) -> np.ndarray:
-        """True curvature matrix of tuple i at the current time (identity for
-        the non-lazy methods; overridden by the lazy solver)."""
+        """True curvature of tuple i now: D[i] unless a lazy solver overrides it."""
         return self.D[i]
 
     def step(self) -> StepResult:
@@ -254,8 +246,9 @@ class BaseSolver:
         s = x - z_old
         grad_new = self.objective.gradient(i, x)
         y_raw = grad_new - self.grads[i]
+        # Vector 2-norms as numpy's norm computes them, minus its overhead.
         skipped = self.classic and (
-            np.linalg.norm(s) <= TINY_STEP * (1.0 + np.linalg.norm(z_old)))
+            math.sqrt(s.dot(s)) <= TINY_STEP * (1.0 + math.sqrt(z_old.dot(z_old))))
         c = self._correction(t, i, s, skipped)
 
         # Stage 1, scale: q = (1 + c)^2 D_i. With a greedy stage q is a fresh
@@ -272,7 +265,7 @@ class BaseSolver:
         if self.classic and not skipped:
             y, sy = self._secant(s, y_raw, c)
             bu = q @ s if self.inverse_chain else None
-            _broyden(self.tau1, q, y, sy, s, out=q)
+            mk.broyden_update(self.tau1, q, y, sy, s, out=q)
             if self.inverse_chain:
                 terms += _broyden_terms(self.tau1, y, sy, bu, float(s @ bu), k_first=True)
         if self.greedy:
@@ -282,7 +275,7 @@ class BaseSolver:
             h_kk = float(h_diag[k])
             e_k = np.zeros(self.d)
             e_k[k] = 1.0
-            _broyden(self.tau2, q, h_col, h_kk, e_k, out=d_i)
+            mk.broyden_update(self.tau2, q, h_col, h_kk, e_k, out=d_i)
             if self.inverse_chain:
                 terms += _broyden_terms(self.tau2, h_col, h_kk, q[:, k], float(q[k, k]),
                                         k_first=False)
