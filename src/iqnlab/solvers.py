@@ -239,6 +239,8 @@ class BaseSolver:
         return self.D[i]
 
     def step(self) -> StepResult:
+        """One iteration: solve for x, run the stages on the touched tuple,
+        write it back and fold the change into the aggregates."""
         t = self.t + 1
         i = (t - 1) % self.n
         x = self._solve_iterate()
@@ -251,10 +253,10 @@ class BaseSolver:
             math.sqrt(s.dot(s)) <= TINY_STEP * (1.0 + math.sqrt(z_old.dot(z_old))))
         c = self._correction(t, i, s, skipped)
 
-        # Stage 1, scale: q = (1 + c)^2 D_i. With a greedy stage q is a fresh
-        # copy (the one d x d array a step allocates; audits keep it) that
-        # becomes the post-classic matrix; without one the classic stage
-        # updates D_i in place.
+        # Scale stage: q = (1 + c)^2 D_i. With a greedy stage q is a fresh
+        # copy (the one d x d array a memoized step allocates; audits keep
+        # it) that becomes the post-classic matrix; without one the classic
+        # stage updates D_i in place.
         d_i = self.D[i]
         q = d_i
         if self.greedy:
@@ -344,6 +346,11 @@ class MemoizedSolver(BaseSolver):
 
     def _solve_iterate(self):
         return self.H @ (self.phi - self.g)
+
+    def _swap_phi(self, dz_old, dx, w):
+        """phi with the touched tuple's share D_i z_old replaced by D_i x,
+        scaled by omega; each method keeps its own association."""
+        raise NotImplementedError
 
     def _outgoing(self, i, q, z_old):
         return q @ z_old
