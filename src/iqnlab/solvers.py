@@ -242,7 +242,7 @@ class BaseSolver:
         """One iteration: solve for x, run the stages on the touched tuple,
         write it back and fold the change into the aggregates."""
         t = self.t + 1
-        i = (t - 1) % self.n
+        i = index_of(t, self.n) - 1
         x = self._solve_iterate()
         z_old = self.z[i]
         s = x - z_old
