@@ -28,6 +28,10 @@ GEOMETRIC = AlphaSchedule(mode="geometric", epsilon=0.05, rho=0.5, m_sqrt_l=1.0)
 PROBLEMS = {
     "quad": ExperimentConfig(problem="quadratic", n=8, d=10, xi=1.5, b_max=10.0,
                              seed=5),
+    # d = 64 is a whole number of BLAS blocks; the d = 10/12 fixtures run
+    # mostly in the kernels' remainder loops.
+    "quad64": ExperimentConfig(problem="quadratic", n=6, d=64, xi=1.5, b_max=10.0,
+                               seed=11),
     # 60 rows, d = 12, parsed from committed LIBSVM text.
     "logi": ExperimentConfig(problem="logistic", data=str(GOLDEN / "logistic60.libsvm"),
                              x0_scale=0.5, seed=7),
@@ -38,6 +42,7 @@ QUAD = dict(gstop=1e-10, max_epochs=40)
 # tuple already sits at the iterate and the classic stage is skipped.
 EXACT_START = dict(gstop=float("inf"), max_epochs=3, init_curvature="exact-hessian")
 LOGI = dict(gstop=1e-8, max_epochs=15)
+BLOCK = dict(gstop=float("inf"), max_epochs=3)
 # SIQN's beta correction stalls on this logistic problem: it raises
 # DegenerateDirection at t = 241, so its budget stays below four passes.
 LOGI_BETA = dict(gstop=1e-8, max_epochs=3)
@@ -61,6 +66,10 @@ CASES = {
     "quad-SIQN-skip": ("quad", dict(method="SIQN", **EXACT_START)),
     "quad-SLIQN-skip": ("quad", dict(method="SLIQN", **EXACT_START)),
     "quad-GSLIQN-skip": ("quad", dict(method="GSLIQN", tau1=0.5, tau2=0.5, **EXACT_START)),
+    "quad64-IQN": ("quad64", dict(method="IQN", **BLOCK)),
+    "quad64-SIQN": ("quad64", dict(method="SIQN", **BLOCK)),
+    "quad64-SLIQN": ("quad64", dict(method="SLIQN", **BLOCK)),
+    "quad64-GSLIQN-tau": ("quad64", dict(method="GSLIQN", tau1=0.5, tau2=0.5, **BLOCK)),
     "logi-IQN": ("logi", dict(method="IQN", **LOGI)),
     "logi-SIQN": ("logi", dict(method="SIQN", **LOGI_BETA)),
     "logi-SLIQN": ("logi", dict(method="SLIQN", track_sigma=True, **LOGI)),
