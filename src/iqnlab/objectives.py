@@ -199,6 +199,9 @@ class LogisticObjective(FiniteSumObjective):
         if not 0.0 < self.inner_radius <= self.radius:
             raise DegenerateProblem("need 0 < inner_radius <= radius")
         self.n, self.d = self.features.shape
+        # Built once: full_gradient runs every iteration for the stopping
+        # rule. The CSC transpose shares the CSR arrays, so nothing is copied.
+        self._features_t = self.features.T
 
     # -- sparse row access -------------------------------------------------
 
@@ -214,20 +217,23 @@ class LogisticObjective(FiniteSumObjective):
         return float(x[self.features.indices[start:end]] @ self.features.data[start:end])
 
     # -- regularizer pieces ------------------------------------------------
+    # ||x|| is sqrt(x . x), numpy's own 2-norm formula minus its call
+    # overhead. It stays a numpy scalar: a Python float raises OverflowError
+    # in nx ** p on a huge iterate, where numpy returns inf.
 
     def _reg_value(self, x):
-        nx = np.linalg.norm(x)
+        nx = np.sqrt(x.dot(x))
         return 0.5 * self.lam * nx ** self.p
 
     def _reg_gradient(self, x):
-        nx = np.linalg.norm(x)
+        nx = np.sqrt(x.dot(x))
         if nx < ORIGIN_GUARD:
             return np.zeros(self.d)
         return 0.5 * self.lam * self.p * nx ** (self.p - 2.0) * x
 
     def _reg_hessian_coeffs(self, x):
         """(c1, c2) with H_reg = c1 I + c2 x x^T."""
-        nx = np.linalg.norm(x)
+        nx = np.sqrt(x.dot(x))
         if nx < ORIGIN_GUARD:
             return 0.0, 0.0
         c = 0.5 * self.lam * self.p
@@ -283,7 +289,7 @@ class LogisticObjective(FiniteSumObjective):
     def full_gradient(self, x):
         margins = self.features @ x
         residual = expit(margins) - self.labels
-        return self.features.T @ residual + self.n * self._reg_gradient(x)
+        return self._features_t @ residual + self.n * self._reg_gradient(x)
 
     def gradients_at(self, x):
         margins = self.features @ x

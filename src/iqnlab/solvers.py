@@ -149,9 +149,10 @@ class StepResult:
     """What one solver step exposes for diagnostics and audits.
 
     ``q`` is the matrix the greedy stage started from (after the scale and
-    classic stages), None for IQN and NIM. ``d_unscaled`` is the new
-    curvature before omega, for every method a view of the stored D[i]:
-    read it before the tuple is touched again, or copy it.
+    classic stages), None for IQN and NIM. It is the solver's one q buffer,
+    which the next step overwrites. ``d_unscaled`` is the new curvature
+    before omega, for every method a view of the stored D[i]. Read either
+    before the next step, or copy it.
     """
 
     t: int
@@ -225,6 +226,7 @@ class BaseSolver:
         self.z = np.tile(x0, (self.n, 1))
         self.grads = np.ascontiguousarray(objective.gradients_at(x0))
         self.D = self._initial_curvature(x0)
+        self._q = np.empty((self.d, self.d)) if self.greedy else None
 
     def _initial_curvature(self, x0):
         if self.config.init_curvature == "exact-hessian":
@@ -253,31 +255,33 @@ class BaseSolver:
             math.sqrt(s.dot(s)) <= TINY_STEP * (1.0 + math.sqrt(z_old.dot(z_old))))
         c = self._correction(t, i, s, skipped)
 
-        # Scale stage: q = (1 + c)^2 D_i. With a greedy stage q is a fresh
-        # copy (the one d x d array a memoized step allocates; audits keep
-        # it) that becomes the post-classic matrix; without one the classic
-        # stage updates D_i in place.
+        # Every stage writes D_i in place. Scale stage: D_i *= (1 + c)^2.
         d_i = self.D[i]
-        q = d_i
-        if self.greedy:
-            q = d_i.copy() if c == 0.0 else (1.0 + c) ** 2 * d_i
-        outgoing = self._outgoing(i, q, z_old)
+        if c != 0.0:
+            d_i *= (1.0 + c) ** 2
+        outgoing = self._outgoing(i, d_i, z_old)
 
         terms = []
         if self.classic and not skipped:
             y, sy = self._secant(s, y_raw, c)
-            bu = q @ s if self.inverse_chain else None
-            mk.broyden_update(self.tau1, q, y, sy, s, out=q)
+            bu = d_i @ s if self.inverse_chain else None
+            mk.broyden_update(self.tau1, d_i, y, sy, s, out=d_i)
             if self.inverse_chain:
                 terms += _broyden_terms(self.tau1, y, sy, bu, float(s @ bu), k_first=True)
+        q = None
         if self.greedy:
+            # q keeps the post-classic matrix: the chain's terms and audits
+            # read it after D_i has moved on. Its column k is B e_k for the
+            # kernel; a column of D_i itself would alias the matrix written.
+            q = self._q
+            np.copyto(q, d_i)
             h_diag = self.objective.hessian_diag(i, x)
             k = mk.greedy_vector(np.diagonal(q), h_diag)
             h_col = self.objective.hessian_column(i, x, k)
             h_kk = float(h_diag[k])
             e_k = np.zeros(self.d)
             e_k[k] = 1.0
-            mk.broyden_update(self.tau2, q, h_col, h_kk, e_k, out=d_i)
+            mk.broyden_update(self.tau2, d_i, h_col, h_kk, e_k, out=d_i, bu=q[:, k])
             if self.inverse_chain:
                 terms += _broyden_terms(self.tau2, h_col, h_kk, q[:, k], float(q[k, k]),
                                         k_first=False)
@@ -286,7 +290,7 @@ class BaseSolver:
         self.grads[i] = grad_new
         self.t = t
         w = self._fold(t, i, x, y_raw, outgoing, terms)
-        return StepResult(t=t, index=i + 1, x=x, omega=w, q=q if self.greedy else None,
+        return StepResult(t=t, index=i + 1, x=x, omega=w, q=q,
                           d_unscaled=d_i, classic_skipped=skipped)
 
     def _solve_iterate(self):
@@ -561,10 +565,13 @@ def run(objective, x0, config: SolverConfig, x_star=None):
         except IqnLabError as exc:
             raise type(exc)(f"step t={solver.t + 1} failed: {exc}") from exc
         wall_ms = (time.perf_counter() - start) * 1e3
-        grad_norm = float(np.linalg.norm(objective.full_gradient(result.x))) / objective.n
+        # 2-norms as numpy's norm computes them, minus its overhead.
+        g = objective.full_gradient(result.x)
+        grad_norm = math.sqrt(g.dot(g)) / objective.n
         normalized = None
         if denom is not None:
-            err = float(np.linalg.norm(result.x - x_star))
+            e = result.x - x_star
+            err = math.sqrt(e.dot(e))
             normalized = err / denom if denom > 0.0 else err
         sigma_max = None
         if config.track_sigma:
