@@ -271,8 +271,8 @@ class BaseSolver:
         q = None
         if self.greedy:
             # q keeps the post-classic matrix: the chain's terms and audits
-            # read it after D_i has moved on. Its column k is B e_k for the
-            # kernel; a column of D_i itself would alias the matrix written.
+            # read it after D_i has moved on. Its column k is the B e_k the
+            # kernel would otherwise compute with a d x d product.
             q = self._q
             np.copyto(q, d_i)
             h_diag = self.objective.hessian_diag(i, x)
@@ -306,7 +306,7 @@ class BaseSolver:
         y = y_raw if c == 0.0 else (1.0 + c) * y_raw
         return y, float(s @ y)
 
-    def _outgoing(self, i, q, z_old):
+    def _outgoing(self, i, d_i, z_old):
         """What the aggregates lose with the old tuple, read before it changes."""
         return None
 
@@ -356,8 +356,8 @@ class MemoizedSolver(BaseSolver):
         scaled by omega; each method keeps its own association."""
         raise NotImplementedError
 
-    def _outgoing(self, i, q, z_old):
-        return q @ z_old
+    def _outgoing(self, i, d_i, z_old):
+        return d_i @ z_old
 
     def _fold(self, t, i, x, y_raw, dz_old, terms):
         w = omega(t, self.n, self.alpha)
@@ -512,8 +512,8 @@ class NimSolver(BaseSolver):
         except np.linalg.LinAlgError as exc:
             raise SingularAggregate(f"Hessian sum solve failed: {exc}") from exc
 
-    def _outgoing(self, i, q, z_old):
-        return q @ z_old - self.grads[i]
+    def _outgoing(self, i, d_i, z_old):
+        return d_i @ z_old - self.grads[i]
 
     def _fold(self, t, i, x, y_raw, outgoing, terms):
         h_new = self.objective.hessian(i, x)

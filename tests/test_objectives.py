@@ -4,6 +4,7 @@ constant estimation, and the regularizer's behavior at the origin."""
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.special import expit
 
 from iqnlab.errors import DegenerateProblem
 from iqnlab.objectives import (
@@ -139,6 +140,20 @@ class TestLogisticDerivatives:
         direct = sum(obj.gradient(i, x) for i in range(obj.n))
         np.testing.assert_allclose(obj.full_gradient(x), direct, atol=1e-12)
 
+    def test_full_gradient_bit_equal_to_uncached_transpose(self, rng, random_logistic):
+        obj = random_logistic
+        for _ in range(3):
+            x = rng.standard_normal(obj.d)
+            uncached = (obj.features.T @ (expit(obj.features @ x) - obj.labels)
+                        + obj.n * obj._reg_gradient(x))
+            np.testing.assert_array_equal(obj.full_gradient(x), uncached)
+
+    def test_cached_transpose_shares_the_csr_arrays(self, random_logistic):
+        obj = random_logistic
+        assert obj._features_t.shape == (obj.d, obj.n)
+        assert np.shares_memory(obj._features_t.data, obj.features.data)
+        assert np.shares_memory(obj._features_t.indices, obj.features.indices)
+
 
 class TestLogisticConstants:
     def test_l_bounds_sampled_hessian_spectrum(self, rng):
@@ -199,6 +214,17 @@ class TestRegularizerOrigin:
         x = np.zeros(2)
         np.testing.assert_array_equal(obj.gradient(0, x), np.zeros(2))
         np.testing.assert_array_equal(obj.hessian(0, x), np.zeros((2, 2)))
+
+
+    @pytest.mark.parametrize("norm", [1e150, 1e200])
+    def test_huge_iterate_gives_inf_not_overflow_error(self, norm):
+        # At 1e150, x . x is finite but ||x||^p overflows: a Python float
+        # would raise OverflowError there, a numpy scalar returns inf.
+        obj = LogisticObjective(scipy.sparse.csr_matrix((1, 4)), np.array([0.0]),
+                                lam=0.5, p=2.1)
+        x = np.full(4, 0.5 * norm)
+        with np.errstate(over="ignore"):
+            assert obj._reg_value(x) == np.inf
 
 
 class TestSmoothnessConstants:

@@ -2,6 +2,7 @@
 bookkeeping, memoization exactness, and the convergence contracts."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,27 @@ class TestStateInvariants:
             passes[method] = records[-1].t / quad.n
         assert passes["IGS"] <= passes["IQN"]
         assert passes["SLIQN"] <= passes["IQN"]
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("method", ["IQN", "SLIQN", "GSLIQN"])
+    def test_step_allocates_no_d_by_d_array(self, method):
+        # Every stage writes D_i in place and the greedy stage reuses one q
+        # buffer, so a step (tau = 0, no refresh, no omega) allocates only
+        # vectors once its buffers exist.
+        d = 120
+        quad = small_quadratic(n=4, d=d)
+        solver = make_solver(quad, initial_point(d, 1.0, 0),
+                             SolverConfig(method=method, gstop=1e-300))
+        solver.step()
+        solver.step()
+        tracemalloc.start()
+        try:
+            solver.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8, f"{method} step peaked at {peak / (d * d * 8):.2f} d^2 doubles"
 
 
 class TestGeneralizedBroyden:
