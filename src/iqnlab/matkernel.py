@@ -159,7 +159,7 @@ def _curvature_guards(b, ku, u, tol):
             tol * nu * math.sqrt(ku.dot(ku)))
 
 
-def _restricted_broyden(tau, b, ku, uku, u, tol, out, label, bu=None):
+def _restricted_broyden(tau, b, ku, uku, u, tol, out, label):
     """``tau * DFP + (1 - tau) * BFGS`` as symmetric rank-one terms:
 
         B - (1 - tau)/<u,Bu> bu bu^T + ((1 - tau) + tau c)/uku ku ku^T
@@ -167,7 +167,6 @@ def _restricted_broyden(tau, b, ku, uku, u, tol, out, label, bu=None):
 
     with ``bu = B u`` and ``c = 1 + <u,Bu>/uku``; the last two terms are the
     DFP cross term ``-(ku bu^T + bu ku^T) tau/uku`` written symmetrically.
-    A given ``bu`` is copied, so it may be a view of ``out``.
     """
     b = _as_f64(b)
     ku = _as_f64(ku)
@@ -178,7 +177,7 @@ def _restricted_broyden(tau, b, ku, uku, u, tol, out, label, bu=None):
     else:
         _check_out(out, b)
     guard_ubu, guard_uku = _curvature_guards(b, ku, u, tol)
-    bu = _symv(b, u) if bu is None else np.array(bu, dtype=np.float64)
+    bu = _symv(b, u)
     ubu = float(u @ bu)
     if ubu <= guard_ubu or uku <= guard_uku:
         raise DegenerateDirection(
@@ -198,43 +197,39 @@ def _restricted_broyden(tau, b, ku, uku, u, tol, out, label, bu=None):
 
 
 def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
-                tol: float = DEFAULT_TOL, out=None, bu=None) -> np.ndarray:
+                tol: float = DEFAULT_TOL, out=None) -> np.ndarray:
     """Generalized BFGS update of B toward K along direction u.
 
     Computes ``B - B u u^T B / <u, B u> + ku ku^T / uku`` where ``ku = K u``
     and ``uku = <u, K u>``, written to ``out`` (fresh when ``None``; may be
     ``b`` itself). The result satisfies the secant property
     ``B_new @ u == ku``; a symmetric B gives an exactly symmetric result.
-    ``bu``, when given, is ``B u`` and replaces the kernel's own product;
-    along a basis vector e_k it is column k of B, taken from any array
-    that holds B (it is copied before ``out`` changes).
 
     Raises
     ------
     DegenerateDirection
         If ``<u, B u>`` or ``uku`` falls below the scaled tolerance.
     """
-    return _restricted_broyden(0.0, b, ku, uku, u, tol, out, "BFGS", bu)
+    return _restricted_broyden(0.0, b, ku, uku, u, tol, out, "BFGS")
 
 
 def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
-               tol: float = DEFAULT_TOL, out=None, bu=None) -> np.ndarray:
+               tol: float = DEFAULT_TOL, out=None) -> np.ndarray:
     """DFP update of B toward K along direction u.
 
     Computes ``B - (ku u^T B + B u u^T ku^T)/uku + (1 + <u,Bu>/uku) ku ku^T/uku``
-    with the same access pattern, ``out`` and ``bu`` semantics, secant
-    property and error contract as :func:`bfgs_update`.
+    with the same access pattern, ``out`` semantics, secant property and
+    error contract as :func:`bfgs_update`.
     """
-    return _restricted_broyden(1.0, b, ku, uku, u, tol, out, "DFP", bu)
+    return _restricted_broyden(1.0, b, ku, uku, u, tol, out, "DFP")
 
 
 def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
-                   u: np.ndarray, tol: float = DEFAULT_TOL, out=None,
-                   bu=None) -> np.ndarray:
+                   u: np.ndarray, tol: float = DEFAULT_TOL, out=None) -> np.ndarray:
     """Restricted Broyden update: ``tau * DFP + (1 - tau) * BFGS``.
 
     The endpoints are exact: ``tau == 0`` returns the BFGS output and
-    ``tau == 1`` the DFP output, bit for bit. ``out`` and ``bu`` as in
+    ``tau == 1`` the DFP output, bit for bit. ``out`` as in
     :func:`bfgs_update`.
 
     Raises
@@ -245,10 +240,10 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     if not 0.0 <= tau <= 1.0:
         raise InvalidTau(f"tau must lie in [0, 1], got {tau}")
     if tau == 0.0:
-        return bfgs_update(b, ku, uku, u, tol, out=out, bu=bu)
+        return bfgs_update(b, ku, uku, u, tol, out=out)
     if tau == 1.0:
-        return dfp_update(b, ku, uku, u, tol, out=out, bu=bu)
-    return _restricted_broyden(tau, b, ku, uku, u, tol, out, f"Broyden(tau={tau})", bu)
+        return dfp_update(b, ku, uku, u, tol, out=out)
+    return _restricted_broyden(tau, b, ku, uku, u, tol, out, f"Broyden(tau={tau})")
 
 
 def greedy_vector(q_diag: np.ndarray, h_diag: np.ndarray,

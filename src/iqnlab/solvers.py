@@ -152,7 +152,8 @@ class StepResult:
     classic stages), None for IQN and NIM. It is the solver's one q buffer,
     which the next step overwrites. ``d_unscaled`` is the new curvature
     before omega, for every method a view of the stored D[i]. Read either
-    before the next step, or copy it.
+    before the next step, or copy it. A step that raises returns nothing and
+    leaves the solver unusable (see :meth:`BaseSolver.step`).
     """
 
     t: int
@@ -242,7 +243,11 @@ class BaseSolver:
 
     def step(self) -> StepResult:
         """One iteration: solve for x, run the stages on the touched tuple,
-        write it back and fold the change into the aggregates."""
+        write it back and fold the change into the aggregates.
+
+        The stages write D[i] in place, so a step that raises may leave D[i]
+        partly updated: the solver's state is then undefined and it must not
+        be stepped again."""
         t = self.t + 1
         i = index_of(t, self.n) - 1
         x = self._solve_iterate()
@@ -271,8 +276,7 @@ class BaseSolver:
         q = None
         if self.greedy:
             # q keeps the post-classic matrix: the chain's terms and audits
-            # read it after D_i has moved on. Its column k is the B e_k the
-            # kernel would otherwise compute with a d x d product.
+            # read it after D_i has moved on.
             q = self._q
             np.copyto(q, d_i)
             h_diag = self.objective.hessian_diag(i, x)
@@ -281,7 +285,7 @@ class BaseSolver:
             h_kk = float(h_diag[k])
             e_k = np.zeros(self.d)
             e_k[k] = 1.0
-            mk.broyden_update(self.tau2, d_i, h_col, h_kk, e_k, out=d_i, bu=q[:, k])
+            mk.broyden_update(self.tau2, d_i, h_col, h_kk, e_k, out=d_i)
             if self.inverse_chain:
                 terms += _broyden_terms(self.tau2, h_col, h_kk, q[:, k], float(q[k, k]),
                                         k_first=False)

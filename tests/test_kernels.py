@@ -134,34 +134,6 @@ def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
     assert rel_err(h, expected) < 1e-10
 
 
-@pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in_place"])
-@pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("d", DIMS)
-def test_given_column_is_bit_equal_to_kernel_product(rng, d, tau, in_place):
-    # Along e_k, B e_k is column k of B: passing it as bu skips the kernel's
-    # dsymv. With out=b the column is a view of the matrix being written
-    # (contiguous at d = 1), so the kernel must read it before writing.
-    b, k_mat = sym_spd(rng, d), sym_spd(rng, d)
-    k = int(rng.integers(d))
-    e_k = np.zeros(d)
-    e_k[k] = 1.0
-    args = (tau, b, k_mat[:, k].copy(), float(k_mat[k, k]), e_k)
-    expected = mk.broyden_update(*args)
-    got = mk.broyden_update(*args, out=b if in_place else None, bu=b[:, k])
-    np.testing.assert_array_equal(got, expected)
-
-
-@pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
-def test_guards_leave_out_untouched_with_given_column(tau):
-    b = np.diag([2.0, 3.0])
-    e_0 = np.array([1.0, 0.0])
-    for ku, uku, bu in ((np.array([1.0, 0.0]), 0.0, b[:, 0]),       # uku at 0
-                        (np.array([1.0, 0.0]), 1.0, np.zeros(2))):  # <u, Bu> at 0
-        with pytest.raises(DegenerateDirection):
-            mk.broyden_update(tau, b, ku, uku, e_0, out=b, bu=bu)
-        np.testing.assert_array_equal(b, np.diag([2.0, 3.0]))
-
-
 def test_guards_leave_out_untouched():
     h = np.eye(2)
     with pytest.raises(SingularUpdate):
