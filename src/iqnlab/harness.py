@@ -8,8 +8,7 @@ byte-identical traces except for the wall-time column.
 
 import csv
 import hashlib
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +16,13 @@ import numpy as np
 from .data import GeneratorSpec, generate_quadratic, initial_point, load_libsvm, rows_to_csr
 from .errors import HarnessError, IqnLabError
 from .objectives import LogisticObjective, QuadraticObjective
-from .solvers import DIVERGENCE_GRAD_NORM, METHODS, AlphaSchedule, SolverConfig, run
+from .solvers import METHODS, AlphaSchedule, SolverConfig, diverged, index_of, run, run_solver
 
 TRACE_COLUMNS = ("t", "epoch", "grad_norm", "normalized_error", "sigma_max", "wall_ms")
+
+# The NIM run that stands in for the logistic minimizer x*.
+REFERENCE_GSTOP = 1e-12
+REFERENCE_MAX_EPOCHS = 200
 
 
 @dataclass
@@ -88,30 +91,24 @@ def parse_config_file(path):
 
 
 def config_from_mapping(values):
-    """Build an ExperimentConfig from string key/value pairs."""
+    """Build an ExperimentConfig from string key/value pairs; each value
+    takes the type of its key's default."""
     cfg = ExperimentConfig()
-    converters = {
-        "problem": str, "n": int, "d": int, "xi": float, "b_max": float,
-        "data": str, "lam": str, "p": float, "x0_scale": float, "seed": int,
-        "gstop": float, "max_epochs": int, "refresh_period": int,
-        "tau1": float, "tau2": float, "alpha_mode": str,
-        "alpha_epsilon": float, "alpha_rho": float, "out": str,
-    }
     for key, raw in values.items():
-        if key == "methods":
-            methods = tuple(m.strip().upper() for m in raw.split(",") if m.strip())
-            cfg.methods = methods
-        elif key == "track_sigma":
+        if key not in {f.name for f in fields(cfg)}:
+            raise HarnessError(f"unknown config key {key!r}")
+        kind = type(getattr(cfg, key))
+        if kind is tuple:
+            setattr(cfg, key, tuple(m.strip().upper() for m in raw.split(",") if m.strip()))
+        elif kind is bool:
             if raw.lower() not in _BOOL:
-                raise HarnessError(f"track_sigma must be boolean, got {raw!r}")
-            cfg.track_sigma = _BOOL[raw.lower()]
-        elif key in converters:
+                raise HarnessError(f"{key} must be boolean, got {raw!r}")
+            setattr(cfg, key, _BOOL[raw.lower()])
+        else:
             try:
-                setattr(cfg, key, converters[key](raw))
+                setattr(cfg, key, kind(raw))
             except ValueError as exc:
                 raise HarnessError(f"bad value for {key}: {raw!r} ({exc})") from exc
-        else:
-            raise HarnessError(f"unknown config key {key!r}")
     cfg.validate()
     return cfg
 
@@ -142,21 +139,18 @@ def build_problem(config: ExperimentConfig):
     return objective, x0, x_star
 
 
-def _reference_minimizer(objective, x0, gstop=1e-12, max_epochs=200):
-    """Drive NIM until the averaged gradient norm falls below gstop."""
-    from .solvers import make_solver
+def _reference_minimizer(objective, x0):
+    """Run NIM to a REFERENCE_GSTOP averaged gradient norm; x* is the
+    iterate of its last step."""
+    from .solvers import make_solver  # per call, so a wrapper on it applies
 
-    solver = make_solver(objective, x0, SolverConfig(method="NIM", gstop=gstop,
-                                                     max_epochs=max_epochs))
-    x = np.asarray(x0, dtype=np.float64)
-    for _ in range(max_epochs * objective.n):
-        x = solver.step().x
-        g = objective.full_gradient(x)
-        grad_norm = math.sqrt(g.dot(g)) / objective.n
-        if grad_norm < gstop:
-            return x
-    raise HarnessError(
-        f"reference NIM run did not reach {gstop:g} (got {grad_norm:.3e})")
+    solver = make_solver(objective, x0, SolverConfig(
+        method="NIM", gstop=REFERENCE_GSTOP, max_epochs=REFERENCE_MAX_EPOCHS))
+    grad_norm = run_solver(solver)[-1].grad_norm
+    if not grad_norm < REFERENCE_GSTOP:
+        raise HarnessError(f"reference NIM run did not reach {REFERENCE_GSTOP:g} "
+                           f"(got {grad_norm:.3e})")
+    return solver.z[index_of(solver.t, objective.n) - 1].copy()
 
 
 def _solver_config(config: ExperimentConfig, method: str, constants=None) -> SolverConfig:
@@ -199,10 +193,10 @@ def run_experiment(config: ExperimentConfig, log=print):
     """Run every configured method from the shared start point.
 
     Writes ``<method>.csv`` per method plus ``summary.csv`` into the output
-    directory and returns the summary rows. A method whose averaged gradient
-    norm exceeds DIVERGENCE_GRAD_NORM is recorded as diverged without
-    failing its siblings; solver exceptions are recorded as failures and
-    re-raised collectively at the end.
+    directory and returns the summary rows. A method that ends on a
+    :func:`~iqnlab.solvers.diverged` gradient norm is recorded as diverged
+    without failing its siblings; solver exceptions are recorded as failures
+    and re-raised collectively at the end.
     """
     config.validate()
     objective, x0, x_star = build_problem(config)  # validates data before any output
@@ -231,9 +225,8 @@ def run_experiment(config: ExperimentConfig, log=print):
             continue
         last = records[-1]
         reached = last.grad_norm < config.gstop
-        diverged = (not math.isfinite(last.grad_norm)
-                    or last.grad_norm > DIVERGENCE_GRAD_NORM)
-        status = "diverged" if diverged else ("ok" if reached else "max_epochs")
+        status = ("diverged" if diverged(last.grad_norm)
+                  else "ok" if reached else "max_epochs")
         epochs = last.t / objective.n if reached else ""
         summary.append({"method": method,
                         "epochs_to_gstop": _fmt(epochs) if epochs != "" else "",

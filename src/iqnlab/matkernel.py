@@ -43,7 +43,7 @@ from .errors import (
 # Recorded in run manifests; there is a single kernel implementation.
 BACKEND = "scipy-blas"
 
-DEFAULT_TOL = 1e-12
+GUARD_TOL = 1e-12
 
 
 def _as_f64(x):
@@ -97,7 +97,7 @@ def _add_symmetric(m, c, x):
 
 
 def sm_inverse_update(a_inv: np.ndarray, u: np.ndarray, v: np.ndarray,
-                      tol: float = DEFAULT_TOL, out=None) -> np.ndarray:
+                      out=None) -> np.ndarray:
     """Inverse of ``A + u v^T`` from ``a_inv = A^{-1}`` (Sherman-Morrison).
 
     Parameters
@@ -106,8 +106,6 @@ def sm_inverse_update(a_inv: np.ndarray, u: np.ndarray, v: np.ndarray,
         Inverse of the current matrix A.
     u, v : (d,) arrays
         Rank-one factors of the additive update.
-    tol : float
-        Absolute threshold on the denominator ``1 + <v, A^{-1} u>``.
     out : (d, d) C-ordered float64 array, optional
         Where to write the result; may be ``a_inv`` itself.
 
@@ -122,7 +120,7 @@ def sm_inverse_update(a_inv: np.ndarray, u: np.ndarray, v: np.ndarray,
     Raises
     ------
     SingularUpdate
-        If ``|1 + <v, A^{-1} u>| < tol`` (the update destroys invertibility).
+        If ``|1 + <v, A^{-1} u>| < GUARD_TOL`` (A + u v^T is singular).
     """
     a_inv = _as_f64(a_inv)
     u = _as_f64(u)
@@ -137,8 +135,8 @@ def sm_inverse_update(a_inv: np.ndarray, u: np.ndarray, v: np.ndarray,
         _check_out(out, a_inv)
     w = _symv(a_inv, u) if collinear else _matvec(a_inv, u)
     den = 1.0 + float(v @ w)
-    if abs(den) < tol:
-        raise SingularUpdate(f"rank-one update denominator {den:.3e} below {tol:.1e}")
+    if abs(den) < GUARD_TOL:
+        raise SingularUpdate(f"rank-one update denominator {den:.3e} below {GUARD_TOL:.1e}")
     wt = None if collinear else _rmatvec(a_inv, v)
     if out is not a_inv:
         np.copyto(out, a_inv)
@@ -149,17 +147,17 @@ def sm_inverse_update(a_inv: np.ndarray, u: np.ndarray, v: np.ndarray,
     return out
 
 
-def _curvature_guards(b, ku, u, tol):
+def _curvature_guards(b, ku, u):
     # Each denominator is compared against its own operand scale:
     # <u, Bu> ~ ||u||^2 ||B|| and uku ~ ||u|| ||Ku||. Coupling them would
     # reject healthy updates whenever B and K live on different scales.
     # 2-norms as sqrt(x . x), numpy's norm formula without its call overhead.
     nu = math.sqrt(u.dot(u))
-    return (tol * nu * nu * np.abs(b.diagonal()).max(),
-            tol * nu * math.sqrt(ku.dot(ku)))
+    return (GUARD_TOL * nu * nu * np.abs(b.diagonal()).max(),
+            GUARD_TOL * nu * math.sqrt(ku.dot(ku)))
 
 
-def _restricted_broyden(tau, b, ku, uku, u, tol, out, label):
+def _restricted_broyden(tau, b, ku, uku, u, out, label):
     """``tau * DFP + (1 - tau) * BFGS`` as symmetric rank-one terms:
 
         B - (1 - tau)/<u,Bu> bu bu^T + ((1 - tau) + tau c)/uku ku ku^T
@@ -176,7 +174,7 @@ def _restricted_broyden(tau, b, ku, uku, u, tol, out, label):
         out = b = symmetrize(b)
     else:
         _check_out(out, b)
-    guard_ubu, guard_uku = _curvature_guards(b, ku, u, tol)
+    guard_ubu, guard_uku = _curvature_guards(b, ku, u)
     bu = _symv(b, u)
     ubu = float(u @ bu)
     if ubu <= guard_ubu or uku <= guard_uku:
@@ -197,7 +195,7 @@ def _restricted_broyden(tau, b, ku, uku, u, tol, out, label):
 
 
 def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
-                tol: float = DEFAULT_TOL, out=None) -> np.ndarray:
+                out=None) -> np.ndarray:
     """Generalized BFGS update of B toward K along direction u.
 
     Computes ``B - B u u^T B / <u, B u> + ku ku^T / uku`` where ``ku = K u``
@@ -208,28 +206,29 @@ def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
     Raises
     ------
     DegenerateDirection
-        If ``<u, B u>`` or ``uku`` falls below the scaled tolerance.
+        If ``<u, B u>`` falls below ``GUARD_TOL * ||u||^2 * max|diag B|``
+        or ``uku`` below ``GUARD_TOL * ||u|| * ||ku||``.
     """
-    return _restricted_broyden(0.0, b, ku, uku, u, tol, out, "BFGS")
+    return _restricted_broyden(0.0, b, ku, uku, u, out, "BFGS")
 
 
 def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
-               tol: float = DEFAULT_TOL, out=None) -> np.ndarray:
+               out=None) -> np.ndarray:
     """DFP update of B toward K along direction u.
 
     Computes ``B - (ku u^T B + B u u^T ku^T)/uku + (1 + <u,Bu>/uku) ku ku^T/uku``
     with the same access pattern, ``out`` semantics, secant property and
     error contract as :func:`bfgs_update`.
     """
-    return _restricted_broyden(1.0, b, ku, uku, u, tol, out, "DFP")
+    return _restricted_broyden(1.0, b, ku, uku, u, out, "DFP")
 
 
 def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
-                   u: np.ndarray, tol: float = DEFAULT_TOL, out=None) -> np.ndarray:
+                   u: np.ndarray, out=None) -> np.ndarray:
     """Restricted Broyden update: ``tau * DFP + (1 - tau) * BFGS``.
 
     The endpoints are exact: ``tau == 0`` returns the BFGS output and
-    ``tau == 1`` the DFP output, bit for bit. ``out`` as in
+    ``tau == 1`` the DFP output, bit for bit. ``out`` and the guards as in
     :func:`bfgs_update`.
 
     Raises
@@ -240,14 +239,13 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     if not 0.0 <= tau <= 1.0:
         raise InvalidTau(f"tau must lie in [0, 1], got {tau}")
     if tau == 0.0:
-        return bfgs_update(b, ku, uku, u, tol, out=out)
+        return bfgs_update(b, ku, uku, u, out=out)
     if tau == 1.0:
-        return dfp_update(b, ku, uku, u, tol, out=out)
-    return _restricted_broyden(tau, b, ku, uku, u, tol, out, f"Broyden(tau={tau})")
+        return dfp_update(b, ku, uku, u, out=out)
+    return _restricted_broyden(tau, b, ku, uku, u, out, f"Broyden(tau={tau})")
 
 
-def greedy_vector(q_diag: np.ndarray, h_diag: np.ndarray,
-                  tol: float = DEFAULT_TOL) -> int:
+def greedy_vector(q_diag: np.ndarray, h_diag: np.ndarray) -> int:
     """Index of the basis direction maximizing ``<e_i, Q e_i> / <e_i, H e_i>``.
 
     For standard basis vectors the quadratic-form ratio reduces to the ratio
@@ -257,13 +255,13 @@ def greedy_vector(q_diag: np.ndarray, h_diag: np.ndarray,
     Raises
     ------
     NonPositiveDiagonal
-        If any reference diagonal entry is <= tol.
+        If any reference diagonal entry is <= GUARD_TOL.
     """
     q_diag = np.asarray(q_diag, dtype=np.float64)
     h_diag = np.asarray(h_diag, dtype=np.float64)
-    if np.any(h_diag <= tol):
+    if np.any(h_diag <= GUARD_TOL):
         raise NonPositiveDiagonal(
-            f"reference diagonal has entries <= {tol:.1e} (min {h_diag.min():.3e})"
+            f"reference diagonal has entries <= {GUARD_TOL:.1e} (min {h_diag.min():.3e})"
         )
     return int(np.argmax(q_diag / h_diag))
 

@@ -100,21 +100,17 @@ class FiniteSumObjective:
 
     def full_gradient(self, x):
         """Sum of all component gradients at x."""
-        total = np.zeros(self.d)
-        for i in range(self.n):
-            total += self.gradient(i, x)
-        return total
+        raise NotImplementedError
 
     def gradients_at(self, x):
         """All component gradients at a single point, stacked (n, d)."""
-        return np.stack([self.gradient(i, x) for i in range(self.n)])
+        raise NotImplementedError
 
 
 class QuadraticObjective(FiniteSumObjective):
     """f_i(x) = 0.5 <x, A_i x> + <b_i, x> with A_i = diag(a_i) > 0."""
 
     def __init__(self, components: QuadraticComponents):
-        self.components = components
         self.a = np.ascontiguousarray(components.a_diag, dtype=np.float64)
         self.b = np.ascontiguousarray(components.b, dtype=np.float64)
         self.n, self.d = self.a.shape
@@ -172,20 +168,20 @@ class LogisticObjective(FiniteSumObjective):
     p : float
         Regularizer exponent, must exceed 2 (2.1 in the benchmark setup).
     radius : float
-        Outer radius of the ball on which the smoothness constants are
-        certified. ||x||^p has unbounded Hessian growth, so L depends on it.
-    inner_radius : float, optional
-        Inner radius of the annulus on which mu and L_tilde are certified;
-        the regularizer Hessian vanishes at the origin and its derivative
-        blows up there, so neither constant exists on a full ball. Defaults
-        to 1e-3 * radius.
+        Positive outer radius of the ball on which L is certified; ||x||^p
+        has unbounded Hessian growth. mu and L_tilde are certified on the
+        annulus ``inner_radius = 1e-3 * radius <= ||x|| <= radius``: the
+        regularizer Hessian vanishes at the origin and its derivative blows
+        up there, so neither constant exists on a full ball.
     """
 
-    def __init__(self, features, labels, lam, p=2.1, radius=10.0, inner_radius=None):
+    def __init__(self, features, labels, lam, p=2.1, radius=10.0):
         if not p > 2.0:
             raise DegenerateProblem(f"regularizer exponent p must exceed 2, got {p}")
         if not lam > 0.0:
             raise DegenerateProblem(f"lam must be positive, got {lam}")
+        if not radius > 0.0:
+            raise DegenerateProblem(f"radius must be positive, got {radius}")
         self.features = scipy.sparse.csr_matrix(features, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.shape != (self.features.shape[0],):
@@ -195,9 +191,7 @@ class LogisticObjective(FiniteSumObjective):
         self.lam = float(lam)
         self.p = float(p)
         self.radius = float(radius)
-        self.inner_radius = float(inner_radius) if inner_radius is not None else 1e-3 * self.radius
-        if not 0.0 < self.inner_radius <= self.radius:
-            raise DegenerateProblem("need 0 < inner_radius <= radius")
+        self.inner_radius = 1e-3 * self.radius
         self.n, self.d = self.features.shape
         # Built once: full_gradient runs every iteration for the stopping
         # rule. The CSC transpose shares the CSR arrays, so nothing is copied.

@@ -52,6 +52,11 @@ TINY_STEP = 1e-13
 DIVERGENCE_GRAD_NORM = 1e12
 
 
+def diverged(grad_norm: float) -> bool:
+    """A non-finite or > DIVERGENCE_GRAD_NORM averaged gradient norm."""
+    return not math.isfinite(grad_norm) or grad_norm > DIVERGENCE_GRAD_NORM
+
+
 def index_of(t: int, n: int) -> int:
     """Cyclic 1-based component index for iteration t >= 1: 1 + (t-1) mod n."""
     return 1 + (t - 1) % n
@@ -159,7 +164,6 @@ class StepResult:
     t: int
     index: int  # 1-based component index that was touched
     x: np.ndarray
-    omega: float = 1.0
     q: Optional[np.ndarray] = None
     d_unscaled: Optional[np.ndarray] = None
     classic_skipped: bool = False
@@ -293,9 +297,9 @@ class BaseSolver:
         self.z[i] = x
         self.grads[i] = grad_new
         self.t = t
-        w = self._fold(t, i, x, y_raw, outgoing, terms)
-        return StepResult(t=t, index=i + 1, x=x, omega=w, q=q,
-                          d_unscaled=d_i, classic_skipped=skipped)
+        self._fold(t, i, x, y_raw, outgoing, terms)
+        return StepResult(t=t, index=i + 1, x=x, q=q, d_unscaled=d_i,
+                          classic_skipped=skipped)
 
     def _solve_iterate(self):
         """The iterate from the aggregate system of the current tuples."""
@@ -315,9 +319,7 @@ class BaseSolver:
         return None
 
     def _fold(self, t, i, x, y_raw, outgoing, terms):
-        """Bring the aggregates up to date with the written-back tuple i;
-        returns the step's omega."""
-        return 1.0
+        """Bring the aggregates up to date with the written-back tuple i."""
 
 
 class MemoizedSolver(BaseSolver):
@@ -384,7 +386,6 @@ class MemoizedSolver(BaseSolver):
                 self.H /= w
         if t % self.refresh_period == 0:
             self._materialize_aggregates()
-        return w
 
 
 class SharpenedLazySolver(MemoizedSolver):
@@ -524,7 +525,6 @@ class NimSolver(BaseSolver):
         self._hsum = self._hsum + (h_new - self.D[i])
         self._rhs = self._rhs + (h_new @ x - self.grads[i]) - outgoing
         self.D[i] = h_new
-        return 1.0
 
 
 _SOLVERS = {
@@ -546,22 +546,29 @@ def make_solver(objective, x0, config: SolverConfig) -> BaseSolver:
 
 
 def run(objective, x0, config: SolverConfig, x_star=None):
-    """Execute a solver until the averaged gradient norm drops below
-    config.gstop or max_epochs full passes complete.
+    """Build the solver config.method selects and run it to a stop; returns
+    the list of TraceRecords of :func:`run_solver`."""
+    return run_solver(make_solver(objective, x0, config), x_star=x_star)
+
+
+def run_solver(solver: BaseSolver, x_star=None):
+    """Step a solver that has not been stepped yet until the averaged
+    gradient norm drops below its config.gstop or max_epochs full passes
+    complete.
 
     Returns the list of TraceRecords, one per executed iteration. The
     stopping rule checks (1/n) * ||sum_i grad f_i(x^t)|| at every iterate;
     a non-finite gstop (e.g. inf) disables it, so exactly
-    max_epochs * n records are produced. A non-finite or
-    > DIVERGENCE_GRAD_NORM gradient norm also ends the run (divergence).
-    Step failures re-raise with the failing iteration attached.
+    max_epochs * n records are produced. A :func:`diverged` gradient norm
+    also ends the run. The normalized error is taken against the solver's
+    start point. Step failures re-raise with the failing iteration attached.
     """
-    solver = make_solver(objective, x0, config)
+    objective, config = solver.objective, solver.config
     records = []
     denom = None
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=np.float64)
-        denom = float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - x_star))
+        denom = float(np.linalg.norm(solver.z[0] - x_star))
     for _ in range(config.max_epochs * objective.n):
         start = time.perf_counter()
         try:
@@ -585,8 +592,6 @@ def run(objective, x0, config: SolverConfig, x_star=None):
             t=result.t, epoch=(result.t + objective.n - 1) // objective.n,
             grad_norm=grad_norm, normalized_error=normalized,
             sigma_max=sigma_max, wall_ms=wall_ms))
-        if np.isfinite(config.gstop) and grad_norm < config.gstop:
-            break
-        if not np.isfinite(grad_norm) or grad_norm > DIVERGENCE_GRAD_NORM:
+        if (np.isfinite(config.gstop) and grad_norm < config.gstop) or diverged(grad_norm):
             break
     return records

@@ -12,13 +12,16 @@ from iqnlab.cli import main as cli_main
 from iqnlab.errors import HarnessError
 from iqnlab.harness import (
     ExperimentConfig,
+    build_problem,
     config_from_mapping,
     emit_plot_data,
     parse_config_file,
     run_experiment,
 )
-from iqnlab.objectives import QuadraticObjective
+from iqnlab.objectives import LogisticObjective, QuadraticObjective
 from iqnlab.solvers import METHODS
+
+LOGISTIC60 = Path(__file__).parent / "golden" / "logistic60.libsvm"
 
 
 def quad_config(tmp_path, **overrides):
@@ -49,6 +52,24 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(HarnessError, match="unknown config key"):
             config_from_mapping({"frobnicate": "1"})
+
+    def test_values_take_the_type_of_their_default(self):
+        cfg = config_from_mapping({"xi": "3", "seed": "4", "lam": "0.5",
+                                   "track_sigma": "false"})
+        assert cfg.xi == 3.0 and isinstance(cfg.xi, float)
+        assert cfg.seed == 4 and isinstance(cfg.seed, int)
+        assert cfg.lam == "0.5"
+        # bool("false") is True; the boolean spellings are parsed instead.
+        assert cfg.track_sigma is False
+        assert config_from_mapping({"track_sigma": "Yes"}).track_sigma is True
+
+    def test_bad_number_rejected(self):
+        with pytest.raises(HarnessError, match="bad value for n: 'abc'"):
+            config_from_mapping({"n": "abc"})
+
+    def test_bad_boolean_rejected(self):
+        with pytest.raises(HarnessError, match="track_sigma must be boolean"):
+            config_from_mapping({"track_sigma": "maybe"})
 
     def test_unknown_method_rejected(self):
         with pytest.raises(HarnessError, match="unknown method"):
@@ -195,6 +216,31 @@ class TestFaultInjection:
         summary = run_experiment(cfg, log=lambda *_: None)
         assert [row["status"] for row in summary] == ["ok"] * len(METHODS)
         assert all(float(row["final_grad_norm"]) < 1e-8 for row in summary)
+
+
+    def test_nan_gradient_stops_the_reference_run(self, tmp_path, monkeypatch, capsys):
+        # The NIM run that finds the logistic x* ends at the first non-finite
+        # stopping-rule norm instead of stepping through its whole budget.
+        fault, calls, real = 80, [], LogisticObjective.gradient
+
+        def poisoned(self, i, x):
+            calls.append(i)
+            return np.full(self.d, np.nan) if len(calls) >= fault else real(self, i, x)
+        monkeypatch.setattr(LogisticObjective, "gradient", poisoned)
+        cfg = ExperimentConfig(problem="logistic", data=str(LOGISTIC60), x0_scale=0.5,
+                               seed=7)
+        with pytest.raises(HarnessError, match="reference NIM run did not reach"):
+            build_problem(cfg)
+        assert fault <= len(calls) <= fault + 3
+
+        calls.clear()
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"problem = logistic\ndata = {LOGISTIC60}\nx0_scale = 0.5\n"
+                        f"seed = 7\nout = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: reference NIM run")
+        assert len(calls) <= fault + 3
+        assert not (tmp_path / "out").exists()
 
 
 class TestEmitPlotData:

@@ -102,6 +102,11 @@ class TestLogisticClosedForms:
         with pytest.raises(DegenerateProblem):
             make_logistic([[1.0]], [1.0], p=2.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(DegenerateProblem, match="radius must be positive"):
+            make_logistic([[1.0]], [1.0], radius=radius)
+
 
 class TestLogisticDerivatives:
     def test_gradient_matches_finite_differences(self, rng, random_logistic):
