@@ -7,7 +7,9 @@ Subcommands:
 """
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 
 import numpy as np
@@ -87,7 +89,36 @@ def build_parser():
     return parser
 
 
+def _openblas():
+    """scipy's bundled OpenBLAS through ctypes; None when scipy links another
+    BLAS."""
+    from scipy.linalg import _fblas
+    try:
+        lib = ctypes.CDLL(_fblas.__file__)
+        lib.scipy_openblas_set_num_threads  # absent from other BLAS builds
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+def pin_blas_threads():
+    """Run scipy's OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set.
+
+    The kernels are level-2 calls, which lose time to a second thread: on a
+    2-vCPU host `iqn-lab run` at n = 20, d = 500 finished sooner with one
+    thread in every pair raced. The thread count also sets BLAS rounding, so
+    one pinned count makes traces independent of the host's core count. The
+    setting is process-wide, so only the command line makes it; the library
+    never does.
+    """
+    if "OPENBLAS_NUM_THREADS" not in os.environ:
+        lib = _openblas()
+        if lib is not None:
+            lib.scipy_openblas_set_num_threads(1)
+
+
 def main(argv=None):
+    pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

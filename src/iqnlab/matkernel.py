@@ -50,13 +50,34 @@ def _as_f64(x):
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
+# Rows per strip of the in-place symmetrize sweep.
+_SYM_STRIP = 32
+
+
 def symmetrize(m: np.ndarray, out=None) -> np.ndarray:
-    """Return the symmetric part 0.5 * (M + M^T); ``out=m`` replaces M by it."""
+    """Return the symmetric part 0.5 * (M + M^T); ``out=m`` replaces M by it.
+
+    In place, M is swept in strips of ``_SYM_STRIP`` rows and their mirrored
+    columns, so the pass needs a temporary of at most that many rows instead
+    of the copy of M^T that numpy would buffer for an overlapping ``out``.
+    Entry (i, j) gets ``(m[i, j] + m[j, i]) * 0.5`` either way, and as
+    ``a + b == b + a`` both triangles get the same bits.
+    """
     if out is None:
         return 0.5 * (m + m.T)
-    np.add(m, m.T, out=out)  # numpy buffers m.T when out overlaps it
-    out *= 0.5
-    return out
+    if out is not m:
+        np.add(m, m.T, out=out)
+        out *= 0.5
+        return out
+    d = m.shape[0]
+    for lo in range(0, d, _SYM_STRIP):
+        hi = lo + _SYM_STRIP
+        strip = m[lo:, lo:hi].T.copy()
+        np.add(m[lo:hi, lo:], strip, out=strip)
+        strip *= 0.5
+        m[lo:hi, lo:] = strip
+        m[lo:, lo:hi] = strip.T
+    return m
 
 
 def _check_out(out, m):
@@ -64,6 +85,16 @@ def _check_out(out, m):
             or out.dtype != np.float64 or not out.flags.c_contiguous
             or not out.flags.writeable):
         raise ValueError(f"out must be a writeable C-ordered float64 array of shape {m.shape}")
+
+
+def _into(out, m, update):
+    """``update`` applied to ``out``, which starts as a copy of ``m``. When
+    ``out`` is not ``m`` the update runs on a copy, so that a guard which
+    raises leaves ``out`` untouched."""
+    if out is m:
+        return update(out)
+    np.copyto(out, update(m.copy()))
+    return out
 
 
 # BLAS takes Fortran-ordered matrices; the C-ordered m is passed as its
@@ -96,6 +127,35 @@ def _add_symmetric(m, c, x):
     _dger(1.0 if c > 0.0 else -1.0, r, r, a=m.T, overwrite_a=1)
 
 
+def _collinear_ratio(u, v):
+    """lambda with ``v = lambda u`` when u and v are collinear, else None."""
+    uu = u.dot(u)
+    vv = v.dot(v)
+    uv = u.dot(v)
+    if uu > 0.0 and vv > 0.0 and uv * uv >= (1.0 - 1e-12) * uu * vv:
+        return uv / uu
+    return None
+
+
+# The private ``*_inplace`` bodies below are what the solvers call on their
+# own buffers, which are C-ordered float64 by construction: they skip the
+# public kernels' argument conversion and ``out`` handling, keep every
+# floating-point operation of them, and raise before any write.
+
+def _sm_inplace(h, u, v):
+    """:func:`sm_inverse_update` with ``out=h``."""
+    lam = _collinear_ratio(u, v)
+    w = _matvec(h, u) if lam is None else _symv(h, u)
+    den = 1.0 + v.dot(w)
+    if abs(den) < GUARD_TOL:
+        raise SingularUpdate(f"rank-one update denominator {den:.3e} below {GUARD_TOL:.1e}")
+    if lam is None:
+        _add_outer(h, -1.0 / den, w, _rmatvec(h, v))
+    else:
+        _add_symmetric(h, -lam / den, w)
+    return h
+
+
 def sm_inverse_update(a_inv: np.ndarray, u: np.ndarray, v: np.ndarray,
                       out=None) -> np.ndarray:
     """Inverse of ``A + u v^T`` from ``a_inv = A^{-1}`` (Sherman-Morrison).
@@ -125,40 +185,27 @@ def sm_inverse_update(a_inv: np.ndarray, u: np.ndarray, v: np.ndarray,
     a_inv = _as_f64(a_inv)
     u = _as_f64(u)
     v = _as_f64(v)
-    uu = float(u @ u)
-    vv = float(v @ v)
-    uv = float(u @ v)
-    collinear = uu > 0.0 and vv > 0.0 and uv * uv >= (1.0 - 1e-12) * uu * vv
     if out is None:
-        out = a_inv = symmetrize(a_inv) if collinear else a_inv.copy()
-    else:
-        _check_out(out, a_inv)
-    w = _symv(a_inv, u) if collinear else _matvec(a_inv, u)
-    den = 1.0 + float(v @ w)
-    if abs(den) < GUARD_TOL:
-        raise SingularUpdate(f"rank-one update denominator {den:.3e} below {GUARD_TOL:.1e}")
-    wt = None if collinear else _rmatvec(a_inv, v)
-    if out is not a_inv:
-        np.copyto(out, a_inv)
-    if collinear:
-        _add_symmetric(out, -(uv / uu) / den, w)
-    else:
-        _add_outer(out, -1.0 / den, w, wt)
-    return out
+        fresh = a_inv.copy() if _collinear_ratio(u, v) is None else symmetrize(a_inv)
+        return _sm_inplace(fresh, u, v)
+    _check_out(out, a_inv)
+    return _into(out, a_inv, lambda h: _sm_inplace(h, u, v))
 
 
 def _curvature_guards(b, ku, u):
     # Each denominator is compared against its own operand scale:
     # <u, Bu> ~ ||u||^2 ||B|| and uku ~ ||u|| ||Ku||. Coupling them would
     # reject healthy updates whenever B and K live on different scales.
-    # 2-norms as sqrt(x . x), numpy's norm formula without its call overhead.
+    # 2-norms as sqrt(x . x), numpy's norm formula without its call overhead;
+    # the max as the reduction ndarray.max() calls.
     nu = math.sqrt(u.dot(u))
-    return (GUARD_TOL * nu * nu * np.abs(b.diagonal()).max(),
+    return (GUARD_TOL * nu * nu * np.maximum.reduce(np.abs(b.diagonal())),
             GUARD_TOL * nu * math.sqrt(ku.dot(ku)))
 
 
-def _restricted_broyden(tau, b, ku, uku, u, out, label):
-    """``tau * DFP + (1 - tau) * BFGS`` as symmetric rank-one terms:
+def _broyden_inplace(tau, b, ku, uku, u, label):
+    """:func:`broyden_update` with ``out=b``, its error messages naming
+    ``label``: ``tau * DFP + (1 - tau) * BFGS`` as symmetric rank-one terms
 
         B - (1 - tau)/<u,Bu> bu bu^T + ((1 - tau) + tau c)/uku ku ku^T
           - tau/(2 uku) (ku + bu)(ku + bu)^T + tau/(2 uku) (ku - bu)(ku - bu)^T
@@ -166,32 +213,39 @@ def _restricted_broyden(tau, b, ku, uku, u, out, label):
     with ``bu = B u`` and ``c = 1 + <u,Bu>/uku``; the last two terms are the
     DFP cross term ``-(ku bu^T + bu ku^T) tau/uku`` written symmetrically.
     """
-    b = _as_f64(b)
-    ku = _as_f64(ku)
-    u = _as_f64(u)
-    uku = float(uku)
-    if out is None:
-        out = b = symmetrize(b)
-    else:
-        _check_out(out, b)
     guard_ubu, guard_uku = _curvature_guards(b, ku, u)
     bu = _symv(b, u)
-    ubu = float(u @ bu)
+    ubu = u.dot(bu)
     if ubu <= guard_ubu or uku <= guard_uku:
         raise DegenerateDirection(
             f"{label} denominators <u,Bu>={ubu:.3e} (guard {guard_ubu:.3e}), "
             f"uku={uku:.3e} (guard {guard_uku:.3e})"
         )
-    if out is not b:
-        np.copyto(out, b)
     if tau != 1.0:
-        _add_symmetric(out, -(1.0 - tau) / ubu, bu)
-    _add_symmetric(out, ((1.0 - tau) + tau * (1.0 + ubu / uku)) / uku, ku)
+        _add_symmetric(b, -(1.0 - tau) / ubu, bu)
+    _add_symmetric(b, ((1.0 - tau) + tau * (1.0 + ubu / uku)) / uku, ku)
     if tau != 0.0:
         half = 0.5 * tau / uku
-        _add_symmetric(out, -half, ku + bu)
-        _add_symmetric(out, half, ku - bu)
-    return out
+        _add_symmetric(b, -half, ku + bu)
+        _add_symmetric(b, half, ku - bu)
+    return b
+
+
+def _broyden_label(tau):
+    """How errors of a Broyden(tau) update name it."""
+    return "BFGS" if tau == 0.0 else "DFP" if tau == 1.0 else f"Broyden(tau={tau})"
+
+
+def _restricted_broyden(tau, b, ku, uku, u, out):
+    b = _as_f64(b)
+    ku = _as_f64(ku)
+    u = _as_f64(u)
+    uku = float(uku)
+    label = _broyden_label(tau)
+    if out is None:
+        return _broyden_inplace(tau, symmetrize(b), ku, uku, u, label)
+    _check_out(out, b)
+    return _into(out, b, lambda m: _broyden_inplace(tau, m, ku, uku, u, label))
 
 
 def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
@@ -209,7 +263,7 @@ def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
         If ``<u, B u>`` falls below ``GUARD_TOL * ||u||^2 * max|diag B|``
         or ``uku`` below ``GUARD_TOL * ||u|| * ||ku||``.
     """
-    return _restricted_broyden(0.0, b, ku, uku, u, out, "BFGS")
+    return _restricted_broyden(0.0, b, ku, uku, u, out)
 
 
 def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
@@ -220,7 +274,7 @@ def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
     with the same access pattern, ``out`` semantics, secant property and
     error contract as :func:`bfgs_update`.
     """
-    return _restricted_broyden(1.0, b, ku, uku, u, out, "DFP")
+    return _restricted_broyden(1.0, b, ku, uku, u, out)
 
 
 def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
@@ -242,7 +296,7 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
         return bfgs_update(b, ku, uku, u, out=out)
     if tau == 1.0:
         return dfp_update(b, ku, uku, u, out=out)
-    return _restricted_broyden(tau, b, ku, uku, u, out, f"Broyden(tau={tau})")
+    return _restricted_broyden(tau, b, ku, uku, u, out)
 
 
 def greedy_vector(q_diag: np.ndarray, h_diag: np.ndarray) -> int:
@@ -257,13 +311,19 @@ def greedy_vector(q_diag: np.ndarray, h_diag: np.ndarray) -> int:
     NonPositiveDiagonal
         If any reference diagonal entry is <= GUARD_TOL.
     """
-    q_diag = np.asarray(q_diag, dtype=np.float64)
-    h_diag = np.asarray(h_diag, dtype=np.float64)
-    if np.any(h_diag <= GUARD_TOL):
+    return _greedy_index(np.asarray(q_diag, dtype=np.float64),
+                         np.asarray(h_diag, dtype=np.float64))
+
+
+def _greedy_index(q_diag, h_diag):
+    """:func:`greedy_vector` on float64 diagonals."""
+    low = h_diag.min()
+    # min() is NaN when any entry is, and then says nothing of the others.
+    if low <= GUARD_TOL or (low != low and np.any(h_diag <= GUARD_TOL)):
         raise NonPositiveDiagonal(
-            f"reference diagonal has entries <= {GUARD_TOL:.1e} (min {h_diag.min():.3e})"
+            f"reference diagonal has entries <= {GUARD_TOL:.1e} (min {low:.3e})"
         )
-    return int(np.argmax(q_diag / h_diag))
+    return int((q_diag / h_diag).argmax())
 
 
 def sigma_metric(a: np.ndarray, g: np.ndarray) -> float:

@@ -185,7 +185,7 @@ def _apply_chain(h, chain):
     updated and must be rebuilt."""
     try:
         for u, v in chain:
-            mk.sm_inverse_update(h, u, v, out=h)
+            mk._sm_inplace(h, u, v)
     except SingularUpdate:
         return False
     return True
@@ -231,7 +231,11 @@ class BaseSolver:
         self.z = np.tile(x0, (self.n, 1))
         self.grads = np.ascontiguousarray(objective.gradients_at(x0))
         self.D = self._initial_curvature(x0)
+        # Per-solver constants of the stages: the greedy stage's q and e_k
+        # buffers, and the names its kernel errors give the two updates.
         self._q = np.empty((self.d, self.d)) if self.greedy else None
+        self._e = np.zeros(self.d) if self.greedy else None
+        self._labels = (mk._broyden_label(self.tau1), mk._broyden_label(self.tau2))
 
     def _initial_curvature(self, x0):
         if self.config.init_curvature == "exact-hessian":
@@ -256,40 +260,45 @@ class BaseSolver:
         i = index_of(t, self.n) - 1
         x = self._solve_iterate()
         z_old = self.z[i]
-        s = x - z_old
         grad_new = self.objective.gradient(i, x)
-        y_raw = grad_new - self.grads[i]
-        # Vector 2-norms as numpy's norm computes them, minus its overhead.
-        skipped = self.classic and (
-            math.sqrt(s.dot(s)) <= TINY_STEP * (1.0 + math.sqrt(z_old.dot(z_old))))
-        c = self._correction(t, i, s, skipped)
-
-        # Every stage writes D_i in place. Scale stage: D_i *= (1 + c)^2.
         d_i = self.D[i]
-        if c != 0.0:
-            d_i *= (1.0 + c) ** 2
+        y_raw = q = None
+        skipped = False
+        terms = []
+        if self.classic or self.greedy:
+            # NIM runs no stage: its _fold writes the exact Hessian.
+            s = x - z_old
+            y_raw = grad_new - self.grads[i]
+            # Vector 2-norms as numpy's norm computes them, minus its overhead.
+            skipped = self.classic and (
+                math.sqrt(s.dot(s)) <= TINY_STEP * (1.0 + math.sqrt(z_old.dot(z_old))))
+            # Every stage writes D_i in place. Scale stage: D_i *= (1 + c)^2.
+            c = self._correction(t, i, s, skipped)
+            if c != 0.0:
+                d_i *= (1.0 + c) ** 2
         outgoing = self._outgoing(i, d_i, z_old)
 
-        terms = []
+        # The stages call the kernels' unchecked in-place bodies: D_i, q and
+        # e_k are this solver's own C-ordered float64 buffers.
         if self.classic and not skipped:
             y, sy = self._secant(s, y_raw, c)
-            bu = d_i @ s if self.inverse_chain else None
-            mk.broyden_update(self.tau1, d_i, y, sy, s, out=d_i)
+            bu = d_i.dot(s) if self.inverse_chain else None
+            mk._broyden_inplace(self.tau1, d_i, y, sy, s, self._labels[0])
             if self.inverse_chain:
-                terms += _broyden_terms(self.tau1, y, sy, bu, float(s @ bu), k_first=True)
-        q = None
+                terms += _broyden_terms(self.tau1, y, sy, bu, s.dot(bu), k_first=True)
         if self.greedy:
             # q keeps the post-classic matrix: the chain's terms and audits
             # read it after D_i has moved on.
             q = self._q
             np.copyto(q, d_i)
             h_diag = self.objective.hessian_diag(i, x)
-            k = mk.greedy_vector(np.diagonal(q), h_diag)
+            k = mk._greedy_index(q.diagonal(), h_diag)
             h_col = self.objective.hessian_column(i, x, k)
             h_kk = float(h_diag[k])
-            e_k = np.zeros(self.d)
+            e_k = self._e
             e_k[k] = 1.0
-            mk.broyden_update(self.tau2, d_i, h_col, h_kk, e_k, out=d_i)
+            mk._broyden_inplace(self.tau2, d_i, h_col, h_kk, e_k, self._labels[1])
+            e_k[k] = 0.0
             if self.inverse_chain:
                 terms += _broyden_terms(self.tau2, h_col, h_kk, q[:, k], float(q[k, k]),
                                         k_first=False)
@@ -312,7 +321,7 @@ class BaseSolver:
     def _secant(self, s, y_raw, c):
         """(K s, <s, K s>) for the classic stage, K = (1 + c) Hessian."""
         y = y_raw if c == 0.0 else (1.0 + c) * y_raw
-        return y, float(s @ y)
+        return y, s.dot(y)
 
     def _outgoing(self, i, d_i, z_old):
         """What the aggregates lose with the old tuple, read before it changes."""
@@ -334,6 +343,11 @@ class MemoizedSolver(BaseSolver):
     def __init__(self, objective, x0, config):
         super().__init__(objective, x0, config)
         self.refresh_period = config.refresh_period or 10 * self.n
+        # The cross terms of tau != 0 leave H asymmetric in its last bits;
+        # unremoved, that part grows from step to step until H diverges
+        # (n = 10, d = 40, no refresh: drift 1e13 by step 1000). The tau = 0
+        # chain is exactly symmetric throughout.
+        self._symmetrize_h = self.tau1 != 0.0 or self.tau2 != 0.0
         self._materialize_aggregates()
 
     def _curvature_sum(self):
@@ -355,7 +369,7 @@ class MemoizedSolver(BaseSolver):
         return float(np.linalg.norm(self.H @ self._curvature_sum() - np.eye(self.d)))
 
     def _solve_iterate(self):
-        return self.H @ (self.phi - self.g)
+        return self.H.dot(self.phi - self.g)
 
     def _swap_phi(self, dz_old, dx, w):
         """phi with the touched tuple's share D_i z_old replaced by D_i x,
@@ -363,12 +377,12 @@ class MemoizedSolver(BaseSolver):
         raise NotImplementedError
 
     def _outgoing(self, i, d_i, z_old):
-        return d_i @ z_old
+        return d_i.dot(z_old)
 
     def _fold(self, t, i, x, y_raw, dz_old, terms):
         w = omega(t, self.n, self.alpha)
         chained = _apply_chain(self.H, terms)
-        self.phi = self._swap_phi(dz_old, self.D[i] @ x, w)
+        self.phi = self._swap_phi(dz_old, self.D[i].dot(x), w)
         self.g = self.g + y_raw
         if not chained:
             # The chain can pass through an exactly singular intermediate
@@ -376,11 +390,7 @@ class MemoizedSolver(BaseSolver):
             # always does). H is then part-updated: rebuild it directly.
             self.H = _summed_inverse(self._curvature_sum())
         else:
-            if self.tau1 != 0.0 or self.tau2 != 0.0:
-                # The cross terms of tau != 0 leave H asymmetric in its last
-                # bits; unremoved, that part grows from step to step until H
-                # diverges (n = 10, d = 40, no refresh: drift 1e13 by step
-                # 1000). The tau = 0 chain is exactly symmetric throughout.
+            if self._symmetrize_h:
                 mk.symmetrize(self.H, out=self.H)
             if w != 1.0:
                 self.H /= w
@@ -474,7 +484,7 @@ class DirectAggregateSolver(BaseSolver):
 
     def _secant(self, s, y_raw, c):
         # (1 + beta) <s, y_raw>, not <s, (1 + beta) y_raw>: SIQN's rounding.
-        return (1.0 + c) * y_raw, (1.0 + c) * float(s @ y_raw)
+        return (1.0 + c) * y_raw, (1.0 + c) * s.dot(y_raw)
 
 
 class SiqnSolver(DirectAggregateSolver):
@@ -518,12 +528,12 @@ class NimSolver(BaseSolver):
             raise SingularAggregate(f"Hessian sum solve failed: {exc}") from exc
 
     def _outgoing(self, i, d_i, z_old):
-        return d_i @ z_old - self.grads[i]
+        return d_i.dot(z_old) - self.grads[i]
 
     def _fold(self, t, i, x, y_raw, outgoing, terms):
         h_new = self.objective.hessian(i, x)
         self._hsum = self._hsum + (h_new - self.D[i])
-        self._rhs = self._rhs + (h_new @ x - self.grads[i]) - outgoing
+        self._rhs = self._rhs + (h_new.dot(x) - self.grads[i]) - outgoing
         self.D[i] = h_new
 
 
@@ -565,6 +575,7 @@ def run_solver(solver: BaseSolver, x_star=None):
     """
     objective, config = solver.objective, solver.config
     records = []
+    use_gstop = math.isfinite(config.gstop)
     denom = None
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=np.float64)
@@ -592,6 +603,6 @@ def run_solver(solver: BaseSolver, x_star=None):
             t=result.t, epoch=(result.t + objective.n - 1) // objective.n,
             grad_norm=grad_norm, normalized_error=normalized,
             sigma_max=sigma_max, wall_ms=wall_ms))
-        if (np.isfinite(config.gstop) and grad_norm < config.gstop) or diverged(grad_norm):
+        if (use_gstop and grad_norm < config.gstop) or diverged(grad_norm):
             break
     return records

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iqnlab import cli
 from iqnlab.cli import main as cli_main
 from iqnlab.errors import HarnessError
 from iqnlab.harness import (
@@ -22,6 +23,24 @@ from iqnlab.objectives import LogisticObjective, QuadraticObjective
 from iqnlab.solvers import METHODS
 
 LOGISTIC60 = Path(__file__).parent / "golden" / "logistic60.libsvm"
+
+
+@pytest.fixture(autouse=True)
+def blas_threads():
+    """cli.main sets scipy's OpenBLAS thread count process-wide; every test
+    here gets back the count it found."""
+    lib = cli._openblas()
+    before = lib.scipy_openblas_get_num_threads() if lib is not None else None
+    yield lib
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads(before)
+
+
+@pytest.fixture
+def openblas(blas_threads):
+    if blas_threads is None:
+        pytest.skip("scipy does not bundle OpenBLAS")
+    return blas_threads
 
 
 def quad_config(tmp_path, **overrides):
@@ -269,6 +288,18 @@ class TestEmitPlotData:
 
 
 class TestCli:
+    def test_pins_one_blas_thread_when_unset(self, openblas, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        openblas.scipy_openblas_set_num_threads(2)
+        cli.pin_blas_threads()
+        assert openblas.scipy_openblas_get_num_threads() == 1
+
+    def test_leaves_blas_threads_to_the_variable(self, openblas, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        openblas.scipy_openblas_set_num_threads(2)
+        cli.pin_blas_threads()
+        assert openblas.scipy_openblas_get_num_threads() == 2
+
     def test_run_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("problem = quadratic\nn = 4\nd = 6\nxi = 1.0\n"

@@ -105,6 +105,76 @@ def test_fresh_and_in_place_agree_bitwise_on_symmetric_input(rng, d):
     np.testing.assert_array_equal(mk.sm_inverse_update(h, u, 0.5 * u, out=h), fresh)
 
 
+@pytest.mark.parametrize("d", DIMS)
+class TestPrivateBodies:
+    """The unchecked in-place bodies the solvers call give the public
+    kernels' bits, and raise the same typed error before any write."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_broyden_body_is_bit_equal_to_kernel(self, rng, d, tau):
+        b, k = sym_spd(rng, d), sym_spd(rng, d)
+        u = rng.standard_normal(d)
+        ku, uku = k @ u, float(u @ k @ u)
+        expected = mk.broyden_update(tau, b, ku, uku, u)
+        got = b.copy()
+        assert mk._broyden_inplace(tau, got, ku, uku, u, mk._broyden_label(tau)) is got
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("collinear", [False, True], ids=["general", "collinear"])
+    def test_sm_body_is_bit_equal_to_kernel(self, rng, d, collinear):
+        h = mk.symmetrize(np.linalg.inv(sym_spd(rng, d)))
+        u = rng.standard_normal(d)
+        if collinear:
+            v = -0.2 * u
+        else:
+            # At d = 1 every nonzero pair is collinear; v = 0 is not.
+            v = 0.3 * rng.standard_normal(d) if d > 1 else np.zeros(1)
+        assert (mk._collinear_ratio(u, v) is not None) == collinear
+        expected = mk.sm_inverse_update(h, u, v, out=h.copy())
+        got = h.copy()
+        assert mk._sm_inplace(got, u, v) is got
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_broyden_body_raises_like_kernel(self, d, tau):
+        u = np.eye(d)[0]
+        b = np.eye(d)
+        with pytest.raises(DegenerateDirection) as public:
+            mk.broyden_update(tau, b, np.zeros(d), 0.0, u, out=b)
+        with pytest.raises(DegenerateDirection) as private:
+            mk._broyden_inplace(tau, b, np.zeros(d), 0.0, u, mk._broyden_label(tau))
+        assert str(private.value) == str(public.value)
+        np.testing.assert_array_equal(b, np.eye(d))
+
+
+# At d = 1 a singular update is always collinear.
+@pytest.mark.parametrize("d, collinear", [
+    pytest.param(d, collinear, id=f"{d}-{'collinear' if collinear else 'general'}")
+    for d in DIMS for collinear in (False, True) if collinear or d > 1])
+def test_sm_body_raises_like_kernel(d, collinear):
+    # <v, H u> = -1 with H = I: A + u v^T is singular either way.
+    u = np.eye(d)[0] if collinear else np.eye(d)[0] + np.eye(d)[1]
+    v = -np.eye(d)[0]
+    h = np.eye(d)
+    with pytest.raises(SingularUpdate) as public:
+        mk.sm_inverse_update(h, u, v, out=h)
+    with pytest.raises(SingularUpdate) as private:
+        mk._sm_inplace(h, u, v)
+    assert str(private.value) == str(public.value)
+    np.testing.assert_array_equal(h, np.eye(d))
+
+
+@pytest.mark.parametrize("d", (1, 2, 10, 32, 33, 60, 130))
+def test_in_place_symmetrize_is_bit_equal_to_fresh(rng, d):
+    # The in-place sweep takes strips of 32 rows; 33, 60 and 130 end in a
+    # partial one.
+    m = rng.standard_normal((d, d))
+    expected = mk.symmetrize(m)
+    assert mk.symmetrize(m, out=m) is m
+    np.testing.assert_array_equal(m, expected)
+    assert np.array_equal(m, m.T)
+
+
 @pytest.mark.parametrize("d", (2, 10, 60))
 def test_symmetric_chain_stays_bit_symmetric(rng, d):
     h = mk.symmetrize(np.linalg.inv(sym_spd(rng, d)))

@@ -156,6 +156,31 @@ class TestGreedyVector:
         with pytest.raises(NonPositiveDiagonal):
             mk.greedy_vector(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
+    # The guard must raise on exactly the diagonals that
+    # np.any(h_diag <= GUARD_TOL) flags. A NaN makes h_diag.min() NaN, which
+    # hides a 0 next to it from a min()-only test.
+    @pytest.mark.parametrize("h_diag, raises", [
+        ([1.0, 0.0, 2.0], True),
+        ([1.0, -3.0, 2.0], True),
+        ([1.0, mk.GUARD_TOL, 2.0], True),
+        ([np.nan, 0.0, 2.0], True),
+        ([0.0, np.nan, 2.0], True),
+        ([1.0, np.nan, 2.0], False),
+        ([1.0, 2.0 * mk.GUARD_TOL, 2.0], False),
+    ], ids=["zero", "negative", "at-tol", "nan-then-zero", "zero-then-nan",
+            "nan-among-positive", "above-tol"])
+    @pytest.mark.parametrize("fn", [mk.greedy_vector, mk._greedy_index],
+                             ids=["public", "private"])
+    def test_guard_raises_on_exactly_the_flagged_set(self, fn, h_diag, raises):
+        h_diag = np.array(h_diag)
+        q_diag = np.ones(3)
+        if raises:
+            with pytest.raises(NonPositiveDiagonal, match="reference diagonal"):
+                fn(q_diag, h_diag)
+        else:
+            # argmax of q/h, which counts a NaN ratio as the largest.
+            assert fn(q_diag, h_diag) == int(np.argmax(q_diag / h_diag))
+
 
 class TestSigmaMetric:
     def test_zero_at_equality(self, rng):

@@ -353,16 +353,18 @@ class TestStateInvariants:
 
 
 class TestAllocation:
-    # GSLIQN at tau = 0 runs SLIQN's path (test_tau_zero_is_bitwise_sliqn).
-    @pytest.mark.parametrize("method", ["IQN", "SLIQN"])
-    def test_step_allocates_no_d_by_d_array(self, method):
+    # GSLIQN at tau = 0 runs SLIQN's path (test_tau_zero_is_bitwise_sliqn);
+    # at tau != 0 its step adds the blocked in-place symmetrize of H.
+    @pytest.mark.parametrize("method, tau", [
+        ("IQN", 0.0), ("SLIQN", 0.0), pytest.param("GSLIQN", 0.5, id="GSLIQN-tau")])
+    def test_step_allocates_no_d_by_d_array(self, method, tau):
         # Every stage writes D_i in place and the greedy stage reuses one q
         # buffer, so a step (no refresh, no omega) allocates only vectors
         # once its buffers exist.
         d = 120
         quad = small_quadratic(n=4, d=d)
-        solver = make_solver(quad, initial_point(d, 1.0, 0),
-                             SolverConfig(method=method, gstop=1e-300))
+        solver = make_solver(quad, initial_point(d, 1.0, 0), SolverConfig(
+            method=method, tau1=tau, tau2=tau, gstop=1e-300))
         solver.step()
         solver.step()
         tracemalloc.start()
