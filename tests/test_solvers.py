@@ -354,9 +354,10 @@ class TestStateInvariants:
 
 class TestAllocation:
     # GSLIQN at tau = 0 runs SLIQN's path (test_tau_zero_is_bitwise_sliqn);
-    # at tau != 0 its step adds the blocked in-place symmetrize of H.
+    # at tau != 0 its step adds the strip-wise in-place symmetrize of H.
     @pytest.mark.parametrize("method, tau", [
-        ("IQN", 0.0), ("SLIQN", 0.0), pytest.param("GSLIQN", 0.5, id="GSLIQN-tau")])
+        pytest.param("IQN", 0.0, id="IQN"), pytest.param("SLIQN", 0.0, id="SLIQN"),
+        pytest.param("GSLIQN", 0.5, id="GSLIQN-tau")])
     def test_step_allocates_no_d_by_d_array(self, method, tau):
         # Every stage writes D_i in place and the greedy stage reuses one q
         # buffer, so a step (no refresh, no omega) allocates only vectors
