@@ -12,16 +12,16 @@ method  scale c        classic stage   greedy stage    aggregate strategy
 IQN     0              BFGS along s    -               memoized inverse chain
 SLIQN   pending alpha  BFGS along s    BFGS on e_k     chain, lazy omega
 GSLIQN  pending alpha  Broyden(tau1)   Broyden(tau2)   chain, lazy omega
-SIQN    beta           BFGS along s    BFGS on e_k     direct rebuild + dgesv
-IGS     beta           -               BFGS on e_k     direct rebuild + dgesv
-NIM     exact component Hessian instead of stages      incremental exact sums
+SIQN    beta           BFGS along s    BFGS on e_k     exact sums + dgesv
+IGS     beta           -               BFGS on e_k     exact sums + dgesv
+NIM     exact component Hessian instead of stages      exact sums + dgesv
 
 The scale stage multiplies D_i by (1 + c)^2 and the reference Hessian K by
 (1 + c), with beta = (M/2) ||s||_{z_i} per step (0 when the classic stage is
 skipped along a tiny step). The greedy coordinate e_k maximizes the ratio
 of the diagonals of Q and the Hessian. The memoized chain keeps
 H = (sum D_i)^{-1} by rank-one inverse updates in O(d^2); the direct
-rebuild costs O(n d^2 + d^3).
+strategy updates exact sums in O(d^2) and solves them in O(d^3).
 
 Lazy scaling (SLIQN/GSLIQN): stored matrices omit multiplicative epoch
 scalings. The stored value of a tuple written in epoch e equals its true
@@ -231,6 +231,7 @@ class BaseSolver:
         self.z = np.tile(x0, (self.n, 1))
         self.grads = np.ascontiguousarray(objective.gradients_at(x0))
         self.D = self._initial_curvature(x0)
+        self.refresh_period = config.refresh_period or 10 * self.n
         # Per-solver constants of the stages: the greedy stage's q and e_k
         # buffers, and the names its kernel errors give the two updates.
         self._q = np.empty((self.d, self.d)) if self.greedy else None
@@ -342,7 +343,6 @@ class MemoizedSolver(BaseSolver):
 
     def __init__(self, objective, x0, config):
         super().__init__(objective, x0, config)
-        self.refresh_period = config.refresh_period or 10 * self.n
         # The cross terms of tau != 0 leave H asymmetric in its last bits;
         # unremoved, that part grows from step to step until H diverges
         # (n = 10, d = 40, no refresh: drift 1e13 by step 1000). The tau = 0
@@ -456,38 +456,52 @@ class IqnSolver(MemoizedSolver):
         return self.phi + dx - dz_old
 
 
-class DirectAggregateSolver(BaseSolver):
-    """Reference-path strategy: the aggregate system is rebuilt from the
-    tuples and solved directly at every step (O(n d^2 + d^3)). The scale
-    stage uses the per-step beta = (M/2) ||s||_{z_i}."""
+class DirectSolver(BaseSolver):
+    """Direct strategy: each step folds the touched tuple's change into the
+    sums of D_i and D_i z_i - grad_i, and the iterate solves them with dgesv.
+    The scale stage (SIQN, IGS) uses the per-step beta = (M/2) ||s||_{z_i}."""
+
+    def __init__(self, objective, x0, config):
+        super().__init__(objective, x0, config)
+        self._d_old = np.empty((self.d, self.d))  # outgoing D_i, see _fold
 
     def _solve_iterate(self):
-        dbar = self.D.sum(axis=0)
-        rhs = np.einsum("nij,nj->i", self.D, self.z) - self.grads.sum(axis=0)
-        # scipy's LAPACK, not numpy's: the curvature kernels run on scipy's
-        # OpenBLAS, and a numpy solve leaves its own pool's workers spinning
-        # on the shared cores, which stalls the next kernel call.
-        _, _, x, info = scipy.linalg.lapack.dgesv(dbar, rhs)
+        if self.t % self.refresh_period == 0:
+            # Exact at t = 0 and every refresh_period steps: a beta-swollen D_i
+            # leaves its peak's rounding in the sums, which floors the gradient.
+            self._hsum = self.D.sum(axis=0)
+            self._rhs = np.einsum("nij,nj->i", self.D, self.z) - self.grads.sum(axis=0)
+        # scipy's LAPACK, not numpy's: a numpy solve leaves its own OpenBLAS
+        # pool spinning on the shared cores, which stalls the next kernel.
+        _, _, x, info = scipy.linalg.lapack.dgesv(self._hsum, self._rhs)
         if info != 0:
             raise SingularAggregate(f"aggregate solve failed: dgesv info {info}")
         return x
 
     def _correction(self, t, i, s, skipped):
-        """beta = (M/2) * ||s||_{z_i} with the norm taken in the component
-        Hessian; 0 when the classic stage is skipped."""
+        """beta in the component Hessian's norm; 0 if the classic stage is skipped."""
+        np.copyto(self._d_old, self.D[i])  # before the stages write D[i]
         m_const = self.objective.constants.M
         if skipped or m_const == 0.0:
             return 0.0
-        h_old = self.objective.hessian(i, self.z[i])
-        quad = float(s @ (h_old @ s))
+        quad = float(s @ (self.objective.hessian(i, self.z[i]) @ s))
         return 0.5 * m_const * np.sqrt(max(quad, 0.0))
 
     def _secant(self, s, y_raw, c):
         # (1 + beta) <s, y_raw>, not <s, (1 + beta) y_raw>: SIQN's rounding.
         return (1.0 + c) * y_raw, (1.0 + c) * s.dot(y_raw)
 
+    def _outgoing(self, i, d_i, z_old):
+        return self._d_old.dot(z_old) - self.grads[i]
 
-class SiqnSolver(DirectAggregateSolver):
+    def _fold(self, t, i, x, y_raw, outgoing, terms):
+        # hsum + (d_new - d_old), with d_old's buffer as the difference's.
+        np.subtract(self.D[i], self._d_old, out=self._d_old)
+        self._hsum += self._d_old
+        self._rhs = self._rhs + (self.D[i].dot(x) - self.grads[i]) - outgoing
+
+
+class SiqnSolver(DirectSolver):
     """Two-stage (classic + greedy) updates with the per-step beta
     correction; the O(d^3) correctness reference for the lazy solver."""
 
@@ -496,45 +510,30 @@ class SiqnSolver(DirectAggregateSolver):
     greedy = True
 
 
-class IgsSolver(DirectAggregateSolver):
-    """Greedy-only updates inside the incremental aggregate solve: scale the
-    stored curvature by (1 + beta)^2, then one greedy step against the
-    Hessian at the new iterate."""
+class IgsSolver(DirectSolver):
+    """Greedy-only updates: scale D_i by (1 + beta)^2, then one greedy step
+    against the Hessian at the new iterate."""
 
     method = "IGS"
     greedy = True
 
 
-class NimSolver(BaseSolver):
-    """Exact-Hessian incremental Newton: the tuple curvature is the true
-    component Hessian, and the Hessian sum and right-hand side are kept as
-    incremental exact sums and solved directly."""
+class NimSolver(DirectSolver):
+    """Exact-Hessian incremental Newton (Rodomanov & Kropotov, ICML 2016): no
+    stage runs; the new D_i is the component Hessian at the new iterate."""
 
     method = "NIM"
-
-    def __init__(self, objective, x0, config):
-        super().__init__(objective, x0, config)
-        self._hsum = self.D.sum(axis=0)
-        self._rhs = (np.einsum("nij,nj->i", self.D, self.z)
-                     - self.grads.sum(axis=0))
 
     def _initial_curvature(self, x0):
         return np.stack([self.objective.hessian(i, x0) for i in range(self.n)])
 
-    def _solve_iterate(self):
-        try:
-            return np.linalg.solve(self._hsum, self._rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularAggregate(f"Hessian sum solve failed: {exc}") from exc
-
     def _outgoing(self, i, d_i, z_old):
-        return d_i.dot(z_old) - self.grads[i]
+        np.copyto(self._d_old, d_i)  # no stage ran, so no _correction
+        return super()._outgoing(i, d_i, z_old)
 
     def _fold(self, t, i, x, y_raw, outgoing, terms):
-        h_new = self.objective.hessian(i, x)
-        self._hsum = self._hsum + (h_new - self.D[i])
-        self._rhs = self._rhs + (h_new.dot(x) - self.grads[i]) - outgoing
-        self.D[i] = h_new
+        self.D[i] = self.objective.hessian(i, x)
+        super()._fold(t, i, x, y_raw, outgoing, terms)
 
 
 _SOLVERS = {

@@ -214,6 +214,52 @@ class TestMemoization:
         assert solver.aggregate_drift() < 1e-10
 
 
+def _sum_drift(solver):
+    """Relative distance of the direct strategy's sums from a rebuild."""
+    hsum = solver.D.sum(axis=0)
+    rhs = np.einsum("nij,nj->i", solver.D, solver.z) - solver.grads.sum(axis=0)
+    return max(np.linalg.norm(solver._hsum - hsum) / np.linalg.norm(hsum),
+               np.linalg.norm(solver._rhs - rhs) / np.linalg.norm(rhs))
+
+
+class TestDirectSums:
+    # Worst per-step drift over 100 epochs, with the default refresh: 1.1e-15
+    # on small quadratics, 1.0e-11 on small logistic problems (SIQN).
+    DRIFT_BOUND = 1e-9
+
+    @staticmethod
+    def beta_swelling_logistic(rng):
+        # SIQN's beta swells sum D_i to ~3e9 here before the greedy stage
+        # brings it back to ~8; with no refresh its sums drift to 9.5e-8.
+        # (On small_logistic's default n = 10, d = 20, SIQN stalls into a
+        # DegenerateDirection at t = 52.)
+        return small_logistic(rng, n=12, d=6), 0.1
+
+    @pytest.mark.parametrize("problem", ["quad", "logi"])
+    @pytest.mark.parametrize("method", ["SIQN", "IGS", "NIM"])
+    def test_sums_track_a_rebuild_over_100_epochs(self, method, problem, rng):
+        obj, scale = ((small_quadratic(), 1.0) if problem == "quad"
+                      else self.beta_swelling_logistic(rng))
+        solver = make_solver(obj, initial_point(obj.d, scale, 8),
+                             SolverConfig(method=method, gstop=1e-300))
+        worst = 0.0
+        for _ in range(100 * obj.n):
+            solver.step()
+            worst = max(worst, _sum_drift(solver))
+        assert worst <= self.DRIFT_BOUND
+
+    def test_refresh_removes_the_gradient_floor(self, rng):
+        # The rounding left from the peak floors the gradient norm at the
+        # fixed point: without the refresh SIQN stalls near 1.5e-8.
+        obj, scale = self.beta_swelling_logistic(rng)
+        x0 = initial_point(obj.d, scale, 8)
+        refreshed = run(obj, x0, SolverConfig(method="SIQN", gstop=1e-10, max_epochs=100))
+        assert refreshed[-1].grad_norm < 1e-10
+        never = run(obj, x0, SolverConfig(method="SIQN", gstop=1e-10, max_epochs=100,
+                                          refresh_period=10 ** 9))
+        assert min(r.grad_norm for r in never) > 1e-9
+
+
 class TestLazyScaling:
     def test_lazy_matches_eager_with_geometric_alpha(self, rng):
         quad = small_quadratic()
@@ -318,12 +364,15 @@ class TestStateInvariants:
             with pytest.raises(SingularAggregate, match="singular"):
                 solver.step()
 
-    @pytest.mark.parametrize("method", ["SIQN", "IGS"])
+    @pytest.mark.parametrize("method", ["SIQN", "IGS", "NIM"])
     def test_singular_direct_solve_raises_typed_error(self, method):
+        # The solve reads the incremental curvature sum, not D: zero the sum
+        # between two refreshes.
         quad = small_quadratic(n=2, d=4)
         solver = make_solver(quad, initial_point(quad.d, 1.0, 0),
                              SolverConfig(method=method, gstop=1e-300))
-        solver.D[:] = 0.0
+        solver.step()
+        solver._hsum[:] = 0.0
         with pytest.raises(SingularAggregate, match="aggregate solve failed"):
             solver.step()
 
