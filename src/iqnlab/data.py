@@ -5,6 +5,7 @@ Randomness uses numpy's default PCG64 generator
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +152,10 @@ class GeneratorSpec:
             raise InvalidSpec(f"dimension must be even and >= 2, got {self.d}")
         if self.n < 1:
             raise InvalidSpec(f"need at least one component, got n={self.n}")
-        if self.xi < 0.0:
-            raise InvalidSpec(f"xi must be non-negative, got {self.xi}")
+        if not 0.0 <= self.xi < math.inf:
+            raise InvalidSpec(f"xi must be finite and non-negative, got {self.xi}")
+        if not 0.0 <= self.b_max < math.inf:
+            raise InvalidSpec(f"b_max must be finite and non-negative, got {self.b_max}")
 
 
 def generate_quadratic(spec: GeneratorSpec) -> QuadraticComponents:

@@ -62,6 +62,11 @@ class ExperimentConfig:
                 raise HarnessError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.problem == "logistic" and not self.data:
             raise HarnessError("logistic problems need a 'data' path")
+        if self.lam != "auto":
+            try:
+                float(self.lam)
+            except ValueError as exc:
+                raise HarnessError(f"lam must be 'auto' or a number, got {self.lam!r}") from exc
         try:
             for m in self.methods:
                 _solver_config(self, m)
@@ -77,7 +82,7 @@ def parse_config_file(path):
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise HarnessError(f"cannot read config {path}: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -128,7 +133,7 @@ def build_problem(config: ExperimentConfig):
 
     try:
         rows, dim = load_libsvm(config.data)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise HarnessError(f"cannot read dataset {config.data}: {exc}") from exc
     features, labels = rows_to_csr(rows, dim)
     lam = 1.0 / len(rows) if config.lam == "auto" else float(config.lam)

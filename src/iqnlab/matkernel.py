@@ -1,21 +1,22 @@
 """Dense symmetric-matrix kernels for quasi-Newton curvature maintenance.
 
-Matrices are plain C-ordered float64 ``numpy`` arrays. The update kernels
-work in place on BLAS level-2 routines from ``scipy.linalg.blas``, so an
-update costs a few O(d^2) passes and allocates only vectors. Each takes a
-numpy-style ``out``: ``None`` returns a fresh array, and ``out=<input>``
-overwrites the input. Guards are checked before anything is written, so a
-kernel that raises leaves ``out`` as it was.
+Matrices are plain C-ordered float64 ``numpy`` arrays. Each update kernel
+has one contract: it overwrites its matrix argument in place, through BLAS
+level-2 routines from ``scipy.linalg.blas``, and returns it; a caller who
+wants the old matrix too passes a copy. An update costs a few O(d^2)
+passes and allocates only vectors. Guards are checked before anything is
+written, so a kernel that raises leaves its matrix as it was. A matrix the
+kernel cannot update in place (Fortran-ordered, not float64, read-only)
+raises ``ValueError`` at the first write, also with the matrix untouched.
 
 Symmetric paths (every curvature update, and Sherman-Morrison updates with
 u parallel to v) take their product from ``dsymv``, which reads one
 triangle only, and apply each term ``c x x^T`` as ``dger(+-1, r, r)`` with
 ``r = sqrt(|c|) x``. Both triangles then receive bit-identical increments,
 so a symmetric matrix stays exactly symmetric without a symmetrize pass.
-Their input must be symmetric, as the solvers keep H and every D_i; with
-``out=None`` they start from the input's symmetric part. General
-Sherman-Morrison terms use ``dgemv`` for ``A u`` and ``A^T v`` and a
-general ``dger``.
+Their input must be symmetric, as the solvers keep H and every D_i.
+General Sherman-Morrison terms use ``dgemv`` for ``A u`` and ``A^T v`` and
+a general ``dger``.
 
 The curvature operators take the reference matrix K only through its action
 ``ku = K @ u`` and the scalar ``uku = <u, K u>``. The two call sites need
@@ -54,21 +55,15 @@ def _as_f64(x):
 _SYM_STRIP = 32
 
 
-def symmetrize(m: np.ndarray, out=None) -> np.ndarray:
-    """Return the symmetric part 0.5 * (M + M^T); ``out=m`` replaces M by it.
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """Replace M by its symmetric part 0.5 * (M + M^T) in place; returns M.
 
-    In place, M is swept in strips of ``_SYM_STRIP`` rows and their mirrored
-    columns, so the pass needs a temporary of at most that many rows instead
-    of the copy of M^T that numpy would buffer for an overlapping ``out``.
-    Entry (i, j) gets ``(m[i, j] + m[j, i]) * 0.5`` either way, and as
-    ``a + b == b + a`` both triangles get the same bits.
+    M is swept in strips of ``_SYM_STRIP`` rows and their mirrored columns,
+    so the pass needs a temporary of at most that many rows instead of the
+    copy of M^T that numpy would buffer for an overlapping ``out``. Entry
+    (i, j) gets ``(m[i, j] + m[j, i]) * 0.5``, and as ``a + b == b + a``
+    both triangles get the same bits, those of ``0.5 * (m + m.T)``.
     """
-    if out is None:
-        return 0.5 * (m + m.T)
-    if out is not m:
-        np.add(m, m.T, out=out)
-        out *= 0.5
-        return out
     d = m.shape[0]
     for lo in range(0, d, _SYM_STRIP):
         hi = lo + _SYM_STRIP
@@ -78,23 +73,6 @@ def symmetrize(m: np.ndarray, out=None) -> np.ndarray:
         m[lo:hi, lo:] = strip
         m[lo:, lo:hi] = strip.T
     return m
-
-
-def _check_out(out, m):
-    if (not isinstance(out, np.ndarray) or out.shape != m.shape
-            or out.dtype != np.float64 or not out.flags.c_contiguous
-            or not out.flags.writeable):
-        raise ValueError(f"out must be a writeable C-ordered float64 array of shape {m.shape}")
-
-
-def _into(out, m, update):
-    """``update`` applied to ``out``, which starts as a copy of ``m``. When
-    ``out`` is not ``m`` the update runs on a copy, so that a guard which
-    raises leaves ``out`` untouched."""
-    if out is m:
-        return update(out)
-    np.copyto(out, update(m.copy()))
-    return out
 
 
 # BLAS takes Fortran-ordered matrices; the C-ordered m is passed as its
@@ -115,16 +93,28 @@ def _rmatvec(m, x):
     return _dgemv(1.0, m.T, x)
 
 
+# f2py hands dger a copy of a view that is not a float64 Fortran array, and
+# writes through a read-only one. The update would then be lost, or land in
+# memory the caller protected, so the rank-one writes below check both and
+# raise before anything of m is written.
+_NOT_IN_PLACE = "the matrix must be a writeable C-ordered float64 array"
+
+
 def _add_outer(m, alpha, x, y):
     """``m += alpha x y^T`` in place."""
-    _dger(alpha, y, x, a=m.T, overwrite_a=1)
+    a = m.T
+    if not m.flags.writeable or _dger(alpha, y, x, a=a, overwrite_a=1) is not a:
+        raise ValueError(_NOT_IN_PLACE)
 
 
 def _add_symmetric(m, c, x):
     """``m += c x x^T`` in place with bit-identical increments to m[i, j]
     and m[j, i]."""
     r = math.sqrt(abs(c)) * x
-    _dger(1.0 if c > 0.0 else -1.0, r, r, a=m.T, overwrite_a=1)
+    sign = 1.0 if c > 0.0 else -1.0
+    a = m.T
+    if not m.flags.writeable or _dger(sign, r, r, a=a, overwrite_a=1) is not a:
+        raise ValueError(_NOT_IN_PLACE)
 
 
 def _collinear_ratio(u, v):
@@ -137,13 +127,31 @@ def _collinear_ratio(u, v):
     return None
 
 
-# The private ``*_inplace`` bodies below are what the solvers call on their
-# own buffers, which are C-ordered float64 by construction: they skip the
-# public kernels' argument conversion and ``out`` handling, keep every
-# floating-point operation of them, and raise before any write.
+def sm_inverse_update(h: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Overwrite ``h = A^{-1}`` with ``(A + u v^T)^{-1}`` (Sherman-Morrison).
 
-def _sm_inplace(h, u, v):
-    """:func:`sm_inverse_update` with ``out=h``."""
+    Parameters
+    ----------
+    h : (d, d) writeable C-ordered float64 array
+        Inverse of the current matrix A; updated in place.
+    u, v : (d,) float arrays
+        Rank-one factors of the additive update.
+
+    Returns
+    -------
+    h
+        Now ``(A + u v^T)^{-1}``. When u is collinear with v the update is
+        the symmetric term ``-(lambda / den) w w^T`` with ``v = lambda u``
+        and ``w = A^{-1} u``; it keeps a symmetric ``h`` exactly symmetric.
+        Otherwise ``A^{-T} v`` is formed as well and the term is general.
+
+    Raises
+    ------
+    SingularUpdate
+        If ``|1 + <v, A^{-1} u>| < GUARD_TOL`` (A + u v^T is singular).
+    ValueError
+        If ``h`` cannot be updated in place.
+    """
     lam = _collinear_ratio(u, v)
     w = _matvec(h, u) if lam is None else _symv(h, u)
     den = 1.0 + v.dot(w)
@@ -154,42 +162,6 @@ def _sm_inplace(h, u, v):
     else:
         _add_symmetric(h, -lam / den, w)
     return h
-
-
-def sm_inverse_update(a_inv: np.ndarray, u: np.ndarray, v: np.ndarray,
-                      out=None) -> np.ndarray:
-    """Inverse of ``A + u v^T`` from ``a_inv = A^{-1}`` (Sherman-Morrison).
-
-    Parameters
-    ----------
-    a_inv : (d, d) array
-        Inverse of the current matrix A.
-    u, v : (d,) arrays
-        Rank-one factors of the additive update.
-    out : (d, d) C-ordered float64 array, optional
-        Where to write the result; may be ``a_inv`` itself.
-
-    Returns
-    -------
-    (d, d) array
-        ``(A + u v^T)^{-1}``. When u is collinear with v the update is the
-        symmetric term ``-(lambda / den) w w^T`` with ``v = lambda u`` and
-        ``w = A^{-1} u``; it keeps a symmetric ``a_inv`` exactly symmetric.
-        Otherwise ``A^{-T} v`` is formed as well and the term is general.
-
-    Raises
-    ------
-    SingularUpdate
-        If ``|1 + <v, A^{-1} u>| < GUARD_TOL`` (A + u v^T is singular).
-    """
-    a_inv = _as_f64(a_inv)
-    u = _as_f64(u)
-    v = _as_f64(v)
-    if out is None:
-        fresh = a_inv.copy() if _collinear_ratio(u, v) is None else symmetrize(a_inv)
-        return _sm_inplace(fresh, u, v)
-    _check_out(out, a_inv)
-    return _into(out, a_inv, lambda h: _sm_inplace(h, u, v))
 
 
 def _curvature_guards(b, ku, u):
@@ -203,20 +175,41 @@ def _curvature_guards(b, ku, u):
             GUARD_TOL * nu * math.sqrt(ku.dot(ku)))
 
 
-def _broyden_inplace(tau, b, ku, uku, u, label):
-    """:func:`broyden_update` with ``out=b``, its error messages naming
-    ``label``: ``tau * DFP + (1 - tau) * BFGS`` as symmetric rank-one terms
+def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
+                   u: np.ndarray) -> np.ndarray:
+    """Overwrite B with its restricted Broyden update toward K along u,
+    ``tau * DFP + (1 - tau) * BFGS``; returns ``b``.
+
+    ``b`` is a symmetric, writeable C-ordered float64 array. K enters only
+    as ``ku = K u`` and ``uku = <u, K u>``. The update is applied as
+    symmetric rank-one terms
 
         B - (1 - tau)/<u,Bu> bu bu^T + ((1 - tau) + tau c)/uku ku ku^T
           - tau/(2 uku) (ku + bu)(ku + bu)^T + tau/(2 uku) (ku - bu)(ku - bu)^T
 
     with ``bu = B u`` and ``c = 1 + <u,Bu>/uku``; the last two terms are the
     DFP cross term ``-(ku bu^T + bu ku^T) tau/uku`` written symmetrically.
+    At ``tau == 0`` and ``tau == 1`` only the BFGS or DFP terms run, so the
+    endpoints are exact. The result satisfies the secant property
+    ``B_new @ u == ku`` and stays exactly symmetric.
+
+    Raises
+    ------
+    InvalidTau
+        If tau is outside [0, 1].
+    DegenerateDirection
+        If ``<u, B u>`` falls below ``GUARD_TOL * ||u||^2 * max|diag B|``
+        or ``uku`` below ``GUARD_TOL * ||u|| * ||ku||``.
+    ValueError
+        If ``b`` cannot be updated in place.
     """
+    if not 0.0 <= tau <= 1.0:
+        raise InvalidTau(f"tau must lie in [0, 1], got {tau}")
     guard_ubu, guard_uku = _curvature_guards(b, ku, u)
     bu = _symv(b, u)
     ubu = u.dot(bu)
     if ubu <= guard_ubu or uku <= guard_uku:
+        label = "BFGS" if tau == 0.0 else "DFP" if tau == 1.0 else f"Broyden(tau={tau})"
         raise DegenerateDirection(
             f"{label} denominators <u,Bu>={ubu:.3e} (guard {guard_ubu:.3e}), "
             f"uku={uku:.3e} (guard {guard_uku:.3e})"
@@ -231,92 +224,32 @@ def _broyden_inplace(tau, b, ku, uku, u, label):
     return b
 
 
-def _broyden_label(tau):
-    """How errors of a Broyden(tau) update name it."""
-    return "BFGS" if tau == 0.0 else "DFP" if tau == 1.0 else f"Broyden(tau={tau})"
+def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> np.ndarray:
+    """Generalized BFGS update of B toward K along u, in place:
+    ``B - B u u^T B / <u, B u> + ku ku^T / uku``. :func:`broyden_update`
+    at tau = 0."""
+    return broyden_update(0.0, b, ku, uku, u)
 
 
-def _restricted_broyden(tau, b, ku, uku, u, out):
-    b = _as_f64(b)
-    ku = _as_f64(ku)
-    u = _as_f64(u)
-    uku = float(uku)
-    label = _broyden_label(tau)
-    if out is None:
-        return _broyden_inplace(tau, symmetrize(b), ku, uku, u, label)
-    _check_out(out, b)
-    return _into(out, b, lambda m: _broyden_inplace(tau, m, ku, uku, u, label))
-
-
-def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
-                out=None) -> np.ndarray:
-    """Generalized BFGS update of B toward K along direction u.
-
-    Computes ``B - B u u^T B / <u, B u> + ku ku^T / uku`` where ``ku = K u``
-    and ``uku = <u, K u>``, written to ``out`` (fresh when ``None``; may be
-    ``b`` itself). The result satisfies the secant property
-    ``B_new @ u == ku``; a symmetric B gives an exactly symmetric result.
-
-    Raises
-    ------
-    DegenerateDirection
-        If ``<u, B u>`` falls below ``GUARD_TOL * ||u||^2 * max|diag B|``
-        or ``uku`` below ``GUARD_TOL * ||u|| * ||ku||``.
-    """
-    return _restricted_broyden(0.0, b, ku, uku, u, out)
-
-
-def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray,
-               out=None) -> np.ndarray:
-    """DFP update of B toward K along direction u.
-
-    Computes ``B - (ku u^T B + B u u^T ku^T)/uku + (1 + <u,Bu>/uku) ku ku^T/uku``
-    with the same access pattern, ``out`` semantics, secant property and
-    error contract as :func:`bfgs_update`.
-    """
-    return _restricted_broyden(1.0, b, ku, uku, u, out)
-
-
-def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
-                   u: np.ndarray, out=None) -> np.ndarray:
-    """Restricted Broyden update: ``tau * DFP + (1 - tau) * BFGS``.
-
-    The endpoints are exact: ``tau == 0`` returns the BFGS output and
-    ``tau == 1`` the DFP output, bit for bit. ``out`` and the guards as in
-    :func:`bfgs_update`.
-
-    Raises
-    ------
-    InvalidTau
-        If tau is outside [0, 1].
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise InvalidTau(f"tau must lie in [0, 1], got {tau}")
-    if tau == 0.0:
-        return bfgs_update(b, ku, uku, u, out=out)
-    if tau == 1.0:
-        return dfp_update(b, ku, uku, u, out=out)
-    return _restricted_broyden(tau, b, ku, uku, u, out)
+def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> np.ndarray:
+    """DFP update of B toward K along u, in place:
+    ``B - (ku u^T B + B u u^T ku^T)/uku + (1 + <u,Bu>/uku) ku ku^T/uku``.
+    :func:`broyden_update` at tau = 1."""
+    return broyden_update(1.0, b, ku, uku, u)
 
 
 def greedy_vector(q_diag: np.ndarray, h_diag: np.ndarray) -> int:
     """Index of the basis direction maximizing ``<e_i, Q e_i> / <e_i, H e_i>``.
 
     For standard basis vectors the quadratic-form ratio reduces to the ratio
-    of diagonals, so only the two diagonals are needed. Ties break to the
-    lowest index (0-based, indexing the diagonal arrays).
+    of the float64 diagonals, which are only read. Ties break to the lowest
+    index (0-based, indexing the diagonal arrays).
 
     Raises
     ------
     NonPositiveDiagonal
         If any reference diagonal entry is <= GUARD_TOL.
     """
-    return _greedy_index(np.asarray(q_diag, dtype=np.float64),
-                         np.asarray(h_diag, dtype=np.float64))
-
-
-def _greedy_index(q_diag, h_diag):
-    """:func:`greedy_vector` on float64 diagonals."""
     low = h_diag.min()
     # min() is NaN when any entry is, and then says nothing of the others.
     if low <= GUARD_TOL or (low != low and np.any(h_diag <= GUARD_TOL)):
@@ -348,5 +281,5 @@ def sigma_metric(a: np.ndarray, g: np.ndarray) -> float:
 
 def psd_dominates(g: np.ndarray, a: np.ndarray, tol: float) -> bool:
     """True iff the smallest eigenvalue of ``G - A`` is >= -tol."""
-    diff = symmetrize(_as_f64(g) - _as_f64(a))
+    diff = symmetrize(_as_f64(g) - _as_f64(a))  # the difference is ours to overwrite
     return bool(np.linalg.eigvalsh(diff)[0] >= -tol)

@@ -185,7 +185,7 @@ def _apply_chain(h, chain):
     updated and must be rebuilt."""
     try:
         for u, v in chain:
-            mk._sm_inplace(h, u, v)
+            mk.sm_inverse_update(h, u, v)
     except SingularUpdate:
         return False
     return True
@@ -232,11 +232,9 @@ class BaseSolver:
         self.grads = np.ascontiguousarray(objective.gradients_at(x0))
         self.D = self._initial_curvature(x0)
         self.refresh_period = config.refresh_period or 10 * self.n
-        # Per-solver constants of the stages: the greedy stage's q and e_k
-        # buffers, and the names its kernel errors give the two updates.
+        # The greedy stage's q and e_k buffers.
         self._q = np.empty((self.d, self.d)) if self.greedy else None
         self._e = np.zeros(self.d) if self.greedy else None
-        self._labels = (mk._broyden_label(self.tau1), mk._broyden_label(self.tau2))
 
     def _initial_curvature(self, x0):
         if self.config.init_curvature == "exact-hessian":
@@ -279,12 +277,12 @@ class BaseSolver:
                 d_i *= (1.0 + c) ** 2
         outgoing = self._outgoing(i, d_i, z_old)
 
-        # The stages call the kernels' unchecked in-place bodies: D_i, q and
-        # e_k are this solver's own C-ordered float64 buffers.
+        # The stages update D_i in place through the public kernels, called
+        # as module attributes so that a wrapper on matkernel sees each call.
         if self.classic and not skipped:
             y, sy = self._secant(s, y_raw, c)
             bu = d_i.dot(s) if self.inverse_chain else None
-            mk._broyden_inplace(self.tau1, d_i, y, sy, s, self._labels[0])
+            mk.broyden_update(self.tau1, d_i, y, sy, s)
             if self.inverse_chain:
                 terms += _broyden_terms(self.tau1, y, sy, bu, s.dot(bu), k_first=True)
         if self.greedy:
@@ -293,12 +291,12 @@ class BaseSolver:
             q = self._q
             np.copyto(q, d_i)
             h_diag = self.objective.hessian_diag(i, x)
-            k = mk._greedy_index(q.diagonal(), h_diag)
+            k = mk.greedy_vector(q.diagonal(), h_diag)
             h_col = self.objective.hessian_column(i, x, k)
             h_kk = float(h_diag[k])
             e_k = self._e
             e_k[k] = 1.0
-            mk._broyden_inplace(self.tau2, d_i, h_col, h_kk, e_k, self._labels[1])
+            mk.broyden_update(self.tau2, d_i, h_col, h_kk, e_k)
             e_k[k] = 0.0
             if self.inverse_chain:
                 terms += _broyden_terms(self.tau2, h_col, h_kk, q[:, k], float(q[k, k]),
@@ -391,7 +389,7 @@ class MemoizedSolver(BaseSolver):
             self.H = _summed_inverse(self._curvature_sum())
         else:
             if self._symmetrize_h:
-                mk.symmetrize(self.H, out=self.H)
+                mk.symmetrize(self.H)
             if w != 1.0:
                 self.H /= w
         if t % self.refresh_period == 0:
@@ -464,6 +462,7 @@ class DirectSolver(BaseSolver):
     def __init__(self, objective, x0, config):
         super().__init__(objective, x0, config)
         self._d_old = np.empty((self.d, self.d))  # outgoing D_i, see _fold
+        self._lu = np.empty((self.d, self.d), order="F")  # dgesv factorizes here
 
     def _solve_iterate(self):
         if self.t % self.refresh_period == 0:
@@ -473,7 +472,10 @@ class DirectSolver(BaseSolver):
             self._rhs = np.einsum("nij,nj->i", self.D, self.z) - self.grads.sum(axis=0)
         # scipy's LAPACK, not numpy's: a numpy solve leaves its own OpenBLAS
         # pool spinning on the shared cores, which stalls the next kernel.
-        _, _, x, info = scipy.linalg.lapack.dgesv(self._hsum, self._rhs)
+        # The sum goes into the Fortran-ordered _lu, which dgesv overwrites
+        # with its factors instead of allocating a copy of its own.
+        self._lu[...] = self._hsum
+        _, _, x, info = scipy.linalg.lapack.dgesv(self._lu, self._rhs, overwrite_a=1)
         if info != 0:
             raise SingularAggregate(f"aggregate solve failed: dgesv info {info}")
         return x

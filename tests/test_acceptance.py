@@ -172,7 +172,7 @@ def test_criterion_05_psd_dominance_over_run():
         res = solver.step()
         hess = objective.hessian(res.index - 1, res.x)
         ok = mk.psd_dominates(res.d_unscaled, hess, tol=1e-8)
-        min_eig = float(np.linalg.eigvalsh(mk.symmetrize(res.d_unscaled) - hess)[0])
+        min_eig = float(np.linalg.eigvalsh(mk.symmetrize(res.d_unscaled.copy()) - hess)[0])
         worst = max(worst, -min_eig)
         if not ok:
             break

@@ -328,6 +328,20 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["lam", "config-bytes", "data-bytes"])
+    def test_run_bad_input_exits_before_output(self, tmp_path, capsys, case):
+        data = tmp_path / "train.libsvm"
+        data.write_bytes(b"+1 1:0.5\n-1 2:\xff\n" if case == "data-bytes" else b"+1 1:0.5\n")
+        text = (f"problem = logistic\ndata = {data}\nmethods = IQN\n"
+                f"lam = {'abc' if case == 'lam' else 'auto'}\nout = {tmp_path / 'out'}\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(text.encode() + (b"# \xe9\n" if case == "config-bytes" else b""))
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_gen_quadratic_subcommand(self, tmp_path):
         out = tmp_path / "quad.npz"
         assert cli_main(["gen-quadratic", "--n", "3", "--d", "4", "--xi", "1.5",
