@@ -120,10 +120,13 @@ class TestGenerator:
         np.testing.assert_array_equal(first.a_diag, second.a_diag)
         np.testing.assert_array_equal(first.b, second.b)
 
+    def test_odd_dimension_rejected(self):
+        with pytest.raises(InvalidSpec):
+            GeneratorSpec(n=2, d=5, xi=1.0)
+
     @pytest.mark.parametrize("spec", [
-        dict(d=5), dict(xi=np.inf), dict(xi=np.nan), dict(b_max=np.inf), dict(b_max=np.nan),
-        dict(b_max=-1.0),
-    ], ids=["odd-d", "xi-inf", "xi-nan", "b_max-inf", "b_max-nan", "b_max-negative"])
+        dict(xi=np.inf), dict(xi=np.nan), dict(b_max=np.inf), dict(b_max=np.nan), dict(b_max=-1.0),
+    ], ids=["xi-inf", "xi-nan", "b_max-inf", "b_max-nan", "b_max-negative"])
     def test_invalid_spec_rejected(self, spec):
         with pytest.raises(InvalidSpec):
             GeneratorSpec(**{"n": 2, "d": 4, "xi": 1.0, **spec})

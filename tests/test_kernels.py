@@ -6,6 +6,8 @@ The oracle's formulas are full-matrix numpy expressions that share no code
 with the kernels.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,51 +31,82 @@ def rel_err(got, expected):
     return float(np.linalg.norm(got - expected) / np.linalg.norm(expected))
 
 
+def apply(kernel, args, m, in_place):
+    """Run ``kernel(*args)`` on ``m`` itself or, as a caller that keeps its
+    input does, on a fresh copy of it. Either way the kernel must return the
+    matrix it was given and leave every other argument, and in the fresh
+    mode ``m``, unchanged."""
+    target = m if in_place else m.copy()
+    args = [target if a is m else a for a in args]
+    kept = [(a, a.copy()) for a in [*args, m] if isinstance(a, np.ndarray) and a is not target]
+    assert kernel(*args) is target
+    for a, before in kept:
+        np.testing.assert_array_equal(a, before)
+    return target
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in_place"])
 @pytest.mark.parametrize("d", DIMS)
 class TestAgainstTextbook:
-    def test_sm_general_matches_explicit_inverse(self, rng, d):
+    def test_sm_general_matches_explicit_inverse(self, rng, d, in_place):
         a = sym_spd(rng, d)
         u = rng.standard_normal(d)
         v = 0.3 * rng.standard_normal(d)
         expected = np.linalg.inv(a + np.outer(u, v))
         h = np.linalg.inv(a)
-        assert mk.sm_inverse_update(h, u, v) is h
-        assert rel_err(h, expected) < 1e-10
+        got = apply(mk.sm_inverse_update, (h, u, v), h, in_place)
+        assert rel_err(got, expected) < 1e-10
 
-    def test_sm_symmetric_matches_explicit_inverse(self, rng, d):
+    def test_sm_symmetric_matches_explicit_inverse(self, rng, d, in_place):
         a = sym_spd(rng, d)
         u = rng.standard_normal(d)
         for v in (0.4 * u, -0.2 * u):
             expected = np.linalg.inv(a + np.outer(u, v))
             h = mk.symmetrize(np.linalg.inv(a))
-            assert mk.sm_inverse_update(h, u, v) is h
-            assert rel_err(h, expected) < 1e-10
-            assert np.array_equal(h, h.T)
+            got = apply(mk.sm_inverse_update, (h, u, v), h, in_place)
+            assert rel_err(got, expected) < 1e-10
+            assert np.array_equal(got, got.T)
 
-    def test_bfgs_matches_oracle(self, rng, d):
+    def test_bfgs_matches_oracle(self, rng, d, in_place):
         b, k = sym_spd(rng, d), sym_spd(rng, d)
         u = rng.standard_normal(d)
         expected = _bfgs_explicit(b, k, u)
-        assert mk.bfgs_update(b, k @ u, float(u @ k @ u), u) is b
-        assert rel_err(b, expected) < 1e-12
-        assert np.array_equal(b, b.T)
+        got = apply(mk.bfgs_update, (b, k @ u, float(u @ k @ u), u), b, in_place)
+        assert rel_err(got, expected) < 1e-12
+        assert np.array_equal(got, got.T)
 
-    def test_dfp_matches_oracle(self, rng, d):
+    def test_dfp_matches_oracle(self, rng, d, in_place):
         b, k = sym_spd(rng, d), sym_spd(rng, d)
         u = rng.standard_normal(d)
         expected = _dfp_explicit(b, k, u)
-        assert mk.dfp_update(b, k @ u, float(u @ k @ u), u) is b
-        assert rel_err(b, expected) < 1e-12
-        assert np.array_equal(b, b.T)
+        got = apply(mk.dfp_update, (b, k @ u, float(u @ k @ u), u), b, in_place)
+        assert rel_err(got, expected) < 1e-12
+        assert np.array_equal(got, got.T)
 
     @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
-    def test_broyden_matches_oracle(self, rng, d, tau):
+    def test_broyden_matches_oracle(self, rng, d, in_place, tau):
         b, k = sym_spd(rng, d), sym_spd(rng, d)
         u = rng.standard_normal(d)
         expected = _broyden_explicit(tau, b, k, u)
-        assert mk.broyden_update(tau, b, k @ u, float(u @ k @ u), u) is b
-        assert rel_err(b, expected) < 1e-12
-        assert np.array_equal(b, b.T)
+        got = apply(mk.broyden_update, (tau, b, k @ u, float(u @ k @ u), u), b, in_place)
+        assert rel_err(got, expected) < 1e-12
+        assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_fresh_and_in_place_agree_bitwise_on_symmetric_input(rng, d):
+    # Byte-identical traces need a kernel's bits not to depend on which
+    # buffer holds the matrix.
+    b, k = sym_spd(rng, d), sym_spd(rng, d)
+    u = rng.standard_normal(d)
+    args = (0.5, b, k @ u, float(u @ k @ u), u)
+    fresh = apply(mk.broyden_update, args, b, in_place=False)
+    np.testing.assert_array_equal(apply(mk.broyden_update, args, b, in_place=True), fresh)
+
+    h = mk.symmetrize(np.linalg.inv(sym_spd(rng, d)))
+    args = (h, u, 0.5 * u)
+    fresh = apply(mk.sm_inverse_update, args, h, in_place=False)
+    np.testing.assert_array_equal(apply(mk.sm_inverse_update, args, h, in_place=True), fresh)
 
 
 @pytest.mark.parametrize("d", (1, 2, 10, 32, 33, 60, 130))
@@ -120,17 +153,23 @@ def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
 @pytest.mark.parametrize("d, collinear", [
     pytest.param(d, collinear, id=f"{d}-{'collinear' if collinear else 'general'}")
     for d in DIMS for collinear in (False, True) if collinear or d > 1])
-def test_guards_leave_the_matrix_untouched(d, collinear):
-    # <v, H u> = -1 with H = I: A + u v^T is singular either way.
+def test_sm_body_raises_like_kernel(d, collinear):
+    # <v, H u> = -1 with H = I: A + u v^T is singular either way, and the
+    # typed error comes before any write.
     u = np.eye(d)[0] if collinear else np.eye(d)[0] + np.eye(d)[1]
     h = np.eye(d)
     with pytest.raises(SingularUpdate, match="rank-one update denominator"):
         mk.sm_inverse_update(h, u, -np.eye(d)[0])
     np.testing.assert_array_equal(h, np.eye(d))
-    for tau, label in ((0.0, "BFGS"), (0.5, "Broyden\\(tau=0.5\\)"), (1.0, "DFP")):
+
+
+def test_guards_leave_out_untouched():
+    labels = ((0.0, "BFGS"), (0.5, "Broyden\\(tau=0.5\\)"), (1.0, "DFP"))
+    for d, (tau, label) in itertools.product(DIMS, labels):
+        b = np.eye(d)
         with pytest.raises(DegenerateDirection, match=f"^{label} denominators"):
-            mk.broyden_update(tau, h, np.zeros(d), 0.0, np.eye(d)[0])
-        np.testing.assert_array_equal(h, np.eye(d))
+            mk.broyden_update(tau, b, np.zeros(d), 0.0, np.eye(d)[0])
+        np.testing.assert_array_equal(b, np.eye(d))
 
 
 def fortran(m):
@@ -146,16 +185,17 @@ def read_only(m):
     return m
 
 
-@pytest.mark.parametrize("layout", [fortran, float32, read_only])
-def test_matrix_it_cannot_update_in_place_raises_untouched(rng, layout):
-    # dger would update a copy of the first two and write through the last.
+def test_out_must_be_c_ordered_float64(rng):
+    # The matrix a kernel writes is its output. dger would update a copy of
+    # a Fortran-ordered or float32 one and write through a read-only one.
     d = 10
     u, v = rng.standard_normal(d), 0.3 * rng.standard_normal(d)
     ku = sym_spd(rng, d) @ u
-    for update in (lambda m: mk.sm_inverse_update(m, u, v),
-                   lambda m: mk.sm_inverse_update(m, u, 0.3 * u),
-                   lambda m: mk.broyden_update(0.0, m, ku, float(u @ ku), u),
-                   lambda m: mk.broyden_update(0.5, m, ku, float(u @ ku), u)):
+    updates = (lambda m: mk.sm_inverse_update(m, u, v),
+               lambda m: mk.sm_inverse_update(m, u, 0.3 * u),
+               lambda m: mk.broyden_update(0.0, m, ku, float(u @ ku), u),
+               lambda m: mk.broyden_update(0.5, m, ku, float(u @ ku), u))
+    for layout, update in itertools.product((fortran, float32, read_only), updates):
         m = layout(sym_spd(rng, d))
         before = m.copy()
         with pytest.raises(ValueError, match="writeable C-ordered float64"):

@@ -169,15 +169,16 @@ class TestGreedyVector:
         ([1.0, 2.0 * mk.GUARD_TOL, 2.0], False),
     ], ids=["zero", "negative", "at-tol", "nan-then-zero", "zero-then-nan",
             "nan-among-positive", "above-tol"])
-    def test_guard_raises_on_exactly_the_flagged_set(self, h_diag, raises):
+    @pytest.mark.parametrize("fn", [mk.greedy_vector], ids=["public"])
+    def test_guard_raises_on_exactly_the_flagged_set(self, fn, h_diag, raises):
         h_diag = np.array(h_diag)
         q_diag = np.ones(3)
         if raises:
             with pytest.raises(NonPositiveDiagonal, match="reference diagonal"):
-                mk.greedy_vector(q_diag, h_diag)
+                fn(q_diag, h_diag)
         else:
             # argmax of q/h, which counts a NaN ratio as the largest.
-            assert mk.greedy_vector(q_diag, h_diag) == int(np.argmax(q_diag / h_diag))
+            assert fn(q_diag, h_diag) == int(np.argmax(q_diag / h_diag))
 
 
 class TestSigmaMetric:
