@@ -8,6 +8,7 @@ Subcommands:
 
 import argparse
 import ctypes
+import importlib
 import json
 import os
 import sys
@@ -89,32 +90,42 @@ def build_parser():
     return parser
 
 
-def _openblas():
-    """scipy's bundled OpenBLAS through ctypes; None when scipy links another
-    BLAS."""
-    from scipy.linalg import _fblas
-    try:
-        lib = ctypes.CDLL(_fblas.__file__)
-        lib.scipy_openblas_set_num_threads  # absent from other BLAS builds
-    except (OSError, AttributeError):
-        return None
-    return lib
+# The OpenBLAS copies that scipy and numpy bundle: each extension module
+# that links one and the suffix of its thread-count functions. scipy's runs
+# the kernels and the direct solve; numpy's 64-bit-integer copy runs every
+# ndarray.dot and np.linalg call.
+_OPENBLAS_POOLS = (("scipy.linalg._fblas", ""), ("numpy._core._multiarray_umath", "64_"))
+
+
+def _openblas_pools():
+    """(get, set) thread-count functions of each bundled OpenBLAS, through
+    ctypes; a module that links another BLAS, or is absent, adds none."""
+    pools = []
+    for module, suffix in _OPENBLAS_POOLS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            pools.append((getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
+                          getattr(lib, f"scipy_openblas_set_num_threads{suffix}")))
+        except (ImportError, OSError, AttributeError):
+            continue
+    return pools
 
 
 def pin_blas_threads():
-    """Run scipy's OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set.
+    """Run both bundled OpenBLAS pools, scipy's and numpy's, on one thread
+    unless OPENBLAS_NUM_THREADS is set.
 
     The kernels are level-2 calls, which lose time to a second thread: on a
     2-vCPU host `iqn-lab run` at n = 20, d = 500 finished sooner with one
-    thread in every pair raced. The thread count also sets BLAS rounding, so
-    one pinned count makes traces independent of the host's core count. The
-    setting is process-wide, so only the command line makes it; the library
-    never does.
+    thread in every pair raced. The thread count also sets BLAS rounding
+    (numpy's `np.linalg.inv` at d = 500 returns other bits with two threads),
+    so one pinned count in both pools makes traces independent of the host's
+    core count. The setting is process-wide, so only the command line makes
+    it; the library never does.
     """
     if "OPENBLAS_NUM_THREADS" not in os.environ:
-        lib = _openblas()
-        if lib is not None:
-            lib.scipy_openblas_set_num_threads(1)
+        for _, set_threads in _openblas_pools():
+            set_threads(1)
 
 
 def main(argv=None):

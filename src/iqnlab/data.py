@@ -154,6 +154,10 @@ class GeneratorSpec:
             raise InvalidSpec(f"need at least one component, got n={self.n}")
         if not 0.0 <= self.xi < math.inf:
             raise InvalidSpec(f"xi must be finite and non-negative, got {self.xi}")
+        try:
+            10.0 ** (self.xi / 2.0)  # the generator's upper diagonal bound
+        except OverflowError:
+            raise InvalidSpec(f"xi = {self.xi} overflows the diagonal bound 10^(xi/2)") from None
         if not 0.0 <= self.b_max < math.inf:
             raise InvalidSpec(f"b_max must be finite and non-negative, got {self.b_max}")
 

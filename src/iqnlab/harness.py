@@ -43,11 +43,10 @@ class ExperimentConfig:
     seed: int = 0
     gstop: float = 1e-10
     max_epochs: int = 100
-    refresh_period: int = 0  # 0 means the solver default (10 n)
+    refresh_period: int = 0  # 0 means the solver default
     tau1: float = 0.0
     tau2: float = 0.0
-    alpha_mode: str = "zero"
-    alpha_epsilon: float = 0.0
+    alpha_epsilon: float = 0.0  # > 0 turns the alpha schedule on
     alpha_rho: float = 0.5
     track_sigma: bool = False
     out: str = "results"
@@ -67,11 +66,8 @@ class ExperimentConfig:
                 float(self.lam)
             except ValueError as exc:
                 raise HarnessError(f"lam must be 'auto' or a number, got {self.lam!r}") from exc
-        try:
-            for m in self.methods:
-                _solver_config(self, m)
-        except ValueError as exc:
-            raise HarnessError(f"invalid solver settings: {exc}") from exc
+        for m in self.methods:
+            _solver_config(self, m)
 
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -155,25 +151,26 @@ def _reference_minimizer(objective, x0):
     if not grad_norm < REFERENCE_GSTOP:
         raise HarnessError(f"reference NIM run did not reach {REFERENCE_GSTOP:g} "
                            f"(got {grad_norm:.3e})")
-    return solver.z[index_of(solver.t, objective.n) - 1].copy()
+    return solver.z[index_of(solver.t, objective.n)].copy()
 
 
 def _solver_config(config: ExperimentConfig, method: str, constants=None) -> SolverConfig:
-    """The SolverConfig of one method; raises ValueError on bad settings.
+    """The SolverConfig of one method; raises HarnessError on bad settings.
 
-    ``constants`` scale the geometric alpha schedule. Validation runs before
-    the problem exists and passes none: the scale does not affect validity.
+    ``constants`` scale the alpha schedule by M sqrt(L). Validation runs
+    before the problem exists and passes none: the scale does not affect
+    validity unless it overflows.
     """
-    alpha = AlphaSchedule(mode=config.alpha_mode, epsilon=config.alpha_epsilon,
-                          rho=config.alpha_rho)
-    if config.alpha_mode == "geometric" and constants is not None:
-        alpha = AlphaSchedule.geometric(constants, epsilon=config.alpha_epsilon,
-                                        rho=config.alpha_rho)
-    return SolverConfig(
-        method=method, tau1=config.tau1, tau2=config.tau2, alpha=alpha,
-        gstop=config.gstop, max_epochs=config.max_epochs,
-        refresh_period=config.refresh_period or None,
-        track_sigma=config.track_sigma)
+    m_sqrt_l = 0.0 if constants is None else constants.M * np.sqrt(constants.L)
+    try:
+        alpha = AlphaSchedule(epsilon=config.alpha_epsilon, rho=config.alpha_rho,
+                              m_sqrt_l=m_sqrt_l)
+        return SolverConfig(
+            method=method, tau1=config.tau1, tau2=config.tau2, alpha=alpha,
+            gstop=config.gstop, max_epochs=config.max_epochs,
+            refresh_period=config.refresh_period, track_sigma=config.track_sigma)
+    except ValueError as exc:
+        raise HarnessError(f"invalid solver settings: {exc}") from exc
 
 
 def _fmt(value):

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import SingularAggregate
-from .solvers import SolverConfig, omega as omega_factor, make_solver
+from .solvers import SolverConfig, make_solver
 from .objectives import LogisticObjective, QuadraticObjective
 
 
@@ -100,37 +100,16 @@ def recompute_aggregates(solver):
 # eager reference solver
 # ---------------------------------------------------------------------------
 
-def _bfgs_explicit(b, k, u):
+def _broyden_explicit(tau, b, ku, uku, u):
+    """Textbook Broyden(tau) update of b along u, tau * DFP + (1 - tau) * BFGS,
+    with the target K known through ku = K u and uku = <u, K u>."""
     bu = b @ u
-    ku = k @ u
-    return b - np.outer(bu, bu) / (u @ bu) + np.outer(ku, ku) / (u @ ku)
-
-
-def _dfp_explicit(b, k, u):
-    bu = b @ u
-    ku = k @ u
-    uku = u @ ku
-    return (b - (np.outer(ku, bu) + np.outer(bu, ku)) / uku
-            + (1.0 + (u @ bu) / uku) * np.outer(ku, ku) / uku)
-
-
-def _broyden_explicit(tau, b, k, u):
-    if tau == 0.0:
-        return _bfgs_explicit(b, k, u)
-    if tau == 1.0:
-        return _dfp_explicit(b, k, u)
-    return tau * _dfp_explicit(b, k, u) + (1.0 - tau) * _bfgs_explicit(b, k, u)
-
-
-def _classic_explicit(tau, b, y, sy, s):
-    """Classic stage with K known only through y = K s and sy = <s, K s>."""
-    bu = b @ s
-    ubu = s @ bu
-    bfgs = b - np.outer(bu, bu) / ubu + np.outer(y, y) / sy
+    ubu = u @ bu
+    bfgs = b - np.outer(bu, bu) / ubu + np.outer(ku, ku) / uku
     if tau == 0.0:
         return bfgs
-    dfp = (b - (np.outer(y, bu) + np.outer(bu, y)) / sy
-           + (1.0 + ubu / sy) * np.outer(y, y) / sy)
+    dfp = (b - (np.outer(ku, bu) + np.outer(bu, ku)) / uku
+           + (1.0 + ubu / uku) * np.outer(ku, ku) / uku)
     if tau == 1.0:
         return dfp
     return tau * dfp + (1.0 - tau) * bfgs
@@ -152,7 +131,6 @@ class EagerReference:
         self.objective = objective
         self.config = config
         self.method = config.method
-        self.alpha = config.alpha
         self.n, self.d = objective.n, objective.d
         self.t = 0
         x0 = np.asarray(x0, dtype=np.float64)
@@ -164,8 +142,13 @@ class EagerReference:
         else:
             base = np.stack([objective.constants.L * np.eye(self.d)] * self.n)
         if self.method in ("SLIQN", "GSLIQN"):
-            base = (1.0 + self.alpha.value(0)) ** 2 * base
+            base = (1.0 + self.alpha(0)) ** 2 * base
         self.D = base
+
+    def alpha(self, k):
+        """alpha_k, stated from the schedule's fields."""
+        a = self.config.alpha
+        return a.m_sqrt_l * a.epsilon * a.rho ** k
 
     def step(self):
         t = self.t + 1
@@ -190,7 +173,7 @@ class EagerReference:
         # SIQN inflates the stored matrix by (1 + beta)^2 at touch time.
         pre_scale = 1.0
         if self.method in ("SLIQN", "GSLIQN"):
-            k_scale = 1.0 + self.alpha.value(epoch - 1)
+            k_scale = 1.0 + self.alpha(epoch - 1)
         elif self.method == "SIQN":
             m_const = self.objective.constants.M
             if m_const == 0.0:
@@ -208,7 +191,7 @@ class EagerReference:
         else:
             y = k_scale * y_raw
             sy = k_scale * float(s @ y_raw)
-            q = _classic_explicit(tau1, pre_scale * self.D[i], y, sy, s)
+            q = _broyden_explicit(tau1, pre_scale * self.D[i], y, sy, s)
 
         if self.method == "IQN":
             d_new = q
@@ -217,9 +200,13 @@ class EagerReference:
             ratios = np.diagonal(q) / np.diagonal(hess)
             e_k = np.zeros(self.d)
             e_k[int(np.argmax(ratios))] = 1.0
-            d_new = _broyden_explicit(tau2, q, hess, e_k)
+            hess_e = hess @ e_k
+            d_new = _broyden_explicit(tau2, q, hess_e, e_k @ hess_e, e_k)
 
-        w = omega_factor(t, n, self.alpha) if self.method in ("SLIQN", "GSLIQN") else 1.0
+        # omega: the epoch-end factor (1 + alpha_{t/n})^2 of the SLIQN family.
+        w = 1.0
+        if self.method in ("SLIQN", "GSLIQN") and t % n == 0:
+            w = (1.0 + self.alpha(t // n)) ** 2
         self.D[i] = w * d_new
         if w != 1.0:
             for j in range(n):
@@ -276,18 +263,16 @@ def memoization_audit(objective, x0, config, steps, tolerance=1e-9):
 def drift_audit(objective, x0, config, steps):
     """|| H (sum D_i) - I ||_F measured at every refresh boundary, before
     the refresh overwrites the memoized inverse."""
-    from dataclasses import replace
-
-    period = config.refresh_period or 10 * objective.n
+    solver = make_solver(objective, x0, config)
     # Disable the automatic refresh so the drift can be observed first, then
-    # refresh manually at exactly the configured boundaries.
-    solver = make_solver(objective, x0, replace(config, refresh_period=steps + 1))
+    # refresh manually at exactly the solver's boundaries.
+    period, solver.refresh_period = solver.refresh_period, steps + 1
     worst = 0.0
     for step_no in range(1, steps + 1):
         solver.step()
         if step_no % period == 0:
             worst = max(worst, solver.aggregate_drift())
-            solver._materialize_aggregates()
+            solver._rebuild()
     return AuditReport.from_deviation(
         "memoized_inverse_drift", worst, 1e-6,
         context=f"{config.method}, {steps} steps, refresh every {period}")
@@ -309,7 +294,7 @@ def sigma_decay_audit(objective, x0, config, steps, tolerance=1e-9):
         res = solver.step()
         if res.q is None or res.d_unscaled is None:
             continue
-        hess = objective.hessian(res.index - 1, res.x)
+        hess = objective.hessian(res.index, res.x)
         before = mk.sigma_metric(hess, res.q)
         after = mk.sigma_metric(hess, res.d_unscaled)
         if before > 1e-12:
@@ -330,7 +315,7 @@ def psd_dominance_audit(objective, x0, config, steps, tolerance=1e-8):
     worst = 0.0
     for _ in range(steps):
         res = solver.step()
-        hess = objective.hessian(res.index - 1, res.x)
+        hess = objective.hessian(res.index, res.x)
         for mat in (res.q, res.d_unscaled):
             if mat is None:
                 continue

@@ -58,41 +58,27 @@ def diverged(grad_norm: float) -> bool:
 
 
 def index_of(t: int, n: int) -> int:
-    """Cyclic 1-based component index for iteration t >= 1: 1 + (t-1) mod n."""
-    return 1 + (t - 1) % n
+    """Cyclic 0-based component index for iteration t >= 1: (t-1) mod n."""
+    return (t - 1) % n
 
 
 @dataclass(frozen=True)
 class AlphaSchedule:
-    """Epoch correction factors alpha_k.
+    """Epoch correction factors alpha_k = m_sqrt_l * epsilon * rho^k,
+    non-increasing in k. The default epsilon = 0 pins alpha_k = 0: the
+    correction is not needed empirically."""
 
-    ``zero`` mode pins alpha_k = 0 (the default; the correction is not
-    needed empirically). ``geometric`` mode yields
-    alpha_k = m_sqrt_l * epsilon * rho^k, non-increasing in k.
-    """
-
-    mode: str = "zero"
     epsilon: float = 0.0
     rho: float = 0.5
     m_sqrt_l: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("zero", "geometric"):
-            raise ValueError(f"unknown alpha schedule mode {self.mode!r}")
-        if self.mode == "geometric":
-            if not 0.0 < self.rho < 1.0:
-                raise ValueError(f"geometric mode needs rho in (0, 1), got {self.rho}")
-            if self.epsilon <= 0.0 or self.m_sqrt_l < 0.0:
-                raise ValueError("geometric mode needs epsilon > 0 and m_sqrt_l >= 0")
-
-    @classmethod
-    def geometric(cls, constants, epsilon, rho):
-        return cls(mode="geometric", epsilon=epsilon, rho=rho,
-                   m_sqrt_l=constants.M * np.sqrt(constants.L))
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError(f"alpha schedule needs rho in (0, 1), got {self.rho}")
+        if not (0.0 <= self.epsilon < math.inf and 0.0 <= self.m_sqrt_l < math.inf):
+            raise ValueError("alpha schedule needs finite epsilon >= 0 and m_sqrt_l >= 0")
 
     def value(self, k: int) -> float:
-        if self.mode == "zero":
-            return 0.0
         return self.m_sqrt_l * self.epsilon * self.rho ** k
 
 
@@ -114,7 +100,7 @@ class SolverConfig:
     alpha: AlphaSchedule = field(default_factory=AlphaSchedule)
     gstop: float = 1e-10
     max_epochs: int = 50
-    refresh_period: Optional[int] = None  # defaults to 10 n at solver init
+    refresh_period: int = 0  # steps between aggregate rebuilds; 0: BaseSolver's default
     init_curvature: str = "scaled-identity"  # or "exact-hessian"
     track_sigma: bool = False
 
@@ -127,8 +113,8 @@ class SolverConfig:
             raise ValueError("gstop must be positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
-        if self.refresh_period is not None and self.refresh_period < 1:
-            raise ValueError("refresh_period must be at least 1")
+        if self.refresh_period < 0:
+            raise ValueError("refresh_period must be non-negative")
         if self.init_curvature not in ("scaled-identity", "exact-hessian"):
             raise ValueError(f"unknown init_curvature {self.init_curvature!r}")
 
@@ -162,7 +148,7 @@ class StepResult:
     """
 
     t: int
-    index: int  # 1-based component index that was touched
+    index: int  # 0-based component index that was touched
     x: np.ndarray
     q: Optional[np.ndarray] = None
     d_unscaled: Optional[np.ndarray] = None
@@ -211,6 +197,8 @@ class BaseSolver:
 
     step() runs every method: the class flags below pick its curvature
     stages, and its aggregate strategy overrides the hooks after step().
+    The aggregates are built by _rebuild() at init and rebuilt exactly after
+    every refresh_period-th step.
     """
 
     method = "?"
@@ -231,10 +219,11 @@ class BaseSolver:
         self.z = np.tile(x0, (self.n, 1))
         self.grads = np.ascontiguousarray(objective.gradients_at(x0))
         self.D = self._initial_curvature(x0)
-        self.refresh_period = config.refresh_period or 10 * self.n
+        self.refresh_period = config.refresh_period or 10 * self.n  # 0: every 10 n steps
         # The greedy stage's q and e_k buffers.
         self._q = np.empty((self.d, self.d)) if self.greedy else None
         self._e = np.zeros(self.d) if self.greedy else None
+        self._rebuild()
 
     def _initial_curvature(self, x0):
         if self.config.init_curvature == "exact-hessian":
@@ -256,7 +245,7 @@ class BaseSolver:
         partly updated: the solver's state is then undefined and it must not
         be stepped again."""
         t = self.t + 1
-        i = index_of(t, self.n) - 1
+        i = index_of(t, self.n)
         x = self._solve_iterate()
         z_old = self.z[i]
         grad_new = self.objective.gradient(i, x)
@@ -306,8 +295,14 @@ class BaseSolver:
         self.grads[i] = grad_new
         self.t = t
         self._fold(t, i, x, y_raw, outgoing, terms)
-        return StepResult(t=t, index=i + 1, x=x, q=q, d_unscaled=d_i,
+        if t % self.refresh_period == 0:
+            self._rebuild()
+        return StepResult(t=t, index=i, x=x, q=q, d_unscaled=d_i,
                           classic_skipped=skipped)
+
+    def _rebuild(self):
+        """Build the aggregates exactly from the n tuples."""
+        raise NotImplementedError
 
     def _solve_iterate(self):
         """The iterate from the aggregate system of the current tuples."""
@@ -333,8 +328,8 @@ class BaseSolver:
 class MemoizedSolver(BaseSolver):
     """Memoized aggregates H = (sum D_i)^{-1}, phi = sum D_i z_i,
     g = sum grad_i. H follows every step through the rank-one inverse chain
-    of the stages' factors, with the epoch scaling omega applied lazily; a
-    periodic eager refresh bounds its drift."""
+    of the stages' factors, with the epoch scaling omega applied lazily; the
+    periodic rebuild bounds its drift."""
 
     inverse_chain = True
     alpha = AlphaSchedule()  # omega = 1 unless a method sets a schedule
@@ -346,7 +341,6 @@ class MemoizedSolver(BaseSolver):
         # (n = 10, d = 40, no refresh: drift 1e13 by step 1000). The tau = 0
         # chain is exactly symmetric throughout.
         self._symmetrize_h = self.tau1 != 0.0 or self.tau2 != 0.0
-        self._materialize_aggregates()
 
     def _curvature_sum(self):
         dbar = np.zeros((self.d, self.d))
@@ -354,7 +348,7 @@ class MemoizedSolver(BaseSolver):
             dbar += self.eager_curvature(i)
         return dbar
 
-    def _materialize_aggregates(self):
+    def _rebuild(self):
         phi = np.zeros(self.d)
         for i in range(self.n):
             phi += self.eager_curvature(i) @ self.z[i]
@@ -392,8 +386,6 @@ class MemoizedSolver(BaseSolver):
                 mk.symmetrize(self.H)
             if w != 1.0:
                 self.H /= w
-        if t % self.refresh_period == 0:
-            self._materialize_aggregates()
 
 
 class SharpenedLazySolver(MemoizedSolver):
@@ -464,12 +456,13 @@ class DirectSolver(BaseSolver):
         self._d_old = np.empty((self.d, self.d))  # outgoing D_i, see _fold
         self._lu = np.empty((self.d, self.d), order="F")  # dgesv factorizes here
 
+    def _rebuild(self):
+        # A beta-swollen D_i leaves its peak's rounding in the incremental
+        # sums, which floors the gradient until the next rebuild.
+        self._hsum = self.D.sum(axis=0)
+        self._rhs = np.einsum("nij,nj->i", self.D, self.z) - self.grads.sum(axis=0)
+
     def _solve_iterate(self):
-        if self.t % self.refresh_period == 0:
-            # Exact at t = 0 and every refresh_period steps: a beta-swollen D_i
-            # leaves its peak's rounding in the sums, which floors the gradient.
-            self._hsum = self.D.sum(axis=0)
-            self._rhs = np.einsum("nij,nj->i", self.D, self.z) - self.grads.sum(axis=0)
         # scipy's LAPACK, not numpy's: a numpy solve leaves its own OpenBLAS
         # pool spinning on the shared cores, which stalls the next kernel.
         # The sum goes into the Fortran-ordered _lu, which dgesv overwrites
@@ -598,7 +591,7 @@ def run_solver(solver: BaseSolver, x_star=None):
             normalized = err / denom if denom > 0.0 else err
         sigma_max = None
         if config.track_sigma:
-            hess = objective.hessian(result.index - 1, result.x)
+            hess = objective.hessian(result.index, result.x)
             sigma_max = mk.sigma_metric(hess, result.d_unscaled)
         records.append(TraceRecord(
             t=result.t, epoch=(result.t + objective.n - 1) // objective.n,

@@ -9,22 +9,6 @@ def rand_spd(rng, d, lo=0.5, hi=4.0):
     return q @ np.diag(eigs) @ q.T
 
 
-def bfgs_full(b, k, u):
-    """Textbook curvature update evaluated with the explicit matrix K."""
-    bu = b @ u
-    ku = k @ u
-    return b - np.outer(bu, bu) / (u @ bu) + np.outer(ku, ku) / (u @ ku)
-
-
-def dfp_full(b, k, u):
-    """Textbook DFP update evaluated with the explicit matrix K."""
-    bu = b @ u
-    ku = k @ u
-    uku = u @ ku
-    return (b - (np.outer(ku, bu) + np.outer(bu, ku)) / uku
-            + (1.0 + (u @ bu) / uku) * np.outer(ku, ku) / uku)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240111)

@@ -170,7 +170,7 @@ def test_criterion_05_psd_dominance_over_run():
     worst = -np.inf
     for _ in range(5 * objective.n):
         res = solver.step()
-        hess = objective.hessian(res.index - 1, res.x)
+        hess = objective.hessian(res.index, res.x)
         ok = mk.psd_dominates(res.d_unscaled, hess, tol=1e-8)
         min_eig = float(np.linalg.eigvalsh(mk.symmetrize(res.d_unscaled.copy()) - hess)[0])
         worst = max(worst, -min_eig)

@@ -25,9 +25,9 @@ from iqnlab.solvers import AlphaSchedule, SolverConfig, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Quadratics have M = 0, so the harness's geometric schedule is all zeros
-# there; this one is set directly to exercise the lazy epoch scaling.
-GEOMETRIC = AlphaSchedule(mode="geometric", epsilon=0.05, rho=0.5, m_sqrt_l=1.0)
+# Quadratics have M = 0, so the harness's alpha schedule is all zeros there;
+# this one is set directly to exercise the lazy epoch scaling.
+GEOMETRIC = AlphaSchedule(epsilon=0.05, rho=0.5, m_sqrt_l=1.0)
 
 PROBLEMS = {
     "quad": ExperimentConfig(problem="quadratic", n=8, d=10, xi=1.5, b_max=10.0,

@@ -27,19 +27,19 @@ LOGISTIC60 = Path(__file__).parent / "golden" / "logistic60.libsvm"
 
 @pytest.fixture(autouse=True)
 def blas_threads():
-    """cli.main sets scipy's OpenBLAS thread count process-wide; every test
-    here gets back the count it found."""
-    lib = cli._openblas()
-    before = lib.scipy_openblas_get_num_threads() if lib is not None else None
-    yield lib
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads(before)
+    """cli.main sets the OpenBLAS thread counts of scipy and numpy
+    process-wide; every test here gets back the counts it found."""
+    pools = cli._openblas_pools()
+    before = [get_threads() for get_threads, _ in pools]
+    yield pools
+    for (_, set_threads), count in zip(pools, before):
+        set_threads(count)
 
 
 @pytest.fixture
 def openblas(blas_threads):
-    if blas_threads is None:
-        pytest.skip("scipy does not bundle OpenBLAS")
+    if len(blas_threads) != 2:
+        pytest.skip("scipy and numpy do not both bundle OpenBLAS")
     return blas_threads
 
 
@@ -290,15 +290,17 @@ class TestEmitPlotData:
 class TestCli:
     def test_pins_one_blas_thread_when_unset(self, openblas, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        openblas.scipy_openblas_set_num_threads(2)
+        for _, set_threads in openblas:
+            set_threads(2)
         cli.pin_blas_threads()
-        assert openblas.scipy_openblas_get_num_threads() == 1
+        assert [get_threads() for get_threads, _ in openblas] == [1, 1]
 
     def test_leaves_blas_threads_to_the_variable(self, openblas, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        openblas.scipy_openblas_set_num_threads(2)
+        for _, set_threads in openblas:
+            set_threads(2)
         cli.pin_blas_threads()
-        assert openblas.scipy_openblas_get_num_threads() == 2
+        assert [get_threads() for get_threads, _ in openblas] == [2, 2]
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -316,8 +318,8 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["tau1 = 2.0", "alpha_mode = geometric",
-                                         "alpha_mode = sometimes", "refresh_period = -1"])
+    @pytest.mark.parametrize("setting", ["tau1 = 2.0", "alpha_epsilon = -1",
+                                         "alpha_rho = 1.5", "refresh_period = -1"])
     def test_run_bad_solver_setting_exits_before_output(self, tmp_path, capsys, setting):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("problem = quadratic\nn = 4\nd = 6\nmethods = GSLIQN\n"
@@ -341,6 +343,24 @@ class TestCli:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_run_alpha_mode_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = quadratic\nn = 4\nd = 6\nmethods = SLIQN\n"
+                       f"alpha_mode = geometric\nout = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key 'alpha_mode'")
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_quadratic_overflowing_xi_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "quad.npz"
+        assert cli_main(["gen-quadratic", "--n", "2", "--d", "4", "--xi", "700",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_gen_quadratic_subcommand(self, tmp_path):
         out = tmp_path / "quad.npz"

@@ -13,7 +13,7 @@ import pytest
 
 from iqnlab import matkernel as mk
 from iqnlab.errors import DegenerateDirection, SingularUpdate
-from iqnlab.oracle import _bfgs_explicit, _broyden_explicit, _classic_explicit, _dfp_explicit
+from iqnlab.oracle import _broyden_explicit
 from iqnlab.solvers import _broyden_terms
 
 from conftest import rand_spd
@@ -68,29 +68,34 @@ class TestAgainstTextbook:
             assert np.array_equal(got, got.T)
 
     def test_bfgs_matches_oracle(self, rng, d, in_place):
-        b, k = sym_spd(rng, d), sym_spd(rng, d)
-        u = rng.standard_normal(d)
-        expected = _bfgs_explicit(b, k, u)
-        got = apply(mk.bfgs_update, (b, k @ u, float(u @ k @ u), u), b, in_place)
+        b, ku, uku, u = self.update_args(rng, d)
+        expected = _broyden_explicit(0.0, b, ku, uku, u)
+        got = apply(mk.bfgs_update, (b, ku, uku, u), b, in_place)
         assert rel_err(got, expected) < 1e-12
         assert np.array_equal(got, got.T)
 
     def test_dfp_matches_oracle(self, rng, d, in_place):
-        b, k = sym_spd(rng, d), sym_spd(rng, d)
-        u = rng.standard_normal(d)
-        expected = _dfp_explicit(b, k, u)
-        got = apply(mk.dfp_update, (b, k @ u, float(u @ k @ u), u), b, in_place)
+        b, ku, uku, u = self.update_args(rng, d)
+        expected = _broyden_explicit(1.0, b, ku, uku, u)
+        got = apply(mk.dfp_update, (b, ku, uku, u), b, in_place)
         assert rel_err(got, expected) < 1e-12
         assert np.array_equal(got, got.T)
 
     @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
     def test_broyden_matches_oracle(self, rng, d, in_place, tau):
-        b, k = sym_spd(rng, d), sym_spd(rng, d)
-        u = rng.standard_normal(d)
-        expected = _broyden_explicit(tau, b, k, u)
-        got = apply(mk.broyden_update, (tau, b, k @ u, float(u @ k @ u), u), b, in_place)
+        b, ku, uku, u = self.update_args(rng, d)
+        expected = _broyden_explicit(tau, b, ku, uku, u)
+        got = apply(mk.broyden_update, (tau, b, ku, uku, u), b, in_place)
         assert rel_err(got, expected) < 1e-12
         assert np.array_equal(got, got.T)
+
+    @staticmethod
+    def update_args(rng, d):
+        """(b, K u, <u, K u>, u) for SPD b and K."""
+        b, k = sym_spd(rng, d), sym_spd(rng, d)
+        u = rng.standard_normal(d)
+        ku = k @ u
+        return b, ku, float(u @ ku), u
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -142,7 +147,7 @@ def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
     y = k @ s
     sy = float(s @ y)
     bu = b @ s
-    expected = np.linalg.inv(_classic_explicit(tau, b, y, sy, s))
+    expected = np.linalg.inv(_broyden_explicit(tau, b, y, sy, s))
     h = mk.symmetrize(np.linalg.inv(b))
     for u, v in _broyden_terms(tau, y, sy, bu, float(s @ bu), k_first=True):
         mk.sm_inverse_update(h, u, v)

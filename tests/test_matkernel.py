@@ -12,7 +12,9 @@ from iqnlab.errors import (
     SingularUpdate,
 )
 
-from conftest import bfgs_full, dfp_full, rand_spd
+from iqnlab.oracle import _broyden_explicit
+
+from conftest import rand_spd
 
 
 class TestShermanMorrison:
@@ -79,8 +81,9 @@ class TestCurvatureOperators:
             b = rand_spd(rng, 4)
             k = rand_spd(rng, 4)
             u = rng.standard_normal(4)
-            expected = bfgs_full(b, k, u)
-            got = mk.bfgs_update(b, k @ u, float(u @ k @ u), u)
+            ku, uku = k @ u, float(u @ k @ u)
+            expected = _broyden_explicit(0.0, b, ku, uku, u)
+            got = mk.bfgs_update(b, ku, uku, u)
             np.testing.assert_allclose(got, expected, atol=1e-12 * np.linalg.norm(expected))
 
     def test_dfp_fixed_point_and_diagonal_example(self, rng):
@@ -99,8 +102,9 @@ class TestCurvatureOperators:
             b = rand_spd(rng, 4)
             k = rand_spd(rng, 4)
             u = rng.standard_normal(4)
-            expected = dfp_full(b, k, u)
-            got = mk.dfp_update(b, k @ u, float(u @ k @ u), u)
+            ku, uku = k @ u, float(u @ k @ u)
+            expected = _broyden_explicit(1.0, b, ku, uku, u)
+            got = mk.dfp_update(b, ku, uku, u)
             np.testing.assert_allclose(got, expected, atol=1e-12 * np.linalg.norm(expected))
 
     def test_broyden_endpoints_are_exact(self, rng):

@@ -8,6 +8,7 @@ from iqnlab.objectives import QuadraticComponents, QuadraticObjective
 from iqnlab.oracle import (
     AuditReport,
     EagerReference,
+    drift_audit,
     finite_diff_gradient,
     finite_diff_hessian,
     lazy_eager_audit,
@@ -94,7 +95,7 @@ class TestEagerReference:
 
     def test_matches_lazy_with_geometric_alpha_over_three_epochs(self):
         quad = small_quadratic()
-        alpha = AlphaSchedule(mode="geometric", epsilon=0.1, rho=0.5, m_sqrt_l=1.0)
+        alpha = AlphaSchedule(epsilon=0.1, rho=0.5, m_sqrt_l=1.0)
         cfg = SolverConfig(method="SLIQN", alpha=alpha, gstop=1e-300)
         report = lazy_eager_audit(quad, initial_point(quad.d, 1.0, 5), cfg,
                                   steps=3 * quad.n)
@@ -141,6 +142,15 @@ class TestAuditReport:
         assert not AuditReport.from_deviation("a", 1e-8, 1e-9).passed
         line = AuditReport.from_deviation("name", 0.5, 1.0, context="ctx").line()
         assert "PASS" in line and "name" in line and "ctx" in line
+
+
+def test_drift_audit_uses_the_solver_default_period():
+    quad = small_quadratic()
+    report = drift_audit(quad, initial_point(quad.d, 1.0, 0),
+                         SolverConfig(method="IQN", gstop=1e-300, refresh_period=0),
+                         steps=2 * 10 * quad.n)
+    assert report.context.endswith(f"refresh every {10 * quad.n}")
+    assert report.passed, report.line()
 
 
 def test_check_suite_passes_everywhere():

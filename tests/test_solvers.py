@@ -36,30 +36,42 @@ def small_logistic(rng, n=10, d=20, lam=None):
                              lam=lam or 1.0 / n, p=2.1, radius=10.0)
 
 
-GEOMETRIC = AlphaSchedule(mode="geometric", epsilon=0.1, rho=0.5, m_sqrt_l=1.0)
+GEOMETRIC = AlphaSchedule(epsilon=0.1, rho=0.5, m_sqrt_l=1.0)
 
 
 class TestScheduling:
     def test_index_function(self):
-        assert index_of(1, 5) == 1
-        assert index_of(5, 5) == 5
-        assert index_of(6, 5) == 1
+        assert index_of(1, 5) == 0
+        assert index_of(5, 5) == 4
+        assert index_of(6, 5) == 0
 
     def test_cyclic_order_within_every_epoch(self):
         quad = small_quadratic()
         solver = make_solver(quad, initial_point(6, 1.0, 0),
                              SolverConfig(method="SLIQN", gstop=1e-300))
         seen = [solver.step().index for _ in range(3 * quad.n)]
-        assert seen == list(range(1, quad.n + 1)) * 3
+        assert seen == list(range(quad.n)) * 3
 
     def test_omega_zero_schedule(self):
-        alpha = AlphaSchedule()
-        assert all(omega(t, 4, alpha) == 1.0 for t in range(1, 13))
+        # epsilon = 0 pins alpha to 0 whatever the scale.
+        for alpha in (AlphaSchedule(), AlphaSchedule(m_sqrt_l=1e6)):
+            assert all(alpha.value(k) == 0.0 for k in range(5))
+            assert all(omega(t, 4, alpha) == 1.0 for t in range(1, 13))
+
+    @pytest.mark.parametrize("fields", [
+        dict(rho=0.0), dict(rho=1.0), dict(rho=1.5), dict(rho=float("nan")),
+        dict(epsilon=-0.1), dict(epsilon=float("inf")), dict(epsilon=float("nan")),
+        dict(m_sqrt_l=-1.0), dict(m_sqrt_l=float("inf")), dict(m_sqrt_l=float("nan")),
+    ], ids=["rho-0", "rho-1", "rho-1.5", "rho-nan", "epsilon-negative", "epsilon-inf",
+            "epsilon-nan", "m_sqrt_l-negative", "m_sqrt_l-inf", "m_sqrt_l-nan"])
+    def test_bad_schedule_rejected(self, fields):
+        with pytest.raises(ValueError):
+            AlphaSchedule(**{"epsilon": 0.1, "m_sqrt_l": 1.0, **fields})
 
     def test_omega_geometric_values(self):
-        # alpha_1 = 1.0 * 0.1... use m_sqrt_l * epsilon = 1, rho = 0.5 so
-        # alpha_1 = 0.5 and omega at the first epoch end is 1.5^2.
-        alpha = AlphaSchedule(mode="geometric", epsilon=1.0, rho=0.5, m_sqrt_l=1.0)
+        # m_sqrt_l * epsilon = 1 and rho = 0.5, so alpha_1 = 0.5 and omega
+        # at the first epoch end is 1.5^2.
+        alpha = AlphaSchedule(epsilon=1.0, rho=0.5, m_sqrt_l=1.0)
         n = 7
         assert omega(n, n, alpha) == pytest.approx(2.25, abs=0)
         assert omega(n + 1, n, alpha) == 1.0
@@ -79,7 +91,7 @@ class TestInitState:
     def test_alpha0_scaling_applied_to_aggregates(self):
         a = np.full((3, 2), 2.0)
         quad = QuadraticObjective(QuadraticComponents(a_diag=a, b=np.zeros((3, 2))))
-        alpha = AlphaSchedule(mode="geometric", epsilon=1.0, rho=0.5, m_sqrt_l=1.0)
+        alpha = AlphaSchedule(epsilon=1.0, rho=0.5, m_sqrt_l=1.0)
         solver = make_solver(quad, np.zeros(2),
                              SolverConfig(method="SLIQN", alpha=alpha))
         # alpha_0 = 1 so the eager curvature carries (1 + 1)^2 = 4.
@@ -227,6 +239,14 @@ class TestDirectSums:
     # on small quadratics, 1.0e-11 on small logistic problems (SIQN).
     DRIFT_BOUND = 1e-9
 
+    @pytest.mark.parametrize("method", ["SIQN", "IGS", "NIM"])
+    def test_sums_are_built_at_init(self, method):
+        quad = small_quadratic()
+        solver = make_solver(quad, initial_point(quad.d, 1.0, 0),
+                             SolverConfig(method=method))
+        assert solver.t == 0
+        assert _sum_drift(solver) == 0.0
+
     @staticmethod
     def beta_swelling_logistic(rng):
         # SIQN's beta swells sum D_i to ~3e9 here before the greedy stage
@@ -286,7 +306,7 @@ class TestLazyScaling:
 
     def test_stored_matrices_lag_by_exactly_one_boundary(self):
         quad = small_quadratic(n=3, d=4)
-        alpha = AlphaSchedule(mode="geometric", epsilon=0.2, rho=0.5, m_sqrt_l=1.0)
+        alpha = AlphaSchedule(epsilon=0.2, rho=0.5, m_sqrt_l=1.0)
         solver = make_solver(quad, initial_point(4, 1.0, 0),
                              SolverConfig(method="SLIQN", alpha=alpha))
         for _ in range(quad.n):  # full first epoch
@@ -378,7 +398,7 @@ class TestStateInvariants:
 
     def test_lazy_matches_eager_logistic_geometric_many_epochs(self, rng):
         logi = small_logistic(rng)
-        alpha = AlphaSchedule(mode="geometric", epsilon=0.05, rho=0.5, m_sqrt_l=1.0)
+        alpha = AlphaSchedule(epsilon=0.05, rho=0.5, m_sqrt_l=1.0)
         cfg = SolverConfig(method="SLIQN", alpha=alpha, gstop=1e-300)
         report = lazy_eager_audit(logi, initial_point(logi.d, 0.5, 8), cfg,
                                   steps=8 * logi.n)
@@ -525,7 +545,7 @@ class TestIgs:
                              SolverConfig(method="IGS", gstop=1e-300))
         for _ in range(3 * quad.n):
             res = solver.step()
-            hess = quad.hessian(res.index - 1, res.x)
+            hess = quad.hessian(res.index, res.x)
             before = mk.sigma_metric(hess, res.q)
             after = mk.sigma_metric(hess, res.d_unscaled)
             if before > 1e-12:
@@ -592,7 +612,7 @@ class TestSigmaAndPsdInvariants:
         for epoch in range(1, 6):
             for _ in range(quad.n):
                 res = solver.step()
-                i = res.index - 1
+                i = res.index
                 sigma_now = mk.sigma_metric(quad.hessian(i, res.x), res.d_unscaled)
                 assert sigma_now <= rate ** epoch * sigma0[i] + 1e-9
 
