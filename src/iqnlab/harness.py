@@ -1,9 +1,10 @@
 """Experiment runner: build a problem, race solver configurations on a
 shared start point, write per-method CSV traces and a summary table.
 
-Config files are flat ``key = value`` text ('#' starts a comment); any key
-can be overridden from the CLI. Identical config and seed reproduce
-byte-identical traces except for the wall-time column.
+Config files are flat ``key = value`` text ('#' starts a comment); the CLI
+overrides only ``methods`` (as ``--method``), ``gstop``, ``seed`` and
+``out``. Identical config and seed reproduce byte-identical traces except
+for the wall-time column.
 """
 
 import csv
@@ -202,6 +203,7 @@ def run_experiment(config: ExperimentConfig, log=print):
     """
     config.validate()
     objective, x0, x_star = build_problem(config)  # validates data before any output
+    constants = objective.constants  # unusable constants also fail before output
     out_dir = Path(config.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -215,7 +217,7 @@ def run_experiment(config: ExperimentConfig, log=print):
     summary = []
     failures = []
     for method in config.methods:
-        solver_cfg = _solver_config(config, method, objective.constants)
+        solver_cfg = _solver_config(config, method, constants)
         try:
             records = run(objective, x0, solver_cfg, x_star=x_star)
         except IqnLabError as exc:

@@ -9,14 +9,13 @@ written, so a kernel that raises leaves its matrix as it was. A matrix the
 kernel cannot update in place (Fortran-ordered, not float64, read-only)
 raises ``ValueError`` at the first write, also with the matrix untouched.
 
-Symmetric paths (every curvature update, and Sherman-Morrison updates with
-u parallel to v) take their product from ``dsymv``, which reads one
-triangle only, and apply each term ``c x x^T`` as ``dger(+-1, r, r)`` with
-``r = sqrt(|c|) x``. Both triangles then receive bit-identical increments,
-so a symmetric matrix stays exactly symmetric without a symmetrize pass.
-Their input must be symmetric, as the solvers keep H and every D_i.
-General Sherman-Morrison terms use ``dgemv`` for ``A u`` and ``A^T v`` and
-a general ``dger``.
+Every update is a sum of symmetric terms ``c x x^T``: the curvature
+updates, and the Sherman-Morrison updates, whose v must be parallel to u.
+Each takes its product from ``dsymv``, which reads one triangle only, and
+applies each term as ``dger(+-1, r, r)`` with ``r = sqrt(|c|) x``. Both
+triangles then receive bit-identical increments, so a symmetric matrix
+stays exactly symmetric without a symmetrize pass. The input must be
+symmetric, as the solvers keep H and every D_i.
 
 The curvature operators take the reference matrix K only through its action
 ``ku = K @ u`` and the scalar ``uku = <u, K u>``. The two call sites need
@@ -30,7 +29,6 @@ import math
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dger as _dger
-from scipy.linalg.blas import dgemv as _dgemv
 from scipy.linalg.blas import dsymv as _dsymv
 
 from .errors import (
@@ -51,27 +49,10 @@ def _as_f64(x):
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
-# Rows per strip of the in-place symmetrize sweep.
-_SYM_STRIP = 32
-
-
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Replace M by its symmetric part 0.5 * (M + M^T) in place; returns M.
-
-    M is swept in strips of ``_SYM_STRIP`` rows and their mirrored columns,
-    so the pass needs a temporary of at most that many rows instead of the
-    copy of M^T that numpy would buffer for an overlapping ``out``. Entry
-    (i, j) gets ``(m[i, j] + m[j, i]) * 0.5``, and as ``a + b == b + a``
-    both triangles get the same bits, those of ``0.5 * (m + m.T)``.
-    """
-    d = m.shape[0]
-    for lo in range(0, d, _SYM_STRIP):
-        hi = lo + _SYM_STRIP
-        strip = m[lo:, lo:hi].T.copy()
-        np.add(m[lo:hi, lo:], strip, out=strip)
-        strip *= 0.5
-        m[lo:hi, lo:] = strip
-        m[lo:, lo:hi] = strip.T
+    """Replace M by its symmetric part 0.5 * (M + M^T) in place; returns M."""
+    np.add(m, m.T, out=m)
+    m *= 0.5
     return m
 
 
@@ -83,28 +64,11 @@ def _symv(m, x):
     return _dsymv(1.0, m.T, x)
 
 
-def _matvec(m, x):
-    """``m @ x``."""
-    return _dgemv(1.0, m.T, x, trans=1)
-
-
-def _rmatvec(m, x):
-    """``m.T @ x``."""
-    return _dgemv(1.0, m.T, x)
-
-
 # f2py hands dger a copy of a view that is not a float64 Fortran array, and
 # writes through a read-only one. The update would then be lost, or land in
 # memory the caller protected, so the rank-one writes below check both and
 # raise before anything of m is written.
 _NOT_IN_PLACE = "the matrix must be a writeable C-ordered float64 array"
-
-
-def _add_outer(m, alpha, x, y):
-    """``m += alpha x y^T`` in place."""
-    a = m.T
-    if not m.flags.writeable or _dger(alpha, y, x, a=a, overwrite_a=1) is not a:
-        raise ValueError(_NOT_IN_PLACE)
 
 
 def _add_symmetric(m, c, x):
@@ -117,50 +81,43 @@ def _add_symmetric(m, c, x):
         raise ValueError(_NOT_IN_PLACE)
 
 
-def _collinear_ratio(u, v):
-    """lambda with ``v = lambda u`` when u and v are collinear, else None."""
-    uu = u.dot(u)
-    vv = v.dot(v)
-    uv = u.dot(v)
-    if uu > 0.0 and vv > 0.0 and uv * uv >= (1.0 - 1e-12) * uu * vv:
-        return uv / uu
-    return None
-
-
 def sm_inverse_update(h: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Overwrite ``h = A^{-1}`` with ``(A + u v^T)^{-1}`` (Sherman-Morrison).
+    """Overwrite ``h = A^{-1}`` with ``(A + u v^T)^{-1}`` (Sherman-Morrison)
+    for ``v = lambda u``.
 
     Parameters
     ----------
-    h : (d, d) writeable C-ordered float64 array
+    h : (d, d) symmetric, writeable C-ordered float64 array
         Inverse of the current matrix A; updated in place.
     u, v : (d,) float arrays
-        Rank-one factors of the additive update.
+        Rank-one factors of the additive update; v must be parallel to u.
 
     Returns
     -------
     h
-        Now ``(A + u v^T)^{-1}``. When u is collinear with v the update is
-        the symmetric term ``-(lambda / den) w w^T`` with ``v = lambda u``
-        and ``w = A^{-1} u``; it keeps a symmetric ``h`` exactly symmetric.
-        Otherwise ``A^{-T} v`` is formed as well and the term is general.
+        Now ``(A + u v^T)^{-1}``, applied as the symmetric term
+        ``-(lambda / den) w w^T`` with ``lambda = <u,v>/<u,u>``,
+        ``w = A^{-1} u`` and ``den = 1 + <v, w>``; it keeps ``h`` exactly
+        symmetric.
 
     Raises
     ------
     SingularUpdate
         If ``|1 + <v, A^{-1} u>| < GUARD_TOL`` (A + u v^T is singular).
     ValueError
-        If ``h`` cannot be updated in place.
+        If v is not parallel to u, or ``h`` cannot be updated in place.
     """
-    lam = _collinear_ratio(u, v)
-    w = _matvec(h, u) if lam is None else _symv(h, u)
+    uu = u.dot(u)
+    uv = u.dot(v)
+    # A NaN factor fails neither test and reaches h, as a NaN gradient must.
+    if uv * uv < (1.0 - 1e-12) * uu * v.dot(v):
+        raise ValueError("v must be parallel to u")
+    lam = uv / uu if uu > 0.0 else 0.0  # u = 0: the update is zero
+    w = _symv(h, u)
     den = 1.0 + v.dot(w)
     if abs(den) < GUARD_TOL:
         raise SingularUpdate(f"rank-one update denominator {den:.3e} below {GUARD_TOL:.1e}")
-    if lam is None:
-        _add_outer(h, -1.0 / den, w, _rmatvec(h, v))
-    else:
-        _add_symmetric(h, -lam / den, w)
+    _add_symmetric(h, -lam / den, w)
     return h
 
 

@@ -44,7 +44,11 @@ class SmoothnessConstants:
 
     @classmethod
     def from_smoothness(cls, mu, L, L_tilde=0.0):
-        return cls(mu=mu, L=L, L_tilde=L_tilde, M=L_tilde * mu ** (-1.5))
+        try:
+            m_const = L_tilde * mu ** (-1.5)
+        except OverflowError as exc:
+            raise DegenerateProblem(f"M = L_tilde * mu^(-3/2) overflows at mu={mu:.3e}") from exc
+        return cls(mu=mu, L=L, L_tilde=L_tilde, M=m_const)
 
 
 @dataclass(frozen=True)

@@ -178,16 +178,20 @@ def _apply_chain(h, chain):
 
 
 def _broyden_terms(tau, ku, uku, bu, ubu, k_first):
-    """Rank-one factors (u, v) of a Broyden(tau) stage's change to B along a
-    direction u, from ku = K u, uku = <u, K u>, bu = B u and ubu = <u, B u>:
-    the K-term and the B-term in the pinned order, then the two cross terms
-    of tau != 0."""
+    """Rank-one factors (u, v = lambda u) of a Broyden(tau) stage's change to
+    B along a direction u, from ku = K u, uku = <u, K u>, bu = B u and
+    ubu = <u, B u>: the K-term and the B-term in the pinned order, then for
+    tau != 0 the cross term -(tau/uku) (ku bu^T + bu ku^T) as the symmetric
+    pair +tau/(2 uku) (ku - bu)(ku - bu)^T, -tau/(2 uku) (ku + bu)(ku + bu)^T.
+    The positive half goes first, so the sum stays definite between the two."""
     if tau == 0.0:
         k_term, b_term, cross = (ku, ku / uku), (-bu, bu / ubu), []
     else:
         c_k = (1.0 - tau) + tau * (1.0 + ubu / uku)
         k_term, b_term = (c_k * ku, ku / uku), (-(1.0 - tau) * bu, bu / ubu)
-        cross = [(-tau * ku, bu / uku), (-tau * bu, ku / uku)]
+        half = 0.5 * tau / uku
+        minus, plus = ku - bu, ku + bu
+        cross = [(minus, half * minus), (plus, -half * plus)]
     return ([k_term, b_term] if k_first else [b_term, k_term]) + cross
 
 
@@ -334,14 +338,6 @@ class MemoizedSolver(BaseSolver):
     inverse_chain = True
     alpha = AlphaSchedule()  # omega = 1 unless a method sets a schedule
 
-    def __init__(self, objective, x0, config):
-        super().__init__(objective, x0, config)
-        # The cross terms of tau != 0 leave H asymmetric in its last bits;
-        # unremoved, that part grows from step to step until H diverges
-        # (n = 10, d = 40, no refresh: drift 1e13 by step 1000). The tau = 0
-        # chain is exactly symmetric throughout.
-        self._symmetrize_h = self.tau1 != 0.0 or self.tau2 != 0.0
-
     def _curvature_sum(self):
         dbar = np.zeros((self.d, self.d))
         for i in range(self.n):
@@ -381,11 +377,8 @@ class MemoizedSolver(BaseSolver):
             # even though the final sum stays invertible (SLIQN at n = 1
             # always does). H is then part-updated: rebuild it directly.
             self.H = _summed_inverse(self._curvature_sum())
-        else:
-            if self._symmetrize_h:
-                mk.symmetrize(self.H)
-            if w != 1.0:
-                self.H /= w
+        elif w != 1.0:
+            self.H /= w
 
 
 class SharpenedLazySolver(MemoizedSolver):
@@ -393,9 +386,12 @@ class SharpenedLazySolver(MemoizedSolver):
     epoch factor, with lazy omega scaling of the memoized aggregates.
 
     The inverse chain applies, in this pinned order: the scaled gradient
-    difference term, the negative B s term, the negative Q column term, the
-    Hessian column term, then the 1/omega scaling. Reordering changes
-    rounding; the lazy/eager equivalence tests pin this order.
+    difference term, the negative B s term, for tau1 != 0 the classic cross
+    pair (y - Bs, then y + Bs), the negative Q column term, the Hessian
+    column term, for tau2 != 0 the greedy cross pair (h_k - q_k, then
+    h_k + q_k), then the 1/omega scaling. Every term is symmetric, v =
+    lambda u, so H stays exactly symmetric. Reordering changes rounding;
+    the lazy/eager equivalence tests pin this order.
     """
 
     method = "SLIQN"

@@ -9,7 +9,10 @@ chain, so a refactor that only moves code keeps them exactly.
 A change that alters traces on purpose rewrites them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
 The script rewrites only the cases whose deterministic columns changed, so
-the ``wall_ms`` column of the others does not churn.
+the ``wall_ms`` column of the others does not churn. For each case it
+rewrites it prints the old and new row counts and, per deterministic
+column, the largest absolute change over the rows both traces have, also
+relative to the column's first value.
 """
 
 import csv
@@ -106,6 +109,22 @@ def deterministic_columns(path):
     return [[row[j] for j in keep] for row in rows]
 
 
+def change_report(old, new):
+    """Lines describing how the deterministic rows ``new`` differ from
+    ``old`` (both with their header row)."""
+    lines = [f"  rows {len(old) - 1} -> {len(new) - 1}"]
+    for j, name in enumerate(old[0]):
+        pairs = [(float(a[j]), float(b[j])) for a, b in zip(old[1:], new[1:])
+                 if a[j] and b[j]]
+        if not pairs:
+            continue
+        largest = max(abs(b - a) for a, b in pairs)
+        first = abs(pairs[0][0])
+        relative = f", {largest / first:.2g} of the first value" if first else ""
+        lines.append(f"  {name}: largest change {largest:.2g}{relative}")
+    return lines
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_matches_golden(case, tmp_path):
     write_case(case, tmp_path / "trace.csv")
@@ -133,8 +152,12 @@ if __name__ == "__main__":
         for name in sorted(CASES):
             fresh, golden = Path(tmp) / f"{name}.csv", GOLDEN / f"{name}.csv"
             write_case(name, fresh)
-            if golden.exists() and deterministic_columns(fresh) == deterministic_columns(golden):
+            new = deterministic_columns(fresh)
+            old = deterministic_columns(golden) if golden.exists() else None
+            if new == old:
                 print(f"unchanged {golden}")
                 continue
             shutil.copyfile(fresh, golden)
             print(f"wrote {golden}")
+            if old is not None:
+                print("\n".join(change_report(old, new)))

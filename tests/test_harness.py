@@ -344,6 +344,17 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_run_overflowing_constants_exit_before_output(self, tmp_path, capsys):
+        # mu = lam p / 2 ~ 1e-250 overflows mu^(-3/2) in M = L_tilde mu^(-3/2).
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = logistic\ndata = {LOGISTIC60}\n"
+                       f"methods = IQN\nlam = 1e-250\nout = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: M = L_tilde * mu^(-3/2) overflows")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_alpha_mode_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("problem = quadratic\nn = 4\nd = 6\nmethods = SLIQN\n"

@@ -10,6 +10,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from iqnlab import matkernel as mk
 from iqnlab.errors import DegenerateDirection, SingularUpdate
@@ -48,15 +51,6 @@ def apply(kernel, args, m, in_place):
 @pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in_place"])
 @pytest.mark.parametrize("d", DIMS)
 class TestAgainstTextbook:
-    def test_sm_general_matches_explicit_inverse(self, rng, d, in_place):
-        a = sym_spd(rng, d)
-        u = rng.standard_normal(d)
-        v = 0.3 * rng.standard_normal(d)
-        expected = np.linalg.inv(a + np.outer(u, v))
-        h = np.linalg.inv(a)
-        got = apply(mk.sm_inverse_update, (h, u, v), h, in_place)
-        assert rel_err(got, expected) < 1e-10
-
     def test_sm_symmetric_matches_explicit_inverse(self, rng, d, in_place):
         a = sym_spd(rng, d)
         u = rng.standard_normal(d)
@@ -116,8 +110,6 @@ def test_fresh_and_in_place_agree_bitwise_on_symmetric_input(rng, d):
 
 @pytest.mark.parametrize("d", (1, 2, 10, 32, 33, 60, 130))
 def test_in_place_symmetrize_is_bit_equal_to_fresh(rng, d):
-    # The in-place sweep takes strips of 32 rows; 33, 60 and 130 end in a
-    # partial one.
     m = rng.standard_normal((d, d))
     expected = 0.5 * (m + m.T)
     assert mk.symmetrize(m) is m
@@ -139,8 +131,8 @@ def test_symmetric_chain_stays_bit_symmetric(rng, d):
 
 @pytest.mark.parametrize("d", (2, 10, 60))
 def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
-    # The classic-stage inverse chain of GSLIQN at tau = 0.5: two symmetric
-    # terms, then the two cross terms whose intermediate is asymmetric.
+    # The classic-stage inverse chain of GSLIQN at tau = 0.5: the K and B
+    # terms, then the asymmetric DFP cross term as a pair of symmetric terms.
     tau = 0.5
     b, k = sym_spd(rng, d), sym_spd(rng, d)
     s = rng.standard_normal(d)
@@ -152,20 +144,59 @@ def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
     for u, v in _broyden_terms(tau, y, sy, bu, float(s @ bu), k_first=True):
         mk.sm_inverse_update(h, u, v)
     assert rel_err(h, expected) < 1e-10
+    assert np.array_equal(h, h.T)
 
 
-# At d = 1 a singular update is always collinear.
-@pytest.mark.parametrize("d, collinear", [
-    pytest.param(d, collinear, id=f"{d}-{'collinear' if collinear else 'general'}")
-    for d in DIMS for collinear in (False, True) if collinear or d > 1])
-def test_sm_body_raises_like_kernel(d, collinear):
-    # <v, H u> = -1 with H = I: A + u v^T is singular either way, and the
-    # typed error comes before any write.
-    u = np.eye(d)[0] if collinear else np.eye(d)[0] + np.eye(d)[1]
+@st.composite
+def broyden_stage(draw):
+    """(B, K, u, tau): SPD B and K = M M^T + I with entries of M in [-1, 1],
+    so both spectra lie in [1, 1 + d^2], and a u with ||u||^2 > 0.01."""
+    d = draw(st.integers(1, 12))
+    entries = st.floats(-1.0, 1.0)
+    b_half, k_half = (draw(hnp.arrays(np.float64, (d, d), elements=entries))
+                      for _ in range(2))
+    u = draw(hnp.arrays(np.float64, d, elements=entries).filter(lambda x: x.dot(x) > 1e-2))
+    tau = draw(st.floats(0.0, 1.0))
+    spd = [mk.symmetrize(m @ m.T + np.eye(d)) for m in (b_half, k_half)]
+    return spd[0], spd[1], u, tau
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(broyden_stage())
+def test_broyden_terms_chain_is_symmetric_and_inverts_the_update(stage):
+    # The chain of any Broyden(tau) stage keeps H bit-symmetric and lands on
+    # the inverse of the oracle's textbook update.
+    b, k, u, tau = stage
+    ku, bu = k @ u, b @ u
+    uku = float(u @ ku)
+    h = mk.symmetrize(np.linalg.inv(b))
+    for x, v in _broyden_terms(tau, ku, uku, bu, float(u @ bu), k_first=True):
+        mk.sm_inverse_update(h, x, v)
+        assert np.array_equal(h, h.T)
+    assert rel_err(h, np.linalg.inv(_broyden_explicit(tau, b, ku, uku, u))) < 1e-9
+
+
+@pytest.mark.parametrize("d", [pytest.param(d, id=f"{d}-collinear") for d in DIMS])
+def test_sm_body_raises_like_kernel(d):
+    # <v, H u> = -1 with H = I: A + u v^T is singular, and the typed error
+    # comes before any write.
+    u = np.eye(d)[0]
     h = np.eye(d)
     with pytest.raises(SingularUpdate, match="rank-one update denominator"):
-        mk.sm_inverse_update(h, u, -np.eye(d)[0])
+        mk.sm_inverse_update(h, u, -u)
     np.testing.assert_array_equal(h, np.eye(d))
+
+
+@pytest.mark.parametrize("d", (2, 10, 60))
+def test_sm_non_parallel_factors_raise_before_any_write(rng, d):
+    # Only v = lambda u keeps H exactly symmetric; any other pair is refused.
+    h = mk.symmetrize(np.linalg.inv(sym_spd(rng, d)))
+    before = h.copy()
+    u = rng.standard_normal(d)
+    for v in (rng.standard_normal(d), u + 1e-3 * rng.standard_normal(d), np.eye(d)[0]):
+        with pytest.raises(ValueError, match="parallel"):
+            mk.sm_inverse_update(h, u, v)
+        np.testing.assert_array_equal(h, before)
 
 
 def test_guards_leave_out_untouched():
@@ -194,10 +225,9 @@ def test_out_must_be_c_ordered_float64(rng):
     # The matrix a kernel writes is its output. dger would update a copy of
     # a Fortran-ordered or float32 one and write through a read-only one.
     d = 10
-    u, v = rng.standard_normal(d), 0.3 * rng.standard_normal(d)
+    u = rng.standard_normal(d)
     ku = sym_spd(rng, d) @ u
-    updates = (lambda m: mk.sm_inverse_update(m, u, v),
-               lambda m: mk.sm_inverse_update(m, u, 0.3 * u),
+    updates = (lambda m: mk.sm_inverse_update(m, u, 0.3 * u),
                lambda m: mk.broyden_update(0.0, m, ku, float(u @ ku), u),
                lambda m: mk.broyden_update(0.5, m, ku, float(u @ ku), u))
     for layout, update in itertools.product((fortran, float32, read_only), updates):

@@ -25,12 +25,15 @@ class TestShermanMorrison:
     def test_zero_update_is_noop(self):
         out = mk.sm_inverse_update(np.eye(2), np.array([1.0, 2.0]), np.zeros(2))
         np.testing.assert_allclose(out, np.eye(2), atol=0)
+        # u = 0 comes from a cross pair with ku == bu exactly.
+        out = mk.sm_inverse_update(np.eye(2), np.zeros(2), np.zeros(2))
+        np.testing.assert_array_equal(out, np.eye(2))
 
     def test_matches_direct_inverse(self, rng):
         for _ in range(20):
             a = rand_spd(rng, 3)
             u = rng.standard_normal(3)
-            v = rng.standard_normal(3)
+            v = rng.uniform(-0.1, 1.0) * u
             expected = np.linalg.inv(a + np.outer(u, v))
             got = mk.sm_inverse_update(np.linalg.inv(a), u, v)
             err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
@@ -53,7 +56,7 @@ class TestShermanMorrison:
         a_inv = np.linalg.inv(a)
         for _ in range(100):
             u = rng.standard_normal(d) * 0.1
-            v = rng.standard_normal(d) * 0.1
+            v = rng.uniform(-0.1, 1.0) * u
             a = a + np.outer(u, v)
             a_inv = mk.sm_inverse_update(a_inv, u, v)
         expected = np.linalg.inv(a)

@@ -213,9 +213,9 @@ class TestMemoization:
 
     @pytest.mark.parametrize("method,tau", [("IQN", 0.0), ("SLIQN", 0.0), ("GSLIQN", 0.5)])
     def test_inverse_stays_symmetric_and_accurate_without_refresh(self, method, tau):
-        # The in-place chain keeps H exactly symmetric at every step end;
-        # at tau = 0.5 an unremoved last-bit asymmetry would grow until H
-        # diverges (drift above 1 by step 500 here).
+        # Every chain term is symmetric, so H is exactly symmetric at every
+        # step end with no symmetrize pass. A last-bit asymmetry would grow
+        # from step to step until H diverges.
         quad = small_quadratic(n=10, d=40, xi=2.0, seed=4)
         solver = make_solver(quad, initial_point(quad.d, 1.0, 4), SolverConfig(
             method=method, tau1=tau, tau2=tau, gstop=1e-300, max_epochs=100,
@@ -423,8 +423,9 @@ class TestStateInvariants:
 
 class TestAllocation:
     # GSLIQN at tau = 0 runs SLIQN's path (test_tau_zero_is_bitwise_sliqn);
-    # at tau != 0 its step adds the strip-wise in-place symmetrize of H. On
-    # the quadratic (M = 0) SIQN and IGS read no component Hessian.
+    # at tau != 0 each stage adds two symmetric cross terms to the chain,
+    # whose vectors are all it allocates. On the quadratic (M = 0) SIQN and
+    # IGS read no component Hessian.
     @pytest.mark.parametrize("method, tau", [
         pytest.param("IQN", 0.0, id="IQN"), pytest.param("SLIQN", 0.0, id="SLIQN"),
         pytest.param("GSLIQN", 0.5, id="GSLIQN-tau"), pytest.param("SIQN", 0.0, id="SIQN"),
@@ -448,11 +449,12 @@ class TestAllocation:
         assert peak < d * d * 8, f"{method} step peaked at {peak / (d * d * 8):.2f} d^2 doubles"
 
 
-# The kernels each method's steps reach, besides set-up and refreshes.
+# The kernels each method's steps reach, besides set-up and refreshes; no
+# step symmetrizes H.
 STEP_KERNELS = {
     "IQN": {"sm_inverse_update", "broyden_update"},
     "SLIQN": {"sm_inverse_update", "broyden_update", "greedy_vector"},
-    "GSLIQN": {"sm_inverse_update", "broyden_update", "greedy_vector", "symmetrize"},
+    "GSLIQN": {"sm_inverse_update", "broyden_update", "greedy_vector"},
 }
 
 
@@ -463,7 +465,7 @@ def test_steps_call_the_public_kernels(method, monkeypatch):
     quad = small_quadratic()
     solver = make_solver(quad, initial_point(quad.d, 1.0, 0), SolverConfig(
         method=method, tau1=0.5, tau2=0.5, gstop=1e-300))
-    calls = dict.fromkeys(STEP_KERNELS["GSLIQN"], 0)
+    calls = dict.fromkeys(STEP_KERNELS["GSLIQN"] | {"symmetrize"}, 0)
     for name in calls:
         def counted(*args, _kernel=getattr(mk, name), _name=name):
             calls[_name] += 1
