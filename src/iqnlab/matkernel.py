@@ -1,21 +1,22 @@
 """Dense symmetric-matrix kernels for quasi-Newton curvature maintenance.
 
 Matrices are plain C-ordered float64 ``numpy`` arrays. Each update kernel
-has one contract: it overwrites its matrix argument in place, through BLAS
-level-2 routines from ``scipy.linalg.blas``, and returns it; a caller who
-wants the old matrix too passes a copy. An update costs a few O(d^2)
-passes and allocates only vectors. Guards are checked before anything is
-written, so a kernel that raises leaves its matrix as it was. A matrix the
+overwrites its matrix argument in place, through BLAS level-2 routines from
+``scipy.linalg.blas``; a caller who wants the old matrix too passes a copy.
+``sm_inverse_update`` returns the matrix, a curvature kernel the list of
+terms ``(x, c)`` it added, each meaning ``B += c x x^T``. An update costs a
+few O(d^2) passes and allocates only vectors. Guards are checked before anything
+is written, so a kernel that raises leaves its matrix as it was. A matrix the
 kernel cannot update in place (Fortran-ordered, not float64, read-only)
 raises ``ValueError`` at the first write, also with the matrix untouched.
 
-Every update is a sum of symmetric terms ``c x x^T``: the curvature
-updates, and the Sherman-Morrison updates, whose v must be parallel to u.
-Each takes its product from ``dsymv``, which reads one triangle only, and
-applies each term as ``dger(+-1, r, r)`` with ``r = sqrt(|c|) x``. Both
-triangles then receive bit-identical increments, so a symmetric matrix
-stays exactly symmetric without a symmetrize pass. The input must be
-symmetric, as the solvers keep H and every D_i.
+Every update is a sum of symmetric terms ``c x x^T``: the curvature updates,
+and the Sherman-Morrison update, which inverts one such term. Each takes its
+product from ``dsymv``, which reads one triangle only, and applies each term
+as ``dger(+-1, r, r)`` with ``r = sqrt(|c|) x``. Both triangles then receive
+bit-identical increments, so a symmetric matrix stays exactly symmetric
+without a symmetrize pass. The input must be symmetric, as the solvers keep
+H and every D_i.
 
 The curvature operators take the reference matrix K only through its action
 ``ku = K @ u`` and the scalar ``uku = <u, K u>``. The two call sites need
@@ -81,43 +82,35 @@ def _add_symmetric(m, c, x):
         raise ValueError(_NOT_IN_PLACE)
 
 
-def sm_inverse_update(h: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Overwrite ``h = A^{-1}`` with ``(A + u v^T)^{-1}`` (Sherman-Morrison)
-    for ``v = lambda u``.
+def sm_inverse_update(h: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
+    """Overwrite ``h = A^{-1}`` with ``(A + c x x^T)^{-1}`` (Sherman-Morrison).
 
     Parameters
     ----------
     h : (d, d) symmetric, writeable C-ordered float64 array
         Inverse of the current matrix A; updated in place.
-    u, v : (d,) float arrays
-        Rank-one factors of the additive update; v must be parallel to u.
+    x, c : (d,) float array, float
+        The added term ``c x x^T``, as a curvature kernel returns it.
 
     Returns
     -------
     h
-        Now ``(A + u v^T)^{-1}``, applied as the symmetric term
-        ``-(lambda / den) w w^T`` with ``lambda = <u,v>/<u,u>``,
-        ``w = A^{-1} u`` and ``den = 1 + <v, w>``; it keeps ``h`` exactly
-        symmetric.
+        Now ``(A + c x x^T)^{-1}``, applied as the symmetric term
+        ``-(c / den) w w^T`` with ``w = A^{-1} x`` and ``den = 1 + c <x, w>``;
+        it keeps ``h`` exactly symmetric. A NaN c reaches ``h``.
 
     Raises
     ------
     SingularUpdate
-        If ``|1 + <v, A^{-1} u>| < GUARD_TOL`` (A + u v^T is singular).
+        If ``|1 + c <x, A^{-1} x>| < GUARD_TOL`` (A + c x x^T is singular).
     ValueError
-        If v is not parallel to u, or ``h`` cannot be updated in place.
+        If ``h`` cannot be updated in place.
     """
-    uu = u.dot(u)
-    uv = u.dot(v)
-    # A NaN factor fails neither test and reaches h, as a NaN gradient must.
-    if uv * uv < (1.0 - 1e-12) * uu * v.dot(v):
-        raise ValueError("v must be parallel to u")
-    lam = uv / uu if uu > 0.0 else 0.0  # u = 0: the update is zero
-    w = _symv(h, u)
-    den = 1.0 + v.dot(w)
+    w = _symv(h, x)
+    den = 1.0 + c * x.dot(w)
     if abs(den) < GUARD_TOL:
         raise SingularUpdate(f"rank-one update denominator {den:.3e} below {GUARD_TOL:.1e}")
-    _add_symmetric(h, -lam / den, w)
+    _add_symmetric(h, -c / den, w)
     return h
 
 
@@ -133,9 +126,9 @@ def _curvature_guards(b, ku, u):
 
 
 def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
-                   u: np.ndarray) -> np.ndarray:
+                   u: np.ndarray) -> list:
     """Overwrite B with its restricted Broyden update toward K along u,
-    ``tau * DFP + (1 - tau) * BFGS``; returns ``b``.
+    ``tau * DFP + (1 - tau) * BFGS``; returns the terms it added.
 
     ``b`` is a symmetric, writeable C-ordered float64 array. K enters only
     as ``ku = K u`` and ``uku = <u, K u>``. The update is applied as
@@ -149,6 +142,8 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     At ``tau == 0`` and ``tau == 1`` only the BFGS or DFP terms run, so the
     endpoints are exact. The result satisfies the secant property
     ``B_new @ u == ku`` and stays exactly symmetric.
+    Returns the terms ``(x, c)`` in the order applied (the K-term's x is
+    ``ku`` itself): two for BFGS, three for DFP, four otherwise.
 
     Raises
     ------
@@ -171,24 +166,24 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
             f"{label} denominators <u,Bu>={ubu:.3e} (guard {guard_ubu:.3e}), "
             f"uku={uku:.3e} (guard {guard_uku:.3e})"
         )
-    if tau != 1.0:
-        _add_symmetric(b, -(1.0 - tau) / ubu, bu)
-    _add_symmetric(b, ((1.0 - tau) + tau * (1.0 + ubu / uku)) / uku, ku)
+    terms = [] if tau == 1.0 else [(bu, -(1.0 - tau) / ubu)]
+    terms.append((ku, ((1.0 - tau) + tau * (1.0 + ubu / uku)) / uku))
     if tau != 0.0:
         half = 0.5 * tau / uku
-        _add_symmetric(b, -half, ku + bu)
-        _add_symmetric(b, half, ku - bu)
-    return b
+        terms += [(ku + bu, -half), (ku - bu, half)]
+    for x, c in terms:
+        _add_symmetric(b, c, x)
+    return terms
 
 
-def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> np.ndarray:
+def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> list:
     """Generalized BFGS update of B toward K along u, in place:
     ``B - B u u^T B / <u, B u> + ku ku^T / uku``. :func:`broyden_update`
     at tau = 0."""
     return broyden_update(0.0, b, ku, uku, u)
 
 
-def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> np.ndarray:
+def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> list:
     """DFP update of B toward K along u, in place:
     ``B - (ku u^T B + B u u^T ku^T)/uku + (1 + <u,Bu>/uku) ku ku^T/uku``.
     :func:`broyden_update` at tau = 1."""

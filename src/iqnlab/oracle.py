@@ -8,7 +8,7 @@ the two is evidence rather than tautology. Audits run on demand (the `check`
 CLI subcommand and the test suite), never inside solver loops.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -287,7 +287,7 @@ def sigma_decay_audit(objective, x0, config, steps, tolerance=1e-9):
         raise ValueError("sigma decay is certified on the quadratic family only")
     consts = objective.constants
     rate = 1.0 - consts.mu / (objective.d * consts.L)
-    solver = make_solver(objective, x0, config)
+    solver = make_solver(objective, x0, replace(config, track_sigma=True))  # keeps Q
     worst = -np.inf
     checked = 0
     for _ in range(steps):
@@ -311,7 +311,7 @@ def psd_dominance_audit(objective, x0, config, steps, tolerance=1e-8):
     above the component Hessian at every step."""
     if not isinstance(objective, QuadraticObjective):
         raise ValueError("PSD dominance is certified on the quadratic family only")
-    solver = make_solver(objective, x0, config)
+    solver = make_solver(objective, x0, replace(config, track_sigma=True))  # keeps Q
     worst = 0.0
     for _ in range(steps):
         res = solver.step()

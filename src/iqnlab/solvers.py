@@ -139,12 +139,13 @@ class TraceRecord:
 class StepResult:
     """What one solver step exposes for diagnostics and audits.
 
-    ``q`` is the matrix the greedy stage started from (after the scale and
-    classic stages), None for IQN and NIM. It is the solver's one q buffer,
-    which the next step overwrites. ``d_unscaled`` is the new curvature
-    before omega, for every method a view of the stored D[i]. Read either
-    before the next step, or copy it. A step that raises returns nothing and
-    leaves the solver unusable (see :meth:`BaseSolver.step`).
+    ``q`` is a copy of the matrix the greedy stage started from (after the
+    scale and classic stages), kept only when ``config.track_sigma`` asks
+    for O(d^3) diagnostics; None otherwise, and for IQN and NIM.
+    ``d_unscaled`` is the new curvature before omega, for every method a
+    view of the stored D[i]: read it before the next step, or copy it. A
+    step that raises returns nothing and leaves the solver unusable (see
+    :meth:`BaseSolver.step`).
     """
 
     t: int
@@ -165,34 +166,18 @@ def _summed_inverse(dbar):
     return mk.symmetrize(h)
 
 
-def _apply_chain(h, chain):
-    """Apply the rank-one inverse updates of ``chain`` to ``h`` in place, in
-    order. False when an intermediate is singular: ``h`` is then partly
-    updated and must be rebuilt."""
+def _apply_chain(h, terms):
+    """Invert each added term (x, c), B += c x x^T, into ``h`` in place: the
+    positive c first, then the negative, each in stage order. Every
+    intermediate then lies above the old or the new sum in the PSD order, so
+    none is singular while both are definite. False when one is all the
+    same: ``h`` is then partly updated and must be rebuilt."""
     try:
-        for u, v in chain:
-            mk.sm_inverse_update(h, u, v)
+        for x, c in sorted(terms, key=lambda term: term[1] < 0.0):
+            mk.sm_inverse_update(h, x, c)
     except SingularUpdate:
         return False
     return True
-
-
-def _broyden_terms(tau, ku, uku, bu, ubu, k_first):
-    """Rank-one factors (u, v = lambda u) of a Broyden(tau) stage's change to
-    B along a direction u, from ku = K u, uku = <u, K u>, bu = B u and
-    ubu = <u, B u>: the K-term and the B-term in the pinned order, then for
-    tau != 0 the cross term -(tau/uku) (ku bu^T + bu ku^T) as the symmetric
-    pair +tau/(2 uku) (ku - bu)(ku - bu)^T, -tau/(2 uku) (ku + bu)(ku + bu)^T.
-    The positive half goes first, so the sum stays definite between the two."""
-    if tau == 0.0:
-        k_term, b_term, cross = (ku, ku / uku), (-bu, bu / ubu), []
-    else:
-        c_k = (1.0 - tau) + tau * (1.0 + ubu / uku)
-        k_term, b_term = (c_k * ku, ku / uku), (-(1.0 - tau) * bu, bu / ubu)
-        half = 0.5 * tau / uku
-        minus, plus = ku - bu, ku + bu
-        cross = [(minus, half * minus), (plus, -half * plus)]
-    return ([k_term, b_term] if k_first else [b_term, k_term]) + cross
 
 
 class BaseSolver:
@@ -206,9 +191,8 @@ class BaseSolver:
     """
 
     method = "?"
-    classic = False        # classic Broyden(tau1) stage along the step s
-    greedy = False         # greedy Broyden(tau2) stage on the greedy coordinate
-    inverse_chain = False  # the strategy needs the stages' rank-one factors
+    classic = False  # classic Broyden(tau1) stage along the step s
+    greedy = False   # greedy Broyden(tau2) stage on the greedy coordinate
     tau1 = tau2 = 0.0
 
     def __init__(self, objective: FiniteSumObjective, x0, config: SolverConfig):
@@ -224,9 +208,7 @@ class BaseSolver:
         self.grads = np.ascontiguousarray(objective.gradients_at(x0))
         self.D = self._initial_curvature(x0)
         self.refresh_period = config.refresh_period or 10 * self.n  # 0: every 10 n steps
-        # The greedy stage's q and e_k buffers.
-        self._q = np.empty((self.d, self.d)) if self.greedy else None
-        self._e = np.zeros(self.d) if self.greedy else None
+        self._e = np.zeros(self.d) if self.greedy else None  # the greedy e_k
         self._rebuild()
 
     def _initial_curvature(self, x0):
@@ -271,29 +253,20 @@ class BaseSolver:
         outgoing = self._outgoing(i, d_i, z_old)
 
         # The stages update D_i in place through the public kernels, called
-        # as module attributes so that a wrapper on matkernel sees each call.
+        # as module attributes so that a wrapper on matkernel sees each call,
+        # and collect the rank-one terms each adds to D_i.
         if self.classic and not skipped:
-            y, sy = self._secant(s, y_raw, c)
-            bu = d_i.dot(s) if self.inverse_chain else None
-            mk.broyden_update(self.tau1, d_i, y, sy, s)
-            if self.inverse_chain:
-                terms += _broyden_terms(self.tau1, y, sy, bu, s.dot(bu), k_first=True)
+            terms += mk.broyden_update(self.tau1, d_i, *self._secant(s, y_raw, c), s)
         if self.greedy:
-            # q keeps the post-classic matrix: the chain's terms and audits
-            # read it after D_i has moved on.
-            q = self._q
-            np.copyto(q, d_i)
+            if self.config.track_sigma:
+                q = d_i.copy()  # the audits compare it with the updated D_i
             h_diag = self.objective.hessian_diag(i, x)
-            k = mk.greedy_vector(q.diagonal(), h_diag)
+            k = mk.greedy_vector(d_i.diagonal(), h_diag)
             h_col = self.objective.hessian_column(i, x, k)
-            h_kk = float(h_diag[k])
             e_k = self._e
             e_k[k] = 1.0
-            mk.broyden_update(self.tau2, d_i, h_col, h_kk, e_k)
+            terms += mk.broyden_update(self.tau2, d_i, h_col, float(h_diag[k]), e_k)
             e_k[k] = 0.0
-            if self.inverse_chain:
-                terms += _broyden_terms(self.tau2, h_col, h_kk, q[:, k], float(q[k, k]),
-                                        k_first=False)
 
         self.z[i] = x
         self.grads[i] = grad_new
@@ -332,10 +305,9 @@ class BaseSolver:
 class MemoizedSolver(BaseSolver):
     """Memoized aggregates H = (sum D_i)^{-1}, phi = sum D_i z_i,
     g = sum grad_i. H follows every step through the rank-one inverse chain
-    of the stages' factors, with the epoch scaling omega applied lazily; the
-    periodic rebuild bounds its drift."""
+    of the terms the stages added, with the epoch scaling omega applied
+    lazily; the periodic rebuild bounds its drift."""
 
-    inverse_chain = True
     alpha = AlphaSchedule()  # omega = 1 unless a method sets a schedule
 
     def _curvature_sum(self):
@@ -373,9 +345,8 @@ class MemoizedSolver(BaseSolver):
         self.phi = self._swap_phi(dz_old, self.D[i].dot(x), w)
         self.g = self.g + y_raw
         if not chained:
-            # The chain can pass through an exactly singular intermediate
-            # even though the final sum stays invertible (SLIQN at n = 1
-            # always does). H is then part-updated: rebuild it directly.
+            # Rounding made an intermediate singular (see _apply_chain). H is
+            # then part-updated: rebuild it directly.
             self.H = _summed_inverse(self._curvature_sum())
         elif w != 1.0:
             self.H /= w
@@ -385,13 +356,11 @@ class SharpenedLazySolver(MemoizedSolver):
     """SLIQN / G-SLIQN: classic then greedy stage, scaled by the pending
     epoch factor, with lazy omega scaling of the memoized aggregates.
 
-    The inverse chain applies, in this pinned order: the scaled gradient
-    difference term, the negative B s term, for tau1 != 0 the classic cross
-    pair (y - Bs, then y + Bs), the negative Q column term, the Hessian
-    column term, for tau2 != 0 the greedy cross pair (h_k - q_k, then
-    h_k + q_k), then the 1/omega scaling. Every term is symmetric, v =
-    lambda u, so H stays exactly symmetric. Reordering changes rounding;
-    the lazy/eager equivalence tests pin this order.
+    The inverse chain applies the terms both stages added to D_i, the
+    positive ones first and then the negative ones, each group in stage
+    order (see _apply_chain), then the 1/omega scaling. Every term is
+    symmetric, so H stays exactly symmetric. Reordering changes rounding;
+    the golden traces pin this order.
     """
 
     method = "SLIQN"

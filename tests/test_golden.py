@@ -3,8 +3,9 @@
 Every case runs ``solvers.run`` on a fixed problem and writes its trace with
 ``harness.write_trace_csv``; every column except ``wall_ms`` must equal the
 committed CSV under ``tests/golden/`` string for string. These traces pin
-the arithmetic of each method, including the pinned order of the inverse
-chain, so a refactor that only moves code keeps them exactly.
+the arithmetic of each method, including the order of the inverse chain
+(positive terms first, each sign in stage order), so a refactor that only
+moves code keeps them exactly.
 
 A change that alters traces on purpose rewrites them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.

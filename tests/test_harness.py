@@ -311,6 +311,17 @@ class TestCli:
         assert (tmp_path / "out" / "SLIQN.csv").exists()
         assert "SLIQN" in capsys.readouterr().out
 
+    def test_run_tiny_tau_races_both_methods_to_the_summary(self, tmp_path):
+        # At tau = 1e-156 a cross term's coefficient is ~1e-156: the chain
+        # must take it as it is, and neither method may take the race down.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = quadratic\nn = 4\nd = 6\nxi = 1\n"
+                       "methods = GSLIQN, SLIQN\ntau1 = 1e-156\ntau2 = 1e-156\n"
+                       f"max_epochs = 3\nout = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert [row["method"] for row in rows] == ["GSLIQN", "SLIQN"]
+
     def test_run_missing_dataset_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("problem = logistic\ndata = /nonexistent/p.libsvm\n"

@@ -1,9 +1,10 @@
 """The in-place BLAS update kernels against the oracle's textbook forms.
 
-Every kernel overwrites its matrix argument and returns it; each is checked
-across dimensions from the scalar case to one where BLAS blocking applies.
-The oracle's formulas are full-matrix numpy expressions that share no code
-with the kernels.
+Every kernel overwrites its matrix argument: ``sm_inverse_update`` returns
+it, the curvature kernels return the rank-one terms they added. Each is
+checked across dimensions from the scalar case to one where BLAS blocking
+applies. The oracle's formulas are full-matrix numpy expressions that share
+no code with the kernels.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from iqnlab import matkernel as mk
 from iqnlab.errors import DegenerateDirection, SingularUpdate
 from iqnlab.oracle import _broyden_explicit
-from iqnlab.solvers import _broyden_terms
+from iqnlab.solvers import _apply_chain
 
 from conftest import rand_spd
 
@@ -36,13 +37,18 @@ def rel_err(got, expected):
 
 def apply(kernel, args, m, in_place):
     """Run ``kernel(*args)`` on ``m`` itself or, as a caller that keeps its
-    input does, on a fresh copy of it. Either way the kernel must return the
-    matrix it was given and leave every other argument, and in the fresh
-    mode ``m``, unchanged."""
+    input does, on a fresh copy of it, and return the updated matrix. Either
+    way ``sm_inverse_update`` must return the matrix it was given, a
+    curvature kernel its list of terms, and each must leave every other
+    argument, and in the fresh mode ``m``, unchanged."""
     target = m if in_place else m.copy()
     args = [target if a is m else a for a in args]
     kept = [(a, a.copy()) for a in [*args, m] if isinstance(a, np.ndarray) and a is not target]
-    assert kernel(*args) is target
+    out = kernel(*args)
+    if kernel is mk.sm_inverse_update:
+        assert out is target
+    else:
+        assert isinstance(out, list)
     for a, before in kept:
         np.testing.assert_array_equal(a, before)
     return target
@@ -54,10 +60,10 @@ class TestAgainstTextbook:
     def test_sm_symmetric_matches_explicit_inverse(self, rng, d, in_place):
         a = sym_spd(rng, d)
         u = rng.standard_normal(d)
-        for v in (0.4 * u, -0.2 * u):
-            expected = np.linalg.inv(a + np.outer(u, v))
+        for c in (0.4, -0.2):
+            expected = np.linalg.inv(a + c * np.outer(u, u))
             h = mk.symmetrize(np.linalg.inv(a))
-            got = apply(mk.sm_inverse_update, (h, u, v), h, in_place)
+            got = apply(mk.sm_inverse_update, (h, u, c), h, in_place)
             assert rel_err(got, expected) < 1e-10
             assert np.array_equal(got, got.T)
 
@@ -83,6 +89,16 @@ class TestAgainstTextbook:
         assert rel_err(got, expected) < 1e-12
         assert np.array_equal(got, got.T)
 
+    @pytest.mark.parametrize("tau, count", [(0.0, 2), (0.3, 4), (1.0, 3)])
+    def test_broyden_returns_the_terms_it_added(self, rng, d, in_place, tau, count):
+        b, ku, uku, u = self.update_args(rng, d)
+        target = b if in_place else b.copy()
+        before = target.copy()
+        terms = mk.broyden_update(tau, target, ku, uku, u)
+        assert len(terms) == count
+        rebuilt = before + sum(c * np.outer(x, x) for x, c in terms)
+        assert rel_err(rebuilt, target) < 1e-13
+
     @staticmethod
     def update_args(rng, d):
         """(b, K u, <u, K u>, u) for SPD b and K."""
@@ -103,7 +119,7 @@ def test_fresh_and_in_place_agree_bitwise_on_symmetric_input(rng, d):
     np.testing.assert_array_equal(apply(mk.broyden_update, args, b, in_place=True), fresh)
 
     h = mk.symmetrize(np.linalg.inv(sym_spd(rng, d)))
-    args = (h, u, 0.5 * u)
+    args = (h, u, 0.5)
     fresh = apply(mk.sm_inverse_update, args, h, in_place=False)
     np.testing.assert_array_equal(apply(mk.sm_inverse_update, args, h, in_place=True), fresh)
 
@@ -123,7 +139,7 @@ def test_symmetric_chain_stays_bit_symmetric(rng, d):
     b = sym_spd(rng, d)
     for _ in range(50):
         u = rng.standard_normal(d)
-        mk.sm_inverse_update(h, u, 0.01 * u)
+        mk.sm_inverse_update(h, u, 0.01)
         mk.bfgs_update(b, b @ u + 0.1 * u, float(u @ b @ u + 0.1 * u @ u), u)
     assert np.array_equal(h, h.T)
     assert np.array_equal(b, b.T)
@@ -131,18 +147,16 @@ def test_symmetric_chain_stays_bit_symmetric(rng, d):
 
 @pytest.mark.parametrize("d", (2, 10, 60))
 def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
-    # The classic-stage inverse chain of GSLIQN at tau = 0.5: the K and B
-    # terms, then the asymmetric DFP cross term as a pair of symmetric terms.
+    # The classic-stage inverse chain of GSLIQN at tau = 0.5: the B and K
+    # terms, and the asymmetric DFP cross term as a pair of symmetric terms.
     tau = 0.5
     b, k = sym_spd(rng, d), sym_spd(rng, d)
     s = rng.standard_normal(d)
     y = k @ s
     sy = float(s @ y)
-    bu = b @ s
     expected = np.linalg.inv(_broyden_explicit(tau, b, y, sy, s))
     h = mk.symmetrize(np.linalg.inv(b))
-    for u, v in _broyden_terms(tau, y, sy, bu, float(s @ bu), k_first=True):
-        mk.sm_inverse_update(h, u, v)
+    assert _apply_chain(h, mk.broyden_update(tau, b.copy(), y, sy, s))
     assert rel_err(h, expected) < 1e-10
     assert np.array_equal(h, h.T)
 
@@ -164,39 +178,27 @@ def broyden_stage(draw):
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(broyden_stage())
 def test_broyden_terms_chain_is_symmetric_and_inverts_the_update(stage):
-    # The chain of any Broyden(tau) stage keeps H bit-symmetric and lands on
-    # the inverse of the oracle's textbook update.
+    # The chain of the terms any Broyden(tau) stage adds passes no singular
+    # intermediate, keeps H bit-symmetric and lands on the inverse of the
+    # oracle's textbook update.
     b, k, u, tau = stage
-    ku, bu = k @ u, b @ u
+    ku = k @ u
     uku = float(u @ ku)
     h = mk.symmetrize(np.linalg.inv(b))
-    for x, v in _broyden_terms(tau, ku, uku, bu, float(u @ bu), k_first=True):
-        mk.sm_inverse_update(h, x, v)
-        assert np.array_equal(h, h.T)
+    assert _apply_chain(h, mk.broyden_update(tau, b.copy(), ku, uku, u))
+    assert np.array_equal(h, h.T)
     assert rel_err(h, np.linalg.inv(_broyden_explicit(tau, b, ku, uku, u))) < 1e-9
 
 
 @pytest.mark.parametrize("d", [pytest.param(d, id=f"{d}-collinear") for d in DIMS])
 def test_sm_body_raises_like_kernel(d):
-    # <v, H u> = -1 with H = I: A + u v^T is singular, and the typed error
+    # c <u, H u> = -1 with H = I: A - u u^T is singular, and the typed error
     # comes before any write.
     u = np.eye(d)[0]
     h = np.eye(d)
     with pytest.raises(SingularUpdate, match="rank-one update denominator"):
-        mk.sm_inverse_update(h, u, -u)
+        mk.sm_inverse_update(h, u, -1.0)
     np.testing.assert_array_equal(h, np.eye(d))
-
-
-@pytest.mark.parametrize("d", (2, 10, 60))
-def test_sm_non_parallel_factors_raise_before_any_write(rng, d):
-    # Only v = lambda u keeps H exactly symmetric; any other pair is refused.
-    h = mk.symmetrize(np.linalg.inv(sym_spd(rng, d)))
-    before = h.copy()
-    u = rng.standard_normal(d)
-    for v in (rng.standard_normal(d), u + 1e-3 * rng.standard_normal(d), np.eye(d)[0]):
-        with pytest.raises(ValueError, match="parallel"):
-            mk.sm_inverse_update(h, u, v)
-        np.testing.assert_array_equal(h, before)
 
 
 def test_guards_leave_out_untouched():
@@ -227,7 +229,7 @@ def test_out_must_be_c_ordered_float64(rng):
     d = 10
     u = rng.standard_normal(d)
     ku = sym_spd(rng, d) @ u
-    updates = (lambda m: mk.sm_inverse_update(m, u, 0.3 * u),
+    updates = (lambda m: mk.sm_inverse_update(m, u, 0.3),
                lambda m: mk.broyden_update(0.0, m, ku, float(u @ ku), u),
                lambda m: mk.broyden_update(0.5, m, ku, float(u @ ku), u))
     for layout, update in itertools.product((fortran, float32, read_only), updates):

@@ -332,8 +332,8 @@ class TestStateInvariants:
                                           quad.gradient(i, solver.z[i]))
 
     def test_single_component_lazy_run_stays_consistent(self):
-        # n = 1 exercises the singular-intermediate fallback on every step;
-        # the memoized state must remain exact and the run must converge.
+        # n = 1: the chain's terms remove as much curvature as they add; the
+        # memoized state must remain exact and the run must converge.
         a = np.array([[3.0, 0.5, 1.5, 2.0]])
         b = np.array([[10.0, -20.0, 5.0, 0.0]])
         quad = QuadraticObjective(QuadraticComponents(a_diag=a, b=b))
@@ -349,19 +349,15 @@ class TestStateInvariants:
 
     @pytest.mark.parametrize("method", ["IQN", "SLIQN", "GSLIQN"])
     def test_singular_chain_rebuilds_inverse_from_scratch(self, method, monkeypatch):
-        # n = 1: removing the greedy Q column makes the SLIQN chain's
-        # intermediate singular, so the in-place H is abandoned part-way
-        # through. The IQN chain stays regular at n = 1 (its denominator is
-        # sy^2 / ((sy + y^T H y) s^T B s) > 0), so there the chain runs in
-        # full and is then reported singular. Either way what remains must
-        # be the direct inverse, bit for bit, not that buffer.
+        # n = 1: with the positive terms first every chain stays regular,
+        # so each runs in full and is then reported singular. What remains
+        # must be the direct inverse, bit for bit, not that buffer.
         outcomes = []
         chain = solvers._apply_chain
-        forced = method == "IQN"
 
         def apply_chain(h, terms):
             outcomes.append(chain(h, terms))
-            return outcomes[-1] and not forced
+            return False
         monkeypatch.setattr(solvers, "_apply_chain", apply_chain)
         quad = QuadraticObjective(QuadraticComponents(
             a_diag=np.array([[3.0, 0.5, 1.5, 2.0]]), b=np.array([[10.0, -20.0, 5.0, 0.0]])))
@@ -371,7 +367,7 @@ class TestStateInvariants:
             solver.step()
             np.testing.assert_array_equal(
                 solver.H, mk.symmetrize(np.linalg.inv(solver.eager_curvature(0))))
-        assert outcomes and (all(outcomes) if forced else not any(outcomes))
+        assert outcomes and all(outcomes)
 
     def test_singular_fallback_raises_typed_error(self, monkeypatch):
         quad = small_quadratic(n=2, d=4)
@@ -431,9 +427,9 @@ class TestAllocation:
         pytest.param("GSLIQN", 0.5, id="GSLIQN-tau"), pytest.param("SIQN", 0.0, id="SIQN"),
         pytest.param("IGS", 0.0, id="IGS")])
     def test_step_allocates_no_d_by_d_array(self, method, tau):
-        # Every stage writes D_i in place, the greedy stage reuses one q
-        # buffer and dgesv factorizes in one _lu buffer, so a step (no
-        # refresh, no omega) allocates only vectors once its buffers exist.
+        # Every stage writes D_i in place and dgesv factorizes in one _lu
+        # buffer, so a step (no refresh, no omega, no track_sigma) allocates
+        # only vectors once its buffers exist.
         d = 120
         quad = small_quadratic(n=4, d=d)
         solver = make_solver(quad, initial_point(d, 1.0, 0), SolverConfig(
@@ -447,6 +443,50 @@ class TestAllocation:
         finally:
             tracemalloc.stop()
         assert peak < d * d * 8, f"{method} step peaked at {peak / (d * d * 8):.2f} d^2 doubles"
+
+    @pytest.mark.parametrize("method, reference", [
+        ("SLIQN", "IQN"), ("GSLIQN", "IQN"), ("SIQN", "NIM"), ("IGS", "NIM")])
+    def test_stages_hold_no_matrix_beyond_their_strategy(self, method, reference):
+        # A greedy stage keeps no d x d buffer of its own: a solver holds
+        # what the other solvers of its aggregate strategy hold.
+        d = 120
+        quad = small_quadratic(n=4, d=d)
+        x0 = initial_point(d, 1.0, 0)
+        held = {}
+        for name in (method, reference):
+            tracemalloc.start()
+            try:
+                solver = make_solver(quad, x0, SolverConfig(
+                    method=name, tau1=0.5, tau2=0.5, gstop=1e-300))
+                held[name], _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del solver
+        gap = (held[method] - held[reference]) / (d * d * 8)
+        assert abs(gap) < 0.1, f"{method} holds {gap:+.2f} d^2 doubles beyond {reference}"
+
+    @pytest.mark.parametrize("method", ["SLIQN", "GSLIQN", "SIQN", "IGS"])
+    def test_q_is_kept_only_when_tracking_sigma(self, method, monkeypatch):
+        # With track_sigma the step copies the matrix its greedy stage
+        # starts from; without it there is no copy, and the iterates agree.
+        inputs = []
+        update = mk.broyden_update
+
+        def recorded(tau, b, *args):
+            inputs.append(b.copy())
+            return update(tau, b, *args)
+        monkeypatch.setattr(mk, "broyden_update", recorded)
+        quad = small_quadratic()
+        x0 = initial_point(quad.d, 1.0, 9)
+        cfg = dict(method=method, tau1=0.5, tau2=0.5, gstop=1e-300)
+        plain = make_solver(quad, x0, SolverConfig(**cfg))
+        tracked = make_solver(quad, x0, SolverConfig(**cfg, track_sigma=True))
+        for _ in range(quad.n + 2):
+            res = plain.step()
+            assert res.q is None
+            res_tracked = tracked.step()
+            np.testing.assert_array_equal(res_tracked.q, inputs[-1])  # the greedy call's B
+            np.testing.assert_array_equal(res_tracked.x, res.x)
 
 
 # The kernels each method's steps reach, besides set-up and refreshes; no
@@ -490,21 +530,23 @@ class TestGeneralizedBroyden:
         quad = small_quadratic()
         x0 = initial_point(quad.d, 1.0, 9)
         solver = make_solver(quad, x0, SolverConfig(
-            method="GSLIQN", tau1=1.0, tau2=1.0, gstop=1e-300))
+            method="GSLIQN", tau1=1.0, tau2=1.0, gstop=1e-300, track_sigma=True))
         d_old = solver.eager_curvature(0).copy()
         z_old = solver.z[0].copy()
         grad_old = solver.grads[0].copy()
         res = solver.step()
         s = res.x - z_old
         y = quad.gradient(0, res.x) - grad_old
-        q_expected = mk.dfp_update(d_old, y, float(s @ y), s)
+        q_expected = d_old
+        mk.dfp_update(q_expected, y, float(s @ y), s)
         np.testing.assert_allclose(res.q, q_expected, atol=1e-12 * np.linalg.norm(q_expected))
         h_diag = quad.hessian_diag(0, res.x)
         k_idx = mk.greedy_vector(np.diagonal(q_expected), h_diag)
         e_k = np.zeros(quad.d)
         e_k[k_idx] = 1.0
-        d_expected = mk.dfp_update(q_expected, quad.hessian_column(0, res.x, k_idx),
-                                   float(h_diag[k_idx]), e_k)
+        d_expected = q_expected.copy()
+        mk.dfp_update(d_expected, quad.hessian_column(0, res.x, k_idx),
+                      float(h_diag[k_idx]), e_k)
         np.testing.assert_allclose(res.d_unscaled, d_expected,
                                    atol=1e-12 * np.linalg.norm(d_expected))
 
@@ -544,7 +586,7 @@ class TestIgs:
         consts = quad.constants
         rate = 1.0 - consts.mu / (quad.d * consts.L)
         solver = make_solver(quad, initial_point(quad.d, 1.0, 3),
-                             SolverConfig(method="IGS", gstop=1e-300))
+                             SolverConfig(method="IGS", gstop=1e-300, track_sigma=True))
         for _ in range(3 * quad.n):
             res = solver.step()
             hess = quad.hessian(res.index, res.x)
@@ -569,7 +611,7 @@ class TestIgs:
             idx = int(np.argmax(np.diagonal(d_mat) / np.diagonal(a_mat)))
             e_k = np.zeros(4)
             e_k[idx] = 1.0
-            d_mat = mk.bfgs_update(d_mat, a_mat[:, idx].copy(), a_mat[idx, idx], e_k)
+            mk.bfgs_update(d_mat, a_mat[:, idx].copy(), a_mat[idx, idx], e_k)
             z = x
             got = solver.step().x
             np.testing.assert_allclose(got, x, atol=1e-12 * (1 + np.linalg.norm(x)))
