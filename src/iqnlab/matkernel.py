@@ -142,6 +142,7 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     At ``tau == 0`` and ``tau == 1`` only the BFGS or DFP terms run, so the
     endpoints are exact. The result satisfies the secant property
     ``B_new @ u == ku`` and stays exactly symmetric.
+
     Returns the terms ``(x, c)`` in the order applied (the K-term's x is
     ``ku`` itself): two for BFGS, three for DFP, four otherwise.
 
