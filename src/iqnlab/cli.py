@@ -118,8 +118,8 @@ def pin_blas_threads():
     The kernels are level-2 calls, which lose time to a second thread: on a
     2-vCPU host `iqn-lab run` at n = 20, d = 500 finished sooner with one
     thread in every pair raced. The thread count also sets BLAS rounding
-    (numpy's `np.linalg.inv` at d = 500 returns other bits with two threads),
-    so one pinned count in both pools makes traces independent of the host's
+    (`dsymv` and the Cholesky routines return other bits with two threads at
+    d >= 256), so one pinned count makes traces independent of the host's
     core count. The setting is process-wide, so only the command line makes
     it; the library never does.
     """

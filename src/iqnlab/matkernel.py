@@ -10,13 +10,11 @@ is written, so a kernel that raises leaves its matrix as it was. A matrix the
 kernel cannot update in place (Fortran-ordered, not float64, read-only)
 raises ``ValueError`` at the first write, also with the matrix untouched.
 
-Every update is a sum of symmetric terms ``c x x^T``: the curvature updates,
-and the Sherman-Morrison update, which inverts one such term. Each takes its
-product from ``dsymv``, which reads one triangle only, and applies each term
-as ``dger(+-1, r, r)`` with ``r = sqrt(|c|) x``. Both triangles then receive
-bit-identical increments, so a symmetric matrix stays exactly symmetric
-without a symmetrize pass. The input must be symmetric, as the solvers keep
-H and every D_i.
+A symmetric matrix is stored as its lower triangle (``m[i, j]``, ``i >= j``);
+nothing here reads or writes the strict upper one. Every update is a sum of
+symmetric terms ``c x x^T``, the Sherman-Morrison update inverting one:
+``symv`` (``dsymv``) takes the products and ``dsyr`` writes each term. A
+reader that needs the full matrix mirrors a copy with ``symmetrize``.
 
 The curvature operators take the reference matrix K only through its action
 ``ku = K @ u`` and the scalar ``uku = <u, K u>``. The two call sites need
@@ -29,8 +27,8 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dger as _dger
 from scipy.linalg.blas import dsymv as _dsymv
+from scipy.linalg.blas import dsyr as _dsyr
 
 from .errors import (
     DegenerateDirection,
@@ -46,26 +44,23 @@ BACKEND = "scipy-blas"
 GUARD_TOL = 1e-12
 
 
-def _as_f64(x):
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Replace M by its symmetric part 0.5 * (M + M^T) in place; returns M."""
-    np.add(m, m.T, out=m)
-    m *= 0.5
+    """Copy the lower triangle of M into its upper one, in place; returns M."""
+    i, j = np.triu_indices(len(m), 1)
+    m[i, j] = m[j, i]
     return m
 
 
 # BLAS takes Fortran-ordered matrices; the C-ordered m is passed as its
 # Fortran-ordered view m.T, since f2py would copy m itself on every call.
+# The upper triangle of m.T, BLAS's default, is the lower triangle of m.
 
-def _symv(m, x):
-    """``m @ x`` for a symmetric ``m``, read from one triangle."""
+def symv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x`` for a symmetric ``m``, read from its lower triangle."""
     return _dsymv(1.0, m.T, x)
 
 
-# f2py hands dger a copy of a view that is not a float64 Fortran array, and
+# f2py hands dsyr a copy of a view that is not a float64 Fortran array, and
 # writes through a read-only one. The update would then be lost, or land in
 # memory the caller protected, so the rank-one writes below check both and
 # raise before anything of m is written.
@@ -73,12 +68,9 @@ _NOT_IN_PLACE = "the matrix must be a writeable C-ordered float64 array"
 
 
 def _add_symmetric(m, c, x):
-    """``m += c x x^T`` in place with bit-identical increments to m[i, j]
-    and m[j, i]."""
-    r = math.sqrt(abs(c)) * x
-    sign = 1.0 if c > 0.0 else -1.0
+    """``m += c x x^T`` in place, written to the lower triangle only."""
     a = m.T
-    if not m.flags.writeable or _dger(sign, r, r, a=a, overwrite_a=1) is not a:
+    if not m.flags.writeable or _dsyr(c, x, a=a, overwrite_a=1) is not a:
         raise ValueError(_NOT_IN_PLACE)
 
 
@@ -87,8 +79,8 @@ def sm_inverse_update(h: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
 
     Parameters
     ----------
-    h : (d, d) symmetric, writeable C-ordered float64 array
-        Inverse of the current matrix A; updated in place.
+    h : (d, d) writeable C-ordered float64 array
+        Inverse of the current matrix A (lower triangle); updated in place.
     x, c : (d,) float array, float
         The added term ``c x x^T``, as a curvature kernel returns it.
 
@@ -96,8 +88,8 @@ def sm_inverse_update(h: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
     -------
     h
         Now ``(A + c x x^T)^{-1}``, applied as the symmetric term
-        ``-(c / den) w w^T`` with ``w = A^{-1} x`` and ``den = 1 + c <x, w>``;
-        it keeps ``h`` exactly symmetric. A NaN c reaches ``h``.
+        ``-(c / den) w w^T`` with ``w = A^{-1} x`` and ``den = 1 + c <x, w>``.
+        A NaN c reaches ``h``.
 
     Raises
     ------
@@ -106,7 +98,7 @@ def sm_inverse_update(h: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
     ValueError
         If ``h`` cannot be updated in place.
     """
-    w = _symv(h, x)
+    w = symv(h, x)
     den = 1.0 + c * x.dot(w)
     if abs(den) < GUARD_TOL:
         raise SingularUpdate(f"rank-one update denominator {den:.3e} below {GUARD_TOL:.1e}")
@@ -130,7 +122,8 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     """Overwrite B with its restricted Broyden update toward K along u,
     ``tau * DFP + (1 - tau) * BFGS``; returns the terms it added.
 
-    ``b`` is a symmetric, writeable C-ordered float64 array. K enters only
+    ``b`` is a writeable C-ordered float64 array holding the symmetric B in
+    its lower triangle, the only part read or written. K enters only
     as ``ku = K u`` and ``uku = <u, K u>``. The update is applied as
     symmetric rank-one terms
 
@@ -141,7 +134,7 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     DFP cross term ``-(ku bu^T + bu ku^T) tau/uku`` written symmetrically.
     At ``tau == 0`` and ``tau == 1`` only the BFGS or DFP terms run, so the
     endpoints are exact. The result satisfies the secant property
-    ``B_new @ u == ku`` and stays exactly symmetric.
+    ``B_new @ u == ku``.
 
     Returns the terms ``(x, c)`` in the order applied (the K-term's x is
     ``ku`` itself): two for BFGS, three for DFP, four otherwise.
@@ -159,7 +152,7 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     if not 0.0 <= tau <= 1.0:
         raise InvalidTau(f"tau must lie in [0, 1], got {tau}")
     guard_ubu, guard_uku = _curvature_guards(b, ku, u)
-    bu = _symv(b, u)
+    bu = symv(b, u)
     ubu = u.dot(bu)
     if ubu <= guard_ubu or uku <= guard_uku:
         label = "BFGS" if tau == 0.0 else "DFP" if tau == 1.0 else f"Broyden(tau={tau})"
@@ -216,23 +209,23 @@ def sigma_metric(a: np.ndarray, g: np.ndarray) -> float:
     """Approximation error ``sigma(G, A) = tr(A^{-1} G) - d`` for PD A.
 
     Zero iff G == A when G dominates A in the PSD order; the value is
-    returned regardless of domination.
+    returned regardless of domination. Both are read from their lower
+    triangles, as the solvers keep D_i.
 
     Raises
     ------
     SingularA
         If the Cholesky factorization of A fails.
     """
-    a = _as_f64(a)
-    g = _as_f64(g)
+    g = symmetrize(np.array(g, dtype=np.float64))  # cho_solve reads all of G
     try:
-        cf = scipy.linalg.cho_factor(a, check_finite=False)
+        cf = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SingularA(f"Cholesky factorization failed: {exc}") from exc
-    return float(np.trace(scipy.linalg.cho_solve(cf, g, check_finite=False)) - a.shape[0])
+    return float(np.trace(scipy.linalg.cho_solve(cf, g, check_finite=False)) - len(g))
 
 
 def psd_dominates(g: np.ndarray, a: np.ndarray, tol: float) -> bool:
-    """True iff the smallest eigenvalue of ``G - A`` is >= -tol."""
-    diff = symmetrize(_as_f64(g) - _as_f64(a))  # the difference is ours to overwrite
-    return bool(np.linalg.eigvalsh(diff)[0] >= -tol)
+    """True iff the smallest eigenvalue of ``G - A`` is >= -tol; ``eigvalsh``
+    reads the lower triangles of G and A only."""
+    return bool(np.linalg.eigvalsh(np.subtract(g, a, dtype=np.float64))[0] >= -tol)

@@ -76,17 +76,22 @@ def finite_diff_hessian(objective, i, x, h=None):
 # aggregate recomputation
 # ---------------------------------------------------------------------------
 
+def full_matrix(m):
+    """The symmetric matrix stored as m's lower triangle, as by the solvers."""
+    return np.tril(m) + np.tril(m, -1).T
+
+
 def recompute_aggregates(solver):
     """(H, phi, g) rebuilt from the solver's tuples by direct evaluation.
 
     Uses the eager (fully scaled) curvature of every tuple, so it is valid
-    for the lazy solver as well.
+    for the lazy solver as well. H is returned in full.
     """
     d = solver.d
     dbar = np.zeros((d, d))
     phi = np.zeros(d)
     for i in range(solver.n):
-        d_i = solver.eager_curvature(i)
+        d_i = full_matrix(solver.eager_curvature(i))
         dbar += d_i
         phi += d_i @ solver.z[i]
     try:
@@ -253,7 +258,7 @@ def memoization_audit(objective, x0, config, steps, tolerance=1e-9):
         g_err = (np.linalg.norm(solver.g - g_direct)
                  / max(np.linalg.norm(g_direct), 1.0))
         dbar = np.linalg.inv(h_direct)
-        h_err = np.linalg.norm(solver.H @ dbar - eye)
+        h_err = np.linalg.norm(full_matrix(solver.H) @ dbar - eye)
         worst = max(worst, float(phi_err), float(g_err), float(h_err))
     return AuditReport.from_deviation(
         "memoization_exactness", worst, tolerance,
@@ -319,7 +324,7 @@ def psd_dominance_audit(objective, x0, config, steps, tolerance=1e-8):
         for mat in (res.q, res.d_unscaled):
             if mat is None:
                 continue
-            min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T) - hess)[0])
+            min_eig = float(np.linalg.eigvalsh(full_matrix(mat) - hess)[0])
             worst = max(worst, -min_eig)
     return AuditReport.from_deviation(
         "psd_dominance", worst, tolerance, context=f"{config.method}, {steps} steps")

@@ -12,16 +12,19 @@ method  scale c        classic stage   greedy stage    aggregate strategy
 IQN     0              BFGS along s    -               memoized inverse chain
 SLIQN   pending alpha  BFGS along s    BFGS on e_k     chain, lazy omega
 GSLIQN  pending alpha  Broyden(tau1)   Broyden(tau2)   chain, lazy omega
-SIQN    beta           BFGS along s    BFGS on e_k     exact sums + dgesv
-IGS     beta           -               BFGS on e_k     exact sums + dgesv
-NIM     exact component Hessian instead of stages      exact sums + dgesv
+SIQN    beta           BFGS along s    BFGS on e_k     exact sums + dposv
+IGS     beta           -               BFGS on e_k     exact sums + dposv
+NIM     exact component Hessian instead of stages      exact sums + dposv
 
 The scale stage multiplies D_i by (1 + c)^2 and the reference Hessian K by
 (1 + c), with beta = (M/2) ||s||_{z_i} per step (0 when the classic stage is
 skipped along a tiny step). The greedy coordinate e_k maximizes the ratio
 of the diagonals of Q and the Hessian. The memoized chain keeps
 H = (sum D_i)^{-1} by rank-one inverse updates in O(d^2); the direct
-strategy updates exact sums in O(d^2) and solves them in O(d^3).
+strategy updates exact sums in O(d^2) and solves them in O(d^3). Every
+matrix a solver keeps (H, each D_i, the direct sums) is symmetric and stored
+as its lower triangle: mk.symv reads it, Cholesky factorizes it, and nothing
+reads the strict upper triangle.
 
 Lazy scaling (SLIQN/GSLIQN): stored matrices omit multiplicative epoch
 scalings. The stored value of a tuple written in epoch e equals its true
@@ -143,9 +146,9 @@ class StepResult:
     scale and classic stages), kept only when ``config.track_sigma`` asks
     for O(d^3) diagnostics; None otherwise, and for IQN and NIM.
     ``d_unscaled`` is the new curvature before omega, for every method a
-    view of the stored D[i]: read it before the next step, or copy it. A
-    step that raises returns nothing and leaves the solver unusable (see
-    :meth:`BaseSolver.step`).
+    view of the stored D[i]: read it before the next step, or copy it. Only
+    the lower triangle of either is defined. A step that raises returns
+    nothing and leaves the solver unusable (see :meth:`BaseSolver.step`).
     """
 
     t: int
@@ -157,13 +160,14 @@ class StepResult:
 
 
 def _summed_inverse(dbar):
-    """Symmetrized inverse of the summed curvature; the one place the
-    memoized solvers factorize it."""
-    try:
-        h = np.linalg.inv(dbar)
-    except np.linalg.LinAlgError as exc:
-        raise SingularAggregate(f"summed curvature is singular: {exc}") from exc
-    return mk.symmetrize(h)
+    """Inverse of the summed curvature by Cholesky, written over the lower
+    triangle of dbar; the one place the memoized solvers factorize it."""
+    c, info = scipy.linalg.lapack.dpotrf(dbar.T, overwrite_a=1)  # dbar.T: see mk.symv
+    if info == 0:
+        c, info = scipy.linalg.lapack.dpotri(c, overwrite_c=1)
+    if info != 0:
+        raise SingularAggregate(f"summed curvature is singular or indefinite (info {info})")
+    return c.T
 
 
 def _apply_chain(h, terms):
@@ -220,7 +224,7 @@ class BaseSolver:
         return stack
 
     def eager_curvature(self, i: int) -> np.ndarray:
-        """True curvature of tuple i now: D[i] unless a lazy solver overrides it."""
+        """True curvature of tuple i now (lower triangle): D[i] unless a lazy solver overrides it."""
         return self.D[i]
 
     def step(self) -> StepResult:
@@ -317,19 +321,17 @@ class MemoizedSolver(BaseSolver):
         return dbar
 
     def _rebuild(self):
-        phi = np.zeros(self.d)
-        for i in range(self.n):
-            phi += self.eager_curvature(i) @ self.z[i]
+        self.phi = sum(mk.symv(self.eager_curvature(i), self.z[i]) for i in range(self.n))
         self.H = _summed_inverse(self._curvature_sum())
-        self.phi = phi
         self.g = self.grads.sum(axis=0)
 
     def aggregate_drift(self) -> float:
         """|| H (sum D_i) - I ||_F for the current memoized inverse."""
-        return float(np.linalg.norm(self.H @ self._curvature_sum() - np.eye(self.d)))
+        h, dbar = mk.symmetrize(self.H.copy()), mk.symmetrize(self._curvature_sum())
+        return float(np.linalg.norm(h @ dbar - np.eye(self.d)))
 
     def _solve_iterate(self):
-        return self.H.dot(self.phi - self.g)
+        return mk.symv(self.H, self.phi - self.g)
 
     def _swap_phi(self, dz_old, dx, w):
         """phi with the touched tuple's share D_i z_old replaced by D_i x,
@@ -337,12 +339,12 @@ class MemoizedSolver(BaseSolver):
         raise NotImplementedError
 
     def _outgoing(self, i, d_i, z_old):
-        return d_i.dot(z_old)
+        return mk.symv(d_i, z_old)
 
     def _fold(self, t, i, x, y_raw, dz_old, terms):
         w = omega(t, self.n, self.alpha)
         chained = _apply_chain(self.H, terms)
-        self.phi = self._swap_phi(dz_old, self.D[i].dot(x), w)
+        self.phi = self._swap_phi(dz_old, mk.symv(self.D[i], x), w)
         self.g = self.g + y_raw
         if not chained:
             # Rounding made an intermediate singular (see _apply_chain). H is
@@ -413,29 +415,29 @@ class IqnSolver(MemoizedSolver):
 
 class DirectSolver(BaseSolver):
     """Direct strategy: each step folds the touched tuple's change into the
-    sums of D_i and D_i z_i - grad_i, and the iterate solves them with dgesv.
+    sums of D_i and D_i z_i - grad_i, and the iterate solves them by Cholesky.
     The scale stage (SIQN, IGS) uses the per-step beta = (M/2) ||s||_{z_i}."""
 
     def __init__(self, objective, x0, config):
         super().__init__(objective, x0, config)
         self._d_old = np.empty((self.d, self.d))  # outgoing D_i, see _fold
-        self._lu = np.empty((self.d, self.d), order="F")  # dgesv factorizes here
+        self._chol = np.empty((self.d, self.d))  # dposv factorizes here
 
     def _rebuild(self):
         # A beta-swollen D_i leaves its peak's rounding in the incremental
         # sums, which floors the gradient until the next rebuild.
         self._hsum = self.D.sum(axis=0)
-        self._rhs = np.einsum("nij,nj->i", self.D, self.z) - self.grads.sum(axis=0)
+        self._rhs = sum(map(mk.symv, self.D, self.z)) - self.grads.sum(axis=0)
 
     def _solve_iterate(self):
         # scipy's LAPACK, not numpy's: a numpy solve leaves its own OpenBLAS
         # pool spinning on the shared cores, which stalls the next kernel.
-        # The sum goes into the Fortran-ordered _lu, which dgesv overwrites
-        # with its factors instead of allocating a copy of its own.
-        self._lu[...] = self._hsum
-        _, _, x, info = scipy.linalg.lapack.dgesv(self._lu, self._rhs, overwrite_a=1)
+        # The sum goes into _chol, which dposv overwrites with its factor
+        # instead of allocating a copy of its own (_chol.T: see mk.symv).
+        np.copyto(self._chol, self._hsum)
+        _, x, info = scipy.linalg.lapack.dposv(self._chol.T, self._rhs, overwrite_a=1)
         if info != 0:
-            raise SingularAggregate(f"aggregate solve failed: dgesv info {info}")
+            raise SingularAggregate(f"aggregate solve failed: dposv info {info}")
         return x
 
     def _correction(self, t, i, s, skipped):
@@ -452,13 +454,13 @@ class DirectSolver(BaseSolver):
         return (1.0 + c) * y_raw, (1.0 + c) * s.dot(y_raw)
 
     def _outgoing(self, i, d_i, z_old):
-        return self._d_old.dot(z_old) - self.grads[i]
+        return mk.symv(self._d_old, z_old) - self.grads[i]
 
     def _fold(self, t, i, x, y_raw, outgoing, terms):
         # hsum + (d_new - d_old), with d_old's buffer as the difference's.
         np.subtract(self.D[i], self._d_old, out=self._d_old)
         self._hsum += self._d_old
-        self._rhs = self._rhs + (self.D[i].dot(x) - self.grads[i]) - outgoing
+        self._rhs = self._rhs + (mk.symv(self.D[i], x) - self.grads[i]) - outgoing
 
 
 class SiqnSolver(DirectSolver):

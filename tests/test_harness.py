@@ -3,6 +3,9 @@ fault isolation between methods, and the plot-table condenser."""
 
 import csv
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +304,32 @@ class TestCli:
             set_threads(2)
         cli.pin_blas_threads()
         assert [get_threads() for get_threads, _ in openblas] == [2, 2]
+
+    def test_run_traces_do_not_depend_on_the_host_thread_count(self, tmp_path):
+        # At d >= 256, dsymv, dposv and dpotrf return other bits with two
+        # BLAS threads than with one, so a trace is reproducible only if the
+        # CLI pins both OpenBLAS pools when OPENBLAS_NUM_THREADS is unset.
+        # On a 1-CPU host both runs use one thread and this passes trivially.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        columns = {}
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"out-{threads}"
+            cfg = tmp_path / f"exp-{threads}.cfg"
+            cfg.write_text("problem = quadratic\nn = 4\nd = 256\nxi = 2\n"
+                           "methods = SLIQN, NIM\ngstop = 1e-300\nmax_epochs = 3\n"
+                           f"out = {out}\n")
+            subprocess.run([sys.executable, "-m", "iqnlab.cli", "run", "--config", str(cfg)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            columns[threads] = {
+                method: [{k: v for k, v in row.items() if k != "wall_ms"}
+                         for row in read_csv(out / f"{method}.csv")]
+                for method in ("SLIQN", "NIM")}
+        assert all(len(rows) == 12 for rows in columns["1"].values())
+        assert columns[None] == columns["1"]
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

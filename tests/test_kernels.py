@@ -1,10 +1,11 @@
 """The in-place BLAS update kernels against the oracle's textbook forms.
 
 Every kernel overwrites its matrix argument: ``sm_inverse_update`` returns
-it, the curvature kernels return the rank-one terms they added. Each is
-checked across dimensions from the scalar case to one where BLAS blocking
-applies. The oracle's formulas are full-matrix numpy expressions that share
-no code with the kernels.
+it, the curvature kernels return the rank-one terms they added. Each reads
+and writes the lower triangle only, so a result is compared in full after
+``full_matrix`` mirrors it. Each is checked across dimensions from the
+scalar case to one where BLAS blocking applies. The oracle's formulas are
+full-matrix numpy expressions that share no code with the kernels.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from iqnlab import matkernel as mk
 from iqnlab.errors import DegenerateDirection, SingularUpdate
-from iqnlab.oracle import _broyden_explicit
+from iqnlab.oracle import _broyden_explicit, full_matrix
 from iqnlab.solvers import _apply_chain
 
 from conftest import rand_spd
@@ -26,7 +27,9 @@ DIMS = (1, 2, 10, 60)
 
 
 def sym_spd(rng, d):
-    """SPD test matrix that is bit-symmetric, as the solvers keep theirs."""
+    """SPD test matrix that is bit-symmetric, so that the textbook forms,
+    which read all of it, and the kernels, which read its lower triangle,
+    see the same matrix."""
     m = rand_spd(rng, d, lo=1.0, hi=4.0)
     return 0.5 * (m + m.T)
 
@@ -64,30 +67,26 @@ class TestAgainstTextbook:
             expected = np.linalg.inv(a + c * np.outer(u, u))
             h = mk.symmetrize(np.linalg.inv(a))
             got = apply(mk.sm_inverse_update, (h, u, c), h, in_place)
-            assert rel_err(got, expected) < 1e-10
-            assert np.array_equal(got, got.T)
+            assert rel_err(full_matrix(got), expected) < 1e-10
 
     def test_bfgs_matches_oracle(self, rng, d, in_place):
         b, ku, uku, u = self.update_args(rng, d)
         expected = _broyden_explicit(0.0, b, ku, uku, u)
         got = apply(mk.bfgs_update, (b, ku, uku, u), b, in_place)
-        assert rel_err(got, expected) < 1e-12
-        assert np.array_equal(got, got.T)
+        assert rel_err(full_matrix(got), expected) < 1e-12
 
     def test_dfp_matches_oracle(self, rng, d, in_place):
         b, ku, uku, u = self.update_args(rng, d)
         expected = _broyden_explicit(1.0, b, ku, uku, u)
         got = apply(mk.dfp_update, (b, ku, uku, u), b, in_place)
-        assert rel_err(got, expected) < 1e-12
-        assert np.array_equal(got, got.T)
+        assert rel_err(full_matrix(got), expected) < 1e-12
 
     @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
     def test_broyden_matches_oracle(self, rng, d, in_place, tau):
         b, ku, uku, u = self.update_args(rng, d)
         expected = _broyden_explicit(tau, b, ku, uku, u)
         got = apply(mk.broyden_update, (tau, b, ku, uku, u), b, in_place)
-        assert rel_err(got, expected) < 1e-12
-        assert np.array_equal(got, got.T)
+        assert rel_err(full_matrix(got), expected) < 1e-12
 
     @staticmethod
     def update_args(rng, d):
@@ -107,7 +106,8 @@ def test_broyden_returns_the_terms_it_added(rng, d, tau, count):
     before = b.copy()
     terms = mk.broyden_update(tau, b, ku, uku, u)
     assert len(terms) == count
-    assert rel_err(before + sum(c * np.outer(x, x) for x, c in terms), b) < 1e-13
+    added = before + sum(c * np.outer(x, x) for x, c in terms)
+    assert rel_err(np.tril(added), np.tril(b)) < 1e-13
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -128,23 +128,72 @@ def test_fresh_and_in_place_agree_bitwise_on_symmetric_input(rng, d):
 
 @pytest.mark.parametrize("d", (1, 2, 10, 32, 33, 60, 130))
 def test_in_place_symmetrize_is_bit_equal_to_fresh(rng, d):
+    # symmetrize mirrors the lower triangle, the stored matrix, into the
+    # upper one.
     m = rng.standard_normal((d, d))
-    expected = 0.5 * (m + m.T)
+    expected = np.tril(m) + np.tril(m, -1).T
     assert mk.symmetrize(m) is m
     np.testing.assert_array_equal(m, expected)
     assert np.array_equal(m, m.T)
 
 
+def poisoned(m):
+    """A copy of m with NaN in its strict upper triangle, which no kernel
+    may read."""
+    m = m.copy()
+    m[np.triu_indices(len(m), 1)] = np.nan
+    return m
+
+
+def assert_upper_kept(after, before):
+    """No kernel may write the strict upper triangle either: its bits stay."""
+    upper = np.triu_indices(len(before), 1)
+    np.testing.assert_array_equal(after[upper], before[upper])
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("d", DIMS)
+def test_broyden_reads_and_writes_the_lower_triangle_only(rng, d, tau):
+    b, ku, uku, u = TestAgainstTextbook.update_args(rng, d)
+    expected = _broyden_explicit(tau, b, ku, uku, u)
+    for start in (b, poisoned(b)):
+        got = start.copy()
+        mk.broyden_update(tau, got, ku, uku, u)
+        assert_upper_kept(got, start)
+        assert rel_err(np.tril(got), np.tril(expected)) < 1e-12
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_sm_reads_and_writes_the_lower_triangle_only(rng, d):
+    a = sym_spd(rng, d)
+    u = rng.standard_normal(d)
+    expected = np.linalg.inv(a + 0.4 * np.outer(u, u))
+    h = mk.symmetrize(np.linalg.inv(a))
+    for start in (h, poisoned(h)):
+        got = mk.sm_inverse_update(start.copy(), u, 0.4)
+        assert_upper_kept(got, start)
+        assert rel_err(np.tril(got), np.tril(expected)) < 1e-10
+
+
 @pytest.mark.parametrize("d", (2, 10, 60))
-def test_symmetric_chain_stays_bit_symmetric(rng, d):
-    h = mk.symmetrize(np.linalg.inv(sym_spd(rng, d)))
-    b = sym_spd(rng, d)
+def test_chain_leaves_the_upper_triangle_untouched(rng, d):
+    # 50 steps of both kernels write no upper entry, and on poisoned
+    # matrices give the lower triangles of the clean run bit for bit.
+    h0 = mk.symmetrize(np.linalg.inv(sym_spd(rng, d)))
+    b0 = sym_spd(rng, d)
+    runs = [(h0.copy(), b0.copy()), (poisoned(h0), poisoned(b0))]
     for _ in range(50):
         u = rng.standard_normal(d)
-        mk.sm_inverse_update(h, u, 0.01)
-        mk.bfgs_update(b, b @ u + 0.1 * u, float(u @ b @ u + 0.1 * u @ u), u)
-    assert np.array_equal(h, h.T)
-    assert np.array_equal(b, b.T)
+        for h, b in runs:
+            mk.sm_inverse_update(h, u, 0.01)
+            bu = mk.symv(b, u)
+            mk.bfgs_update(b, bu + 0.1 * u, float(u @ bu + 0.1 * u @ u), u)
+    (h, b), (h_nan, b_nan) = runs
+    assert_upper_kept(h, h0)
+    assert_upper_kept(b, b0)
+    assert np.isnan(h_nan[np.triu_indices(d, 1)]).all()
+    np.testing.assert_array_equal(np.tril(h_nan), np.tril(h))
+    np.testing.assert_array_equal(np.tril(b_nan), np.tril(b))
 
 
 @pytest.mark.parametrize("d", (2, 10, 60))
@@ -159,8 +208,7 @@ def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
     expected = np.linalg.inv(_broyden_explicit(tau, b, y, sy, s))
     h = mk.symmetrize(np.linalg.inv(b))
     assert _apply_chain(h, mk.broyden_update(tau, b.copy(), y, sy, s))
-    assert rel_err(h, expected) < 1e-10
-    assert np.array_equal(h, h.T)
+    assert rel_err(full_matrix(h), expected) < 1e-10
 
 
 @st.composite
@@ -181,15 +229,14 @@ def broyden_stage(draw):
 @given(broyden_stage())
 def test_broyden_terms_chain_is_symmetric_and_inverts_the_update(stage):
     # The chain of the terms any Broyden(tau) stage adds passes no singular
-    # intermediate, keeps H bit-symmetric and lands on the inverse of the
-    # oracle's textbook update.
+    # intermediate and lands on the inverse of the oracle's textbook update.
     b, k, u, tau = stage
     ku = k @ u
     uku = float(u @ ku)
     h = mk.symmetrize(np.linalg.inv(b))
     assert _apply_chain(h, mk.broyden_update(tau, b.copy(), ku, uku, u))
-    assert np.array_equal(h, h.T)
-    assert rel_err(h, np.linalg.inv(_broyden_explicit(tau, b, ku, uku, u))) < 1e-9
+    expected = np.linalg.inv(_broyden_explicit(tau, b, ku, uku, u))
+    assert rel_err(full_matrix(h), expected) < 1e-9
 
 
 @pytest.mark.parametrize("d", [pytest.param(d, id=f"{d}-collinear") for d in DIMS])
@@ -226,7 +273,7 @@ def read_only(m):
 
 
 def test_out_must_be_c_ordered_float64(rng):
-    # The matrix a kernel writes is its output. dger would update a copy of
+    # The matrix a kernel writes is its output. dsyr would update a copy of
     # a Fortran-ordered or float32 one and write through a read-only one.
     d = 10
     u = rng.standard_normal(d)

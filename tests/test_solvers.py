@@ -13,7 +13,12 @@ from iqnlab import solvers
 from iqnlab.data import GeneratorSpec, generate_quadratic, initial_point
 from iqnlab.errors import DegenerateDirection, LazyInconsistency, SingularAggregate
 from iqnlab.objectives import LogisticObjective, QuadraticComponents, QuadraticObjective
-from iqnlab.oracle import lazy_eager_audit, memoization_audit, recompute_aggregates
+from iqnlab.oracle import (
+    full_matrix,
+    lazy_eager_audit,
+    memoization_audit,
+    recompute_aggregates,
+)
 from iqnlab.solvers import (
     AlphaSchedule,
     SolverConfig,
@@ -86,7 +91,7 @@ class TestInitState:
         solver = make_solver(quad, np.zeros(2), SolverConfig(method="SLIQN"))
         for i in range(3):
             np.testing.assert_array_equal(solver.eager_curvature(i), 2.0 * np.eye(2))
-        np.testing.assert_allclose(solver.H, np.eye(2) / 6.0, atol=1e-15)
+        np.testing.assert_allclose(full_matrix(solver.H), np.eye(2) / 6.0, atol=1e-15)
 
     def test_alpha0_scaling_applied_to_aggregates(self):
         a = np.full((3, 2), 2.0)
@@ -97,7 +102,7 @@ class TestInitState:
         # alpha_0 = 1 so the eager curvature carries (1 + 1)^2 = 4.
         np.testing.assert_allclose(solver.eager_curvature(0), 8.0 * np.eye(2),
                                    atol=1e-15)
-        np.testing.assert_allclose(solver.H, np.eye(2) / 24.0, atol=1e-15)
+        np.testing.assert_allclose(full_matrix(solver.H), np.eye(2) / 24.0, atol=1e-15)
 
     def test_initial_aggregates_match_definitions(self, rng):
         quad = small_quadratic()
@@ -105,7 +110,7 @@ class TestInitState:
         solver = make_solver(quad, x0, SolverConfig(method="SLIQN"))
         np.testing.assert_allclose(solver.g, quad.gradients_at(x0).sum(axis=0),
                                    atol=1e-12)
-        dbar = sum(solver.eager_curvature(i) for i in range(quad.n))
+        dbar = sum(full_matrix(solver.eager_curvature(i)) for i in range(quad.n))
         np.testing.assert_allclose(solver.phi, dbar @ x0, atol=1e-9)
 
 
@@ -199,7 +204,7 @@ class TestMemoization:
         solver = make_solver(quad, initial_point(quad.d, 1.0, 0),
                              SolverConfig(method="SLIQN"))
         h, phi, g = recompute_aggregates(solver)
-        np.testing.assert_allclose(h, solver.H, atol=1e-12)
+        np.testing.assert_allclose(h, full_matrix(solver.H), atol=1e-12)
         np.testing.assert_allclose(phi, solver.phi, atol=1e-9)
         np.testing.assert_array_equal(g, solver.g)
 
@@ -213,24 +218,25 @@ class TestMemoization:
 
     @pytest.mark.parametrize("method,tau", [("IQN", 0.0), ("SLIQN", 0.0), ("GSLIQN", 0.5)])
     def test_inverse_stays_symmetric_and_accurate_without_refresh(self, method, tau):
-        # Every chain term is symmetric, so H is exactly symmetric at every
-        # step end with no symmetrize pass. A last-bit asymmetry would grow
-        # from step to step until H diverges.
+        # H is stored as its lower triangle, so it is symmetric by
+        # construction; with no refresh the chain alone must keep it the
+        # inverse of the sum over 500 steps.
         quad = small_quadratic(n=10, d=40, xi=2.0, seed=4)
         solver = make_solver(quad, initial_point(quad.d, 1.0, 4), SolverConfig(
             method=method, tau1=tau, tau2=tau, gstop=1e-300, max_epochs=100,
             refresh_period=10 ** 6))
         for _ in range(500):
             solver.step()
-            assert np.array_equal(solver.H, solver.H.T)
         assert solver.aggregate_drift() < 1e-10
 
 
 def _sum_drift(solver):
-    """Relative distance of the direct strategy's sums from a rebuild."""
-    hsum = solver.D.sum(axis=0)
-    rhs = np.einsum("nij,nj->i", solver.D, solver.z) - solver.grads.sum(axis=0)
-    return max(np.linalg.norm(solver._hsum - hsum) / np.linalg.norm(hsum),
+    """Relative distance of the direct strategy's sums from a rebuild, on
+    the lower triangles that define them."""
+    full = [full_matrix(d_i) for d_i in solver.D]
+    hsum = np.tril(sum(full))
+    rhs = sum(d_i @ z_i for d_i, z_i in zip(full, solver.z)) - solver.grads.sum(axis=0)
+    return max(np.linalg.norm(np.tril(solver._hsum) - hsum) / np.linalg.norm(hsum),
                np.linalg.norm(solver._rhs - rhs) / np.linalg.norm(rhs))
 
 
@@ -343,7 +349,7 @@ class TestStateInvariants:
         for _ in range(12):
             res = solver.step()
             h, phi, g = recompute_aggregates(solver)
-            assert np.linalg.norm(solver.H - h) <= 1e-9 * np.linalg.norm(h)
+            assert np.linalg.norm(full_matrix(solver.H) - h) <= 1e-9 * np.linalg.norm(h)
             assert np.linalg.norm(solver.phi - phi) <= 1e-9 * max(np.linalg.norm(phi), 1.0)
         assert np.linalg.norm(res.x - x_star) <= 1e-8 * (1 + np.linalg.norm(x_star))
 
@@ -351,7 +357,7 @@ class TestStateInvariants:
     def test_singular_chain_rebuilds_inverse_from_scratch(self, method, monkeypatch):
         # n = 1: with the positive terms first every chain stays regular,
         # so each runs in full and is then reported singular. What remains
-        # must be the direct inverse, bit for bit, not that buffer.
+        # must be the direct Cholesky inverse, bit for bit, not that buffer.
         outcomes = []
         chain = solvers._apply_chain
 
@@ -365,8 +371,8 @@ class TestStateInvariants:
             method=method, tau1=0.5, tau2=0.0, gstop=1e-300))
         for _ in range(6):
             solver.step()
-            np.testing.assert_array_equal(
-                solver.H, mk.symmetrize(np.linalg.inv(solver.eager_curvature(0))))
+            direct = solvers._summed_inverse(solver.eager_curvature(0).copy())
+            np.testing.assert_array_equal(np.tril(solver.H), np.tril(direct))
         assert outcomes and all(outcomes)
 
     def test_singular_fallback_raises_typed_error(self, monkeypatch):
@@ -427,7 +433,7 @@ class TestAllocation:
         pytest.param("GSLIQN", 0.5, id="GSLIQN-tau"), pytest.param("SIQN", 0.0, id="SIQN"),
         pytest.param("IGS", 0.0, id="IGS")])
     def test_step_allocates_no_d_by_d_array(self, method, tau):
-        # Every stage writes D_i in place and dgesv factorizes in one _lu
+        # Every stage writes D_i in place and dposv factorizes in one _chol
         # buffer, so a step (no refresh, no omega, no track_sigma) allocates
         # only vectors once its buffers exist.
         d = 120
@@ -516,6 +522,30 @@ def test_steps_call_the_public_kernels(method, monkeypatch):
     assert {name for name, count in calls.items() if count} == STEP_KERNELS[method]
 
 
+@pytest.mark.parametrize("method", solvers.METHODS)
+def test_strict_upper_triangles_are_never_read(method):
+    # Every matrix a solver keeps is defined by its lower triangle: with
+    # NaN in the strict upper triangle of every D_i and of H or the direct
+    # sum, the trace must not change in any bit, through refreshes and the
+    # sigma diagnostics.
+    quad = small_quadratic(n=6, d=64, xi=2.0, seed=11)
+    x0 = initial_point(quad.d, 1.0, 11)
+    cfg = SolverConfig(method=method, tau1=0.5, tau2=0.5, gstop=1e-300, max_epochs=3,
+                       refresh_period=5, track_sigma=True)
+    traces = []
+    for poison in (False, True):
+        solver = make_solver(quad, x0, cfg)
+        if poison:
+            upper = np.triu_indices(quad.d, 1)
+            solver.D[:, upper[0], upper[1]] = np.nan
+            (solver._hsum if hasattr(solver, "_hsum") else solver.H)[upper] = np.nan
+        records = solvers.run_solver(solver, x_star=quad.exact_minimizer())
+        traces.append([(r.t, r.grad_norm, r.normalized_error, r.sigma_max)
+                       for r in records])
+    assert len(traces[0]) == 3 * quad.n
+    assert traces[1] == traces[0]
+
+
 class TestGeneralizedBroyden:
     def test_tau_zero_is_bitwise_sliqn(self):
         quad = small_quadratic()
@@ -539,7 +569,9 @@ class TestGeneralizedBroyden:
         y = quad.gradient(0, res.x) - grad_old
         q_expected = d_old
         mk.dfp_update(q_expected, y, float(s @ y), s)
-        np.testing.assert_allclose(res.q, q_expected, atol=1e-12 * np.linalg.norm(q_expected))
+        q_expected = full_matrix(q_expected)
+        np.testing.assert_allclose(full_matrix(res.q), q_expected,
+                                   atol=1e-12 * np.linalg.norm(q_expected))
         h_diag = quad.hessian_diag(0, res.x)
         k_idx = mk.greedy_vector(np.diagonal(q_expected), h_diag)
         e_k = np.zeros(quad.d)
@@ -547,7 +579,8 @@ class TestGeneralizedBroyden:
         d_expected = q_expected.copy()
         mk.dfp_update(d_expected, quad.hessian_column(0, res.x, k_idx),
                       float(h_diag[k_idx]), e_k)
-        np.testing.assert_allclose(res.d_unscaled, d_expected,
+        d_expected = full_matrix(d_expected)
+        np.testing.assert_allclose(full_matrix(res.d_unscaled), d_expected,
                                    atol=1e-12 * np.linalg.norm(d_expected))
 
     def test_tau_half_matches_eager_broyden(self, rng):
@@ -566,7 +599,7 @@ class TestSiqn:
                              SolverConfig(method="SIQN", init_curvature="exact-hessian"))
         res = solver.step()
         # M = 0 on quadratics so beta = 0, K = A_i: both stages fix A_i.
-        np.testing.assert_allclose(res.d_unscaled, quad.hessian(0, res.x),
+        np.testing.assert_allclose(full_matrix(res.d_unscaled), quad.hessian(0, res.x),
                                    atol=1e-10)
 
     def test_beta_uses_hessian_norm_of_step(self, rng):
@@ -607,7 +640,8 @@ class TestIgs:
         d_mat = quad.constants.L * np.eye(4)
         z = x0.copy()
         for _ in range(8):
-            x = np.linalg.solve(d_mat, d_mat @ z - (a[0] * z + b[0]))
+            full = full_matrix(d_mat)
+            x = np.linalg.solve(full, full @ z - (a[0] * z + b[0]))
             idx = int(np.argmax(np.diagonal(d_mat) / np.diagonal(a_mat)))
             e_k = np.zeros(4)
             e_k[idx] = 1.0
