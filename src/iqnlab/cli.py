@@ -92,8 +92,8 @@ def build_parser():
 
 # The OpenBLAS copies that scipy and numpy bundle: each extension module
 # that links one and the suffix of its thread-count functions. scipy's runs
-# the kernels and the direct solve; numpy's 64-bit-integer copy runs every
-# ndarray.dot and np.linalg call.
+# the kernels and every factorization; numpy's 64-bit-integer copy runs every
+# ndarray.dot and np.linalg call (the objectives and the oracle).
 _OPENBLAS_POOLS = (("scipy.linalg._fblas", ""), ("numpy._core._multiarray_umath", "64_"))
 
 

@@ -360,9 +360,9 @@ class SharpenedLazySolver(MemoizedSolver):
 
     The inverse chain applies the terms both stages added to D_i, the
     positive ones first and then the negative ones, each group in stage
-    order (see _apply_chain), then the 1/omega scaling. Every term is
-    symmetric, so H stays exactly symmetric. Reordering changes rounding;
-    the golden traces pin this order.
+    order (see _apply_chain), then the 1/omega scaling. Each term is one
+    dsyr write to H's lower triangle. Reordering changes rounding; the
+    golden traces pin this order.
     """
 
     method = "SLIQN"
