@@ -115,13 +115,14 @@ def pin_blas_threads():
     """Run both bundled OpenBLAS pools, scipy's and numpy's, on one thread
     unless OPENBLAS_NUM_THREADS is set.
 
-    The kernels are level-2 calls, which lose time to a second thread: on a
-    2-vCPU host `iqn-lab run` at n = 20, d = 500 finished sooner with one
-    thread in every pair raced. The thread count also sets BLAS rounding
-    (`dsymv` and the Cholesky routines return other bits with two threads at
-    d >= 256), so one pinned count makes traces independent of the host's
-    core count. The setting is process-wide, so only the command line makes
-    it; the library never does.
+    The pin buys reproducible traces, at a measured cost in time. The
+    thread count sets BLAS rounding (`dsymv` and the Cholesky routines
+    return other bits with two threads at d >= 256), so one pinned count
+    makes traces independent of the host's core count. On a 2-vCPU host
+    `iqn-lab run` at n = 20, d = 500 finished sooner with two threads in
+    every pair raced (see the README's "Kernels"). The setting is
+    process-wide, so only the command line makes it; the library never
+    does.
     """
     if "OPENBLAS_NUM_THREADS" not in os.environ:
         for _, set_threads in _openblas_pools():

@@ -197,6 +197,7 @@ class BaseSolver:
     method = "?"
     classic = False  # classic Broyden(tau1) stage along the step s
     greedy = False   # greedy Broyden(tau2) stage on the greedy coordinate
+    exact_start = False  # D starts at the component Hessians whatever init_curvature says
     tau1 = tau2 = 0.0
 
     def __init__(self, objective: FiniteSumObjective, x0, config: SolverConfig):
@@ -216,11 +217,16 @@ class BaseSolver:
         self._rebuild()
 
     def _initial_curvature(self, x0):
-        if self.config.init_curvature == "exact-hessian":
-            return np.stack([self.objective.hessian(i, x0) for i in range(self.n)])
-        big_l = self.objective.constants.L
+        """The (n, d, d) stack D at x0: L I, or the component Hessians at x0
+        for init_curvature = "exact-hessian" and for an exact_start method.
+        The Hessians are written into the stack in place, one at a time, so
+        the start holds at most one d x d temporary beyond the stack."""
         stack = np.zeros((self.n, self.d, self.d))
-        stack[:, np.arange(self.d), np.arange(self.d)] = big_l
+        if self.exact_start or self.config.init_curvature == "exact-hessian":
+            for i in range(self.n):
+                stack[i] = self.objective.hessian(i, x0)
+        else:
+            stack[:, np.arange(self.d), np.arange(self.d)] = self.objective.constants.L
         return stack
 
     def eager_curvature(self, i: int) -> np.ndarray:
@@ -482,12 +488,12 @@ class IgsSolver(DirectSolver):
 
 class NimSolver(DirectSolver):
     """Exact-Hessian incremental Newton (Rodomanov & Kropotov, ICML 2016): no
-    stage runs; the new D_i is the component Hessian at the new iterate."""
+    stage runs; the new D_i is the component Hessian at the new iterate. D
+    always starts at the exact Hessians (exact_start), whatever
+    init_curvature says."""
 
     method = "NIM"
-
-    def _initial_curvature(self, x0):
-        return np.stack([self.objective.hessian(i, x0) for i in range(self.n)])
+    exact_start = True
 
     def _outgoing(self, i, d_i, z_old):
         np.copyto(self._d_old, d_i)  # no stage ran, so no _correction

@@ -13,6 +13,7 @@ from iqnlab.oracle import (
     finite_diff_hessian,
     full_matrix,
     lazy_eager_audit,
+    memoization_audit,
     recompute_aggregates,
     run_check_suite,
     _synthetic_logistic,
@@ -143,6 +144,23 @@ class TestAuditReport:
         assert not AuditReport.from_deviation("a", 1e-8, 1e-9).passed
         line = AuditReport.from_deviation("name", 0.5, 1.0, context="ctx").line()
         assert "PASS" in line and "name" in line and "ctx" in line
+
+
+def test_memoization_audit_inverts_nothing(monkeypatch):
+    # The audit checks H against the directly summed curvature; it never
+    # inverts that sum, nor an inverse back.
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    quad = small_quadratic()
+    report = memoization_audit(quad, initial_point(quad.d, 1.0, 1),
+                               SolverConfig(method="SLIQN", gstop=1e-300), steps=quad.n)
+    assert report.passed, report.line()
+    assert calls == []
 
 
 def test_drift_audit_uses_the_solver_default_period():

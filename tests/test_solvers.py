@@ -471,6 +471,27 @@ class TestAllocation:
         gap = (held[method] - held[reference]) / (d * d * 8)
         assert abs(gap) < 0.1, f"{method} holds {gap:+.2f} d^2 doubles beyond {reference}"
 
+    @pytest.mark.parametrize("method, init", itertools.product(
+        solvers.METHODS, ["scaled-identity", "exact-hessian"]))
+    def test_init_peaks_at_what_the_solver_holds(self, method, init):
+        # The curvature stack is filled in place, one component Hessian at a
+        # time: the start never holds a list of n Hessians next to the stack
+        # it keeps (NIM always starts from the exact Hessians).
+        d = 120
+        quad = small_quadratic(n=6, d=d)
+        x0 = initial_point(d, 1.0, 0)
+        config = SolverConfig(method=method, tau1=0.5, tau2=0.5, gstop=1e-300,
+                              init_curvature=init)
+        tracemalloc.start()
+        try:
+            solver = make_solver(quad, x0, config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del solver
+        excess = (peak - held) / (d * d * 8)
+        assert excess < 1.0, f"{method} start peaked {excess:.2f} d^2 doubles above what it holds"
+
     @pytest.mark.parametrize("method", ["SLIQN", "GSLIQN", "SIQN", "IGS"])
     def test_q_is_kept_only_when_tracking_sigma(self, method, monkeypatch):
         # With track_sigma the step copies the matrix its greedy stage
