@@ -69,8 +69,11 @@ class FiniteSumObjective:
     """Interface shared by the problem families.
 
     Component indices are 0-based. ``full_gradient`` returns the *sum* of the
-    component gradients; the stopping rule divides by n. All evaluation
-    methods are pure; objectives are immutable after construction.
+    component gradients; the stopping rule divides by n. Every result is a
+    pure function of (i, x): the problem data are fixed at construction, and
+    what an objective caches between calls (the constants, and
+    :class:`LogisticObjective`'s pieces of the last point) never changes a
+    bit of what it returns.
     """
 
     n: int
@@ -200,6 +203,7 @@ class LogisticObjective(FiniteSumObjective):
         # Built once: full_gradient runs every iteration for the stopping
         # rule. The CSC transpose shares the CSR arrays, so nothing is copied.
         self._features_t = self.features.T
+        self._memo_key = self._memo = None  # see _point
 
     # -- sparse row access -------------------------------------------------
 
@@ -237,6 +241,32 @@ class LogisticObjective(FiniteSumObjective):
         c = 0.5 * self.lam * self.p
         return c * nx ** (self.p - 2.0), c * (self.p - 2.0) * nx ** (self.p - 4.0)
 
+    # -- shared pieces of one point -----------------------------------------
+    # A greedy step asks for the gradient, the Hessian diagonal and a Hessian
+    # column of one component at one iterate. The pieces those share are
+    # computed once and kept for the last point asked about. The key is the
+    # point's value (i and x's dtype, shape and bytes), never its identity:
+    # a caller may write into x between two calls.
+
+    def _point(self, i, x):
+        """[s, z, hess] at (i, x): s = expit(<x, z_i>), z the dense row i,
+        and hess = (s (1 - s), c1, c2) once :meth:`_hessian_pieces` asks."""
+        key = (i, x.dtype, x.shape, x.tobytes())
+        if key != self._memo_key:
+            self._memo_key = key
+            self._memo = [expit(self._margin(i, x)), self._row(i), None]
+        return self._memo
+
+    def _hessian_pieces(self, i, x):
+        """(z, w, c1, c2): the loss weight w = s (1 - s) and the regularizer
+        coefficients, computed on the first Hessian-type call at (i, x), so
+        that a gradient-only caller pays nothing for them."""
+        memo = self._point(i, x)
+        if memo[2] is None:
+            s = memo[0]
+            memo[2] = (s * (1.0 - s),) + self._reg_hessian_coeffs(x)
+        return (memo[1],) + memo[2]
+
     # -- component interface -------------------------------------------------
 
     def value(self, i, x):
@@ -245,29 +275,22 @@ class LogisticObjective(FiniteSumObjective):
         return float(np.logaddexp(0.0, sign * t) + self._reg_value(x))
 
     def gradient(self, i, x):
-        t = self._margin(i, x)
-        return (expit(t) - self.labels[i]) * self._row(i) + self._reg_gradient(x)
-
-    def _loss_weight(self, i, x):
-        s = expit(self._margin(i, x))
-        return s * (1.0 - s)
+        s, z, _ = self._point(i, x)
+        return (s - self.labels[i]) * z + self._reg_gradient(x)
 
     def hessian(self, i, x):
-        z = self._row(i)
-        c1, c2 = self._reg_hessian_coeffs(x)
-        h = self._loss_weight(i, x) * np.outer(z, z) + c2 * np.outer(x, x)
+        z, w, c1, c2 = self._hessian_pieces(i, x)
+        h = w * np.outer(z, z) + c2 * np.outer(x, x)
         h[np.diag_indices(self.d)] += c1
         return h
 
     def hessian_diag(self, i, x):
-        z = self._row(i)
-        c1, c2 = self._reg_hessian_coeffs(x)
-        return self._loss_weight(i, x) * z * z + c1 + c2 * x * x
+        z, w, c1, c2 = self._hessian_pieces(i, x)
+        return w * z * z + c1 + c2 * x * x
 
     def hessian_column(self, i, x, j):
-        z = self._row(i)
-        c1, c2 = self._reg_hessian_coeffs(x)
-        col = self._loss_weight(i, x) * z[j] * z + c2 * x[j] * x
+        z, w, c1, c2 = self._hessian_pieces(i, x)
+        col = w * z[j] * z + c2 * x[j] * x
         col[j] += c1
         return col
 

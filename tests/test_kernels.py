@@ -211,6 +211,21 @@ def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
     assert rel_err(full_matrix(h), expected) < 1e-10
 
 
+def test_chain_applies_positive_then_negative_terms_in_stage_order(monkeypatch):
+    # Kernels return c as np.float64 or a Python float; a NaN c sorts with
+    # the positive ones. Each group keeps its stage order.
+    applied = []
+    monkeypatch.setattr(mk, "sm_inverse_update", lambda h, x, c: applied.append((x, c)))
+    cs = [np.float64(-1.0), 2.0, np.float64(3.0), -4.0, np.float64("nan"),
+          np.float64(-5.0), 6.0]
+    terms = [(np.full(2, float(k)), c) for k, c in enumerate(cs)]
+    assert _apply_chain(np.eye(2), terms)
+    order = [1, 2, 4, 6, 0, 3, 5]
+    assert len(applied) == len(order)
+    for (x, c), k in zip(applied, order):
+        assert x is terms[k][0] and c is terms[k][1]
+
+
 @st.composite
 def broyden_stage(draw):
     """(B, K, u, tau): SPD B and K = M M^T + I with entries of M in [-1, 1],

@@ -1,11 +1,14 @@
 """Objective-family tests: closed forms, finite-difference consistency,
 constant estimation, and the regularizer's behavior at the origin."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse
 from scipy.special import expit
 
+from iqnlab.data import initial_point
 from iqnlab.errors import DegenerateProblem
 from iqnlab.objectives import (
     LogisticObjective,
@@ -14,6 +17,7 @@ from iqnlab.objectives import (
     SmoothnessConstants,
 )
 from iqnlab.oracle import finite_diff_gradient, finite_diff_hessian
+from iqnlab.solvers import SolverConfig, make_solver
 
 
 def make_quadratic(a, b):
@@ -158,6 +162,71 @@ class TestLogisticDerivatives:
         assert obj._features_t.shape == (obj.d, obj.n)
         assert np.shares_memory(obj._features_t.data, obj.features.data)
         assert np.shares_memory(obj._features_t.indices, obj.features.indices)
+
+
+class TestLogisticMemo:
+    # LogisticObjective keeps the pieces its oracles share for the last
+    # (i, x) it saw. Every result must be what an objective without that
+    # memo returns, bit for bit.
+    ORACLES = {
+        "gradient": lambda obj, i, x: obj.gradient(i, x),
+        "hessian": lambda obj, i, x: obj.hessian(i, x),
+        "hessian_diag": lambda obj, i, x: obj.hessian_diag(i, x),
+        "hessian_column": lambda obj, i, x: obj.hessian_column(i, x, 2),
+    }
+
+    @staticmethod
+    def fresh(obj):
+        return LogisticObjective(obj.features, obj.labels, obj.lam, obj.p, obj.radius)
+
+    def expect_fresh(self, obj, name, i, x):
+        got, want = self.ORACLES[name](obj, i, x), self.ORACLES[name](self.fresh(obj), i, x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        return got
+
+    def test_oracles_bit_identical_in_any_call_order(self, rng, random_logistic):
+        x = rng.standard_normal(random_logistic.d)
+        for order in itertools.permutations(self.ORACLES):
+            obj = self.fresh(random_logistic)
+            for name in order:
+                # A result is the caller's own: writing into it changes no later one.
+                self.expect_fresh(obj, name, 3, x).fill(np.nan)
+
+    def test_in_place_write_or_other_component_gives_fresh_values(self, rng, random_logistic):
+        obj = random_logistic
+        x = rng.standard_normal(obj.d)
+        for name in self.ORACLES:
+            before = self.expect_fresh(obj, name, 1, x)
+            x[0] += 0.5
+            assert not np.array_equal(self.expect_fresh(obj, name, 1, x), before)
+            self.expect_fresh(obj, name, 4, x)
+
+    def test_same_bytes_of_another_dtype_miss(self, random_logistic):
+        obj = random_logistic
+        x_int = np.arange(1, obj.d + 1, dtype=np.int64)
+        x_float = x_int.view(np.float64)  # the same bytes: subnormal floats
+        for name in self.ORACLES:
+            at_float = self.expect_fresh(obj, name, 0, x_float)
+            assert not np.array_equal(self.expect_fresh(obj, name, 0, x_int), at_float)
+
+    def test_sliqn_step_evaluates_each_point_once(self, random_logistic, monkeypatch):
+        # A greedy step reads the gradient, the Hessian diagonal and one
+        # Hessian column at the same (i, x): one margin and one dense row.
+        calls = {"_margin": 0, "_row": 0}
+        for name in calls:
+            method = getattr(LogisticObjective, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(LogisticObjective, name, counted)
+        obj = random_logistic
+        solver = make_solver(obj, initial_point(obj.d, 0.5, 0),
+                             SolverConfig(method="SLIQN", gstop=1e-300))
+        for _ in range(2 * obj.n):
+            calls.update(_margin=0, _row=0)
+            solver.step()
+            assert calls == {"_margin": 1, "_row": 1}
 
 
 class TestLogisticConstants:

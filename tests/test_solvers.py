@@ -450,6 +450,24 @@ class TestAllocation:
             tracemalloc.stop()
         assert peak < d * d * 8, f"{method} step peaked at {peak / (d * d * 8):.2f} d^2 doubles"
 
+    @pytest.mark.parametrize("method", ["IQN", "SLIQN", "SIQN", "IGS"])
+    def test_refresh_step_allocates_no_d_by_d_array(self, method):
+        # A rebuild sums the D_i into the buffer the aggregate already has
+        # (H, which Cholesky then inverts in place, or the direct sum).
+        d = 120
+        quad = small_quadratic(n=4, d=d)
+        solver = make_solver(quad, initial_point(d, 1.0, 0), SolverConfig(
+            method=method, gstop=1e-300, refresh_period=3))
+        solver.step()
+        solver.step()
+        tracemalloc.start()
+        try:
+            solver.step()  # t = 3: the step ends in a rebuild
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8, f"{method} refresh peaked at {peak / (d * d * 8):.2f} d^2 doubles"
+
     @pytest.mark.parametrize("method, reference", [
         ("SLIQN", "IQN"), ("GSLIQN", "IQN"), ("SIQN", "NIM"), ("IGS", "NIM")])
     def test_stages_hold_no_matrix_beyond_their_strategy(self, method, reference):
