@@ -111,9 +111,11 @@ def _curvature_guards(b, ku, u):
     # <u, Bu> ~ ||u||^2 ||B|| and uku ~ ||u|| ||Ku||. Coupling them would
     # reject healthy updates whenever B and K live on different scales.
     # 2-norms as sqrt(x . x), numpy's norm formula without its call overhead;
-    # the max as the reduction ndarray.max() calls.
+    # the max as a[a.argmax()], the value a.max() returns (argmax stops at
+    # the first NaN) at a third of the reduction's cost on a short diagonal.
     nu = math.sqrt(u.dot(u))
-    return (GUARD_TOL * nu * nu * np.maximum.reduce(np.abs(b.diagonal())),
+    diag = np.abs(b.diagonal())
+    return (GUARD_TOL * nu * nu * diag[diag.argmax()],
             GUARD_TOL * nu * math.sqrt(ku.dot(ku)))
 
 
@@ -196,11 +198,14 @@ def greedy_vector(q_diag: np.ndarray, h_diag: np.ndarray) -> int:
     NonPositiveDiagonal
         If any reference diagonal entry is <= GUARD_TOL.
     """
-    low = h_diag.min()
-    # min() is NaN when any entry is, and then says nothing of the others.
+    # The min as h_diag[h_diag.argmin()], a third of min()'s cost at small d.
+    # It is NaN when any entry is, and then says nothing of the others. The
+    # message takes min() itself: with both zeros present the two may differ
+    # in the zero's sign.
+    low = h_diag[h_diag.argmin()]
     if low <= GUARD_TOL or (low != low and np.any(h_diag <= GUARD_TOL)):
         raise NonPositiveDiagonal(
-            f"reference diagonal has entries <= {GUARD_TOL:.1e} (min {low:.3e})"
+            f"reference diagonal has entries <= {GUARD_TOL:.1e} (min {h_diag.min():.3e})"
         )
     return int((q_diag / h_diag).argmax())
 

@@ -250,22 +250,25 @@ class BaseSolver:
         i = index_of(t, self.n)
         x = self._solve_iterate()
         z_old = self.z[i]
-        grad_new = self.objective.gradient(i, x)
         d_i = self.D[i]
         y_raw = q = None
         skipped = False
         terms = []
-        if self.classic or self.greedy:
-            # NIM runs no stage: its _fold writes the exact Hessian.
+        stages = self.classic or self.greedy  # NIM runs none: its _fold writes the exact Hessian
+        if stages:
             s = x - z_old
-            y_raw = grad_new - self.grads[i]
             # Vector 2-norms as numpy's norm computes them, minus its overhead.
             skipped = self.classic and (
                 math.sqrt(s.dot(s)) <= TINY_STEP * (1.0 + math.sqrt(z_old.dot(z_old))))
             # Every stage writes D_i in place. Scale stage: D_i *= (1 + c)^2.
+            # SIQN's and IGS's c reads the Hessian at z_old, so it comes
+            # before every oracle call at x, which then share one point.
             c = self._correction(t, i, s, skipped)
             if c != 0.0:
                 d_i *= (1.0 + c) ** 2
+        grad_new = self.objective.gradient(i, x)
+        if stages:
+            y_raw = grad_new - self.grads[i]
         outgoing = self._outgoing(i, d_i, z_old)
 
         # The stages update D_i in place through the public kernels, called

@@ -1,5 +1,7 @@
 """Unit and property tests for the dense curvature kernels."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,37 @@ class TestGreedyVector:
         else:
             # argmax of q/h, which counts a NaN ratio as the largest.
             assert fn(q_diag, h_diag) == int(np.argmax(q_diag / h_diag))
+
+
+class TestReductionsMatchTheOldExpressions:
+    # The guards take a[a.argmax()] for np.maximum.reduce(a) and
+    # h[h.argmin()] for h.min(): the same values on every diagonal,
+    # NaN, infinities and signed zeros included.
+    VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, mk.GUARD_TOL, 1.0, -2.5)
+    DIAGONALS = [np.array(v) for v in itertools.product(VALUES, repeat=3)]
+
+    def test_curvature_guards(self, rng):
+        u, ku = rng.standard_normal(3), rng.standard_normal(3)
+        nu = np.sqrt(u.dot(u))
+        for diag in self.DIAGONALS:
+            b = np.diag(diag)
+            old = (mk.GUARD_TOL * nu * nu * np.maximum.reduce(np.abs(b.diagonal())),
+                   mk.GUARD_TOL * nu * np.sqrt(ku.dot(ku)))
+            np.testing.assert_array_equal(mk._curvature_guards(b, ku, u), old, str(diag))
+
+    def test_greedy_vector_picks_and_messages(self):
+        q_diag = np.array([1.0, 3.0, 2.0])
+        for h_diag in self.DIAGONALS:
+            low = h_diag.min()
+            with np.errstate(invalid="ignore", divide="ignore"):
+                if low <= mk.GUARD_TOL or (low != low and np.any(h_diag <= mk.GUARD_TOL)):
+                    message = (f"reference diagonal has entries <= {mk.GUARD_TOL:.1e} "
+                               f"(min {low:.3e})")
+                    with pytest.raises(NonPositiveDiagonal) as info:
+                        mk.greedy_vector(q_diag, h_diag)
+                    assert str(info.value) == message
+                else:
+                    assert mk.greedy_vector(q_diag, h_diag) == int((q_diag / h_diag).argmax())
 
 
 class TestSigmaMetric:

@@ -2,6 +2,7 @@
 constant estimation, and the regularizer's behavior at the origin."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import expit
 from iqnlab.data import initial_point
 from iqnlab.errors import DegenerateProblem
 from iqnlab.objectives import (
+    ORIGIN_GUARD,
     LogisticObjective,
     QuadraticComponents,
     QuadraticObjective,
@@ -149,19 +151,64 @@ class TestLogisticDerivatives:
         direct = sum(obj.gradient(i, x) for i in range(obj.n))
         np.testing.assert_allclose(obj.full_gradient(x), direct, atol=1e-12)
 
-    def test_full_gradient_bit_equal_to_uncached_transpose(self, rng, random_logistic):
-        obj = random_logistic
-        for _ in range(3):
-            x = rng.standard_normal(obj.d)
-            uncached = (obj.features.T @ (expit(obj.features @ x) - obj.labels)
-                        + obj.n * obj._reg_gradient(x))
-            np.testing.assert_array_equal(obj.full_gradient(x), uncached)
+    @staticmethod
+    def uncached_full_gradient(obj, x):
+        """Z^T (expit(Z x) - y) + n grad reg(x) through scipy's public ``@``."""
+        nx = np.sqrt(x.dot(x))
+        reg = (np.zeros(obj.d) if nx < ORIGIN_GUARD
+               else 0.5 * obj.lam * obj.p * nx ** (obj.p - 2.0) * x)
+        return obj.features.T @ (expit(obj.features @ x) - obj.labels) + obj.n * reg
 
-    def test_cached_transpose_shares_the_csr_arrays(self, random_logistic):
+    def test_full_gradient_bit_equal_to_uncached_transpose(self, rng, random_logistic):
+        # full_gradient calls scipy's private compiled kernels; a scipy that
+        # changes them fails here first.
+        with_empty_row = random_logistic.features.toarray()
+        with_empty_row[2] = 0.0
+        for obj in (random_logistic, make_logistic(with_empty_row, random_logistic.labels)):
+            d = obj.d
+            points = [rng.standard_normal(d) for _ in range(3)] + [
+                rng.integers(-3, 4, size=d),                         # int64
+                rng.standard_normal(d).astype(np.float32),
+                rng.standard_normal(2 * d)[::2],                     # strided
+                1e-16 * rng.standard_normal(d),                      # inside ORIGIN_GUARD
+                np.zeros(d),
+            ]
+            for x in points:
+                got, want = obj.full_gradient(x), self.uncached_full_gradient(obj, x)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), x
+
+    def test_full_gradient_skips_scipys_python_dispatch(self, rng, random_logistic,
+                                                        monkeypatch):
         obj = random_logistic
-        assert obj._features_t.shape == (obj.d, obj.n)
-        assert np.shares_memory(obj._features_t.data, obj.features.data)
-        assert np.shares_memory(obj._features_t.indices, obj.features.indices)
+        x = rng.standard_normal(obj.d)
+        want = self.uncached_full_gradient(obj, x)
+
+        def refuse(*_args):
+            raise AssertionError("full_gradient went through csr_matrix @ x")
+        monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "_matmul_vector", refuse)
+        np.testing.assert_array_equal(obj.full_gradient(x), want)
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1)])
+    def test_full_gradient_rejects_a_point_of_another_length(self, random_logistic, shape):
+        # The compiled kernels read d entries of x whatever its length.
+        with pytest.raises(ValueError, match="x must have shape"):
+            random_logistic.full_gradient(np.ones(shape))
+
+    def test_full_gradient_allocates_nothing_of_size_nnz(self, rng):
+        # A transposed copy of the features, or a product that converts
+        # them, would allocate nnz values; the stopping rule needs O(n + d).
+        n, d = 20, 100
+        obj = make_logistic(rng.standard_normal((n, d)), (rng.random(n) > 0.5).astype(float))
+        obj.full_gradient(rng.standard_normal(d))
+        x = rng.standard_normal(d)
+        tracemalloc.start()
+        try:
+            obj.full_gradient(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert obj.features.nnz == n * d
+        assert peak < obj.features.data.nbytes // 2, peak
 
 
 class TestLogisticMemo:
@@ -208,6 +255,50 @@ class TestLogisticMemo:
         for name in self.ORACLES:
             at_float = self.expect_fresh(obj, name, 0, x_float)
             assert not np.array_equal(self.expect_fresh(obj, name, 0, x_int), at_float)
+
+    @pytest.mark.parametrize("names", [
+        ("gradient", "full_gradient"),
+        ("gradient", "hessian_diag", "hessian_column", "full_gradient"),
+        ("gradient", "hessian", "full_gradient"),
+    ], ids=["IQN", "SLIQN", "NIM"])
+    def test_one_norm_per_point(self, rng, random_logistic, names):
+        # What a step and its stopping rule ask at one iterate: ||x||, which
+        # the regularizer's gradient and Hessian coefficients share, is
+        # evaluated once per point, whatever the component.
+        norms = []
+
+        class Counting(np.ndarray):
+            def dot(self, other, *args):
+                if other is self:
+                    norms.append(1)
+                return np.asarray(self).dot(np.asarray(other), *args)
+
+        obj = random_logistic
+        oracles = dict(self.ORACLES, full_gradient=lambda obj, i, x: obj.full_gradient(x))
+        for point in range(1, 4):
+            x = rng.standard_normal(obj.d).view(Counting)
+            for i in (0, 3):
+                for name in names:
+                    oracles[name](obj, i, x)
+            assert len(norms) == point
+
+    @pytest.mark.parametrize("method, rows", [
+        ("SLIQN", 1), ("IQN", 1), ("NIM", 1), ("SIQN", 2), ("IGS", 2)])
+    def test_dense_rows_per_step(self, random_logistic, monkeypatch, method, rows):
+        # SIQN's and IGS's scale stage reads the Hessian at the old iterate;
+        # every other oracle call of a step is at the new one.
+        calls = []
+        row = LogisticObjective._row
+        monkeypatch.setattr(LogisticObjective, "_row",
+                            lambda self, i: calls.append(i) or row(self, i))
+        obj = random_logistic
+        assert obj.constants.M > 0.0  # the scale stage reads the Hessian
+        solver = make_solver(obj, initial_point(obj.d, 0.5, 0),
+                             SolverConfig(method=method, gstop=1e-300))
+        for _ in range(2 * obj.n):
+            calls.clear()
+            solver.step()
+            assert len(calls) == rows
 
     def test_sliqn_step_evaluates_each_point_once(self, random_logistic, monkeypatch):
         # A greedy step reads the gradient, the Hessian diagonal and one
