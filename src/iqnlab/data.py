@@ -160,6 +160,8 @@ class GeneratorSpec:
             raise InvalidSpec(f"xi = {self.xi} overflows the diagonal bound 10^(xi/2)") from None
         if not 0.0 <= self.b_max < math.inf:
             raise InvalidSpec(f"b_max must be finite and non-negative, got {self.b_max}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
 
 def generate_quadratic(spec: GeneratorSpec) -> QuadraticComponents:

@@ -17,7 +17,7 @@ import numpy as np
 from .data import GeneratorSpec, generate_quadratic, initial_point, load_libsvm, rows_to_csr
 from .errors import HarnessError, IqnLabError
 from .objectives import LogisticObjective, QuadraticObjective
-from .solvers import METHODS, AlphaSchedule, SolverConfig, diverged, index_of, run, run_solver
+from .solvers import AlphaSchedule, SolverConfig, diverged, index_of, run, run_solver
 
 TRACE_COLUMNS = ("t", "epoch", "grad_norm", "normalized_error", "sigma_max", "wall_ms")
 
@@ -57,9 +57,10 @@ class ExperimentConfig:
             raise HarnessError(f"unknown problem {self.problem!r}")
         if not self.methods:
             raise HarnessError("at least one method is required")
-        for m in self.methods:
-            if m not in METHODS:
-                raise HarnessError(f"unknown method {m!r}; expected one of {METHODS}")
+        if self.seed < 0:
+            raise HarnessError(f"seed must be non-negative, got {self.seed}")
+        if not np.isfinite(self.x0_scale):
+            raise HarnessError(f"x0_scale must be finite, got {self.x0_scale}")
         if self.problem == "logistic" and not self.data:
             raise HarnessError("logistic problems need a 'data' path")
         if self.lam != "auto":
@@ -67,7 +68,7 @@ class ExperimentConfig:
                 float(self.lam)
             except ValueError as exc:
                 raise HarnessError(f"lam must be 'auto' or a number, got {self.lam!r}") from exc
-        for m in self.methods:
+        for m in self.methods:  # SolverConfig names the unknown methods
             _solver_config(self, m)
 
 

@@ -6,15 +6,21 @@ overwrites its matrix argument in place, through BLAS level-2 routines from
 ``sm_inverse_update`` returns the matrix, a curvature kernel the list of
 terms ``(x, c)`` it added, each meaning ``B += c x x^T``. An update costs a
 few O(d^2) passes and allocates only vectors. Guards are checked before anything
-is written, so a kernel that raises leaves its matrix as it was. A matrix the
-kernel cannot update in place (Fortran-ordered, not float64, read-only)
-raises ``ValueError`` at the first write, also with the matrix untouched.
+is written, so a kernel that raises leaves its matrix as it was; only a
+Cholesky kernel finds a singular matrix while factorizing it, and leaves a
+partial factor behind. A matrix the kernel cannot update in place
+(Fortran-ordered, not float64, read-only) raises ``ValueError`` at the first
+write, also with the matrix untouched.
 
 A symmetric matrix is stored as its lower triangle (``m[i, j]``, ``i >= j``);
 nothing here reads or writes the strict upper one. Every update is a sum of
 symmetric terms ``c x x^T``, the Sherman-Morrison update inverting one:
-``symv`` (``dsymv``) takes the products and ``dsyr`` writes each term. A
-reader that needs the full matrix mirrors a copy with ``symmetrize``.
+``symv`` (``dsymv``) takes the products and ``dsyr`` writes each term. The
+Cholesky kernels factorize the same triangle: ``cholesky_inverse``
+(``dpotrf`` + ``dpotri``) rebuilds an inverse over it and ``cholesky_solve``
+(``dposv``) solves with it. Only this module hands a stored matrix to
+BLAS or LAPACK. ``symmetrize`` mirrors the full matrix for ``sigma_metric``,
+whose SciPy solve reads all of it.
 
 The curvature operators take the reference matrix K only through its action
 ``ku = K @ u`` and the scalar ``uku = <u, K u>``. The two call sites need
@@ -29,12 +35,16 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsymv as _dsymv
 from scipy.linalg.blas import dsyr as _dsyr
+from scipy.linalg.lapack import dposv as _dposv
+from scipy.linalg.lapack import dpotrf as _dpotrf
+from scipy.linalg.lapack import dpotri as _dpotri
 
 from .errors import (
     DegenerateDirection,
     InvalidTau,
     NonPositiveDiagonal,
     SingularA,
+    SingularAggregate,
     SingularUpdate,
 )
 
@@ -51,19 +61,19 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return m
 
 
-# BLAS takes Fortran-ordered matrices; the C-ordered m is passed as its
-# Fortran-ordered view m.T, since f2py would copy m itself on every call.
-# The upper triangle of m.T, BLAS's default, is the lower triangle of m.
+# BLAS and LAPACK take Fortran-ordered matrices; the C-ordered m is passed
+# as its Fortran-ordered view m.T, since f2py would copy m itself on every
+# call. The upper triangle of m.T, their default, is the lower triangle of m.
 
 def symv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``m @ x`` for a symmetric ``m``, read from its lower triangle."""
     return _dsymv(1.0, m.T, x)
 
 
-# f2py hands dsyr a copy of a view that is not a float64 Fortran array, and
-# writes through a read-only one. The update would then be lost, or land in
-# memory the caller protected, so the rank-one writes below check both and
-# raise before anything of m is written.
+# f2py hands dsyr and dpotrf a copy of a view that is not a float64 Fortran
+# array, and writes through a read-only one. The update would then be lost,
+# or land in memory the caller protected, so the in-place writes below check
+# both and raise with m untouched.
 _NOT_IN_PLACE = "the matrix must be a writeable C-ordered float64 array"
 
 
@@ -72,6 +82,47 @@ def _add_symmetric(m, c, x):
     a = m.T
     if not m.flags.writeable or _dsyr(c, x, a=a, overwrite_a=1) is not a:
         raise ValueError(_NOT_IN_PLACE)
+
+
+def cholesky_inverse(m: np.ndarray) -> np.ndarray:
+    """Overwrite the SPD ``m`` (lower triangle) with its inverse, by
+    Cholesky (``dpotrf``, then ``dpotri``); returns m.
+
+    Raises
+    ------
+    SingularAggregate
+        If m is singular or indefinite; m then holds a partial factor.
+    ValueError
+        If ``m`` cannot be updated in place (m is then untouched).
+    """
+    a = m.T
+    # clean=0: the default clean=1 zeroes the strict upper triangle of m.
+    c, info = _dpotrf(a, clean=0, overwrite_a=1) if m.flags.writeable else (None, 0)
+    if c is not a:
+        raise ValueError(_NOT_IN_PLACE)
+    if info == 0:
+        _, info = _dpotri(a, overwrite_c=1)
+    if info != 0:
+        raise SingularAggregate(f"summed curvature is singular or indefinite (info {info})")
+    return m
+
+
+def cholesky_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x`` with ``M x = b`` for the SPD ``m`` (lower triangle), by
+    ``dposv``. ``m`` is scratch: a C-ordered float64 one is overwritten with
+    its Cholesky factor, so the solve allocates no copy; ``b`` is kept.
+    scipy's LAPACK, not numpy's: a numpy solve leaves numpy's own OpenBLAS
+    pool spinning on the shared cores, which stalls the next kernel.
+
+    Raises
+    ------
+    SingularAggregate
+        If m is singular or indefinite.
+    """
+    _, x, info = _dposv(m.T, b, overwrite_a=1)
+    if info != 0:
+        raise SingularAggregate(f"aggregate solve failed: dposv info {info}")
+    return x
 
 
 def sm_inverse_update(h: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:

@@ -12,9 +12,9 @@ method  scale c        classic stage   greedy stage    aggregate strategy
 IQN     0              BFGS along s    -               memoized inverse chain
 SLIQN   pending alpha  BFGS along s    BFGS on e_k     chain, lazy omega
 GSLIQN  pending alpha  Broyden(tau1)   Broyden(tau2)   chain, lazy omega
-SIQN    beta           BFGS along s    BFGS on e_k     exact sums + dposv
-IGS     beta           -               BFGS on e_k     exact sums + dposv
-NIM     exact component Hessian instead of stages      exact sums + dposv
+SIQN    beta           BFGS along s    BFGS on e_k     exact sums + Cholesky
+IGS     beta           -               BFGS on e_k     exact sums + Cholesky
+NIM     exact component Hessian instead of stages      exact sums + Cholesky
 
 The scale stage multiplies D_i by (1 + c)^2 and the reference Hessian K by
 (1 + c), with beta = (M/2) ||s||_{z_i} per step (0 when the classic stage is
@@ -23,8 +23,11 @@ of the diagonals of Q and the Hessian. The memoized chain keeps
 H = (sum D_i)^{-1} by rank-one inverse updates in O(d^2); the direct
 strategy updates exact sums in O(d^2) and solves them in O(d^3). Every
 matrix a solver keeps (H, each D_i, the direct sums) is symmetric and stored
-as its lower triangle: mk.symv reads it, Cholesky factorizes it, and nothing
-reads the strict upper triangle.
+as its lower triangle, and only matkernel's kernels touch it: mk.symv reads
+it, mk.cholesky_inverse rebuilds H from the summed curvature and
+mk.cholesky_solve solves the direct sums. Nothing reads the strict upper
+triangle. How far H has drifted from the inverse of the sum is the oracle's
+measure (oracle.inverse_residual), not the solvers'.
 
 Lazy scaling (SLIQN/GSLIQN): stored matrices omit multiplicative epoch
 scalings. The stored value of a tuple written in epoch e equals its true
@@ -40,10 +43,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg.lapack
 
 from . import matkernel as mk
-from .errors import IqnLabError, LazyInconsistency, SingularAggregate, SingularUpdate
+from .errors import IqnLabError, LazyInconsistency, SingularUpdate
 from .objectives import FiniteSumObjective
 
 METHODS = ("IQN", "SIQN", "SLIQN", "GSLIQN", "IGS", "NIM")
@@ -159,17 +161,6 @@ class StepResult:
     classic_skipped: bool = False
 
 
-def _summed_inverse(dbar):
-    """Inverse of the summed curvature by Cholesky, written over the lower
-    triangle of dbar; the one place the memoized solvers factorize it."""
-    c, info = scipy.linalg.lapack.dpotrf(dbar.T, overwrite_a=1)  # dbar.T: see mk.symv
-    if info == 0:
-        c, info = scipy.linalg.lapack.dpotri(c, overwrite_c=1)
-    if info != 0:
-        raise SingularAggregate(f"summed curvature is singular or indefinite (info {info})")
-    return c.T
-
-
 def _apply_chain(h, terms):
     """Invert each added term (x, c), B += c x x^T, into ``h`` in place: the
     positive c first, then the negative, each in stage order (a NaN c counts
@@ -193,6 +184,7 @@ def _apply_chain(h, terms):
 class BaseSolver:
     """Shared tuple state: iterates z (n, d), gradients (n, d), curvature
     D (n, d, d), and the iteration counter t (completed iterations).
+    ``method`` is config.method, the one name a solver goes by.
 
     step() runs every method: the class flags below pick its curvature
     stages, and its aggregate strategy overrides the hooks after step().
@@ -200,7 +192,6 @@ class BaseSolver:
     every refresh_period-th step.
     """
 
-    method = "?"
     classic = False  # classic Broyden(tau1) stage along the step s
     greedy = False   # greedy Broyden(tau2) stage on the greedy coordinate
     exact_start = False  # D starts at the component Hessians whatever init_curvature says
@@ -209,6 +200,7 @@ class BaseSolver:
     def __init__(self, objective: FiniteSumObjective, x0, config: SolverConfig):
         self.objective = objective
         self.config = config
+        self.method = config.method
         self.n = objective.n
         self.d = objective.d
         self.t = 0
@@ -325,15 +317,16 @@ class MemoizedSolver(BaseSolver):
     """Memoized aggregates H = (sum D_i)^{-1}, phi = sum D_i z_i,
     g = sum grad_i. H follows every step through the rank-one inverse chain
     of the terms the stages added, with the epoch scaling omega applied
-    lazily; the periodic rebuild bounds its drift."""
+    lazily; the periodic rebuild, mk.cholesky_inverse of the summed
+    curvature, bounds its drift."""
 
     alpha = AlphaSchedule()  # omega = 1 unless a method sets a schedule
     H = None  # allocated by the first rebuild, rewritten in place by the others
 
     def _curvature_sum(self):
         """sum_i D_i (eager), accumulated over H's buffer, which
-        _summed_inverse then inverts in place: after the first rebuild no
-        rebuild allocates a d x d array."""
+        mk.cholesky_inverse then inverts in place: after the first rebuild
+        no rebuild allocates a d x d array."""
         dbar = np.empty((self.d, self.d)) if self.H is None else self.H
         dbar.fill(0.0)
         for i in range(self.n):
@@ -342,15 +335,8 @@ class MemoizedSolver(BaseSolver):
 
     def _rebuild(self):
         self.phi = sum(mk.symv(self.eager_curvature(i), self.z[i]) for i in range(self.n))
-        self.H = _summed_inverse(self._curvature_sum())
+        self.H = mk.cholesky_inverse(self._curvature_sum())
         self.g = self.grads.sum(axis=0)
-
-    def aggregate_drift(self) -> float:
-        """|| H (sum D_i) - I ||_F for the current memoized inverse."""
-        h = mk.symmetrize(self.H.copy())
-        # Summed apart: _curvature_sum would overwrite H.
-        dbar = mk.symmetrize(sum(self.eager_curvature(i) for i in range(self.n)))
-        return float(np.linalg.norm(h @ dbar - np.eye(self.d)))
 
     def _solve_iterate(self):
         return mk.symv(self.H, self.phi - self.g)
@@ -371,7 +357,7 @@ class MemoizedSolver(BaseSolver):
         if not chained:
             # Rounding made an intermediate singular (see _apply_chain). H is
             # then part-updated: rebuild it directly.
-            self.H = _summed_inverse(self._curvature_sum())
+            self.H = mk.cholesky_inverse(self._curvature_sum())
         elif w != 1.0:
             self.H /= w
 
@@ -387,7 +373,6 @@ class SharpenedLazySolver(MemoizedSolver):
     golden traces pin this order.
     """
 
-    method = "SLIQN"
     classic = True
     greedy = True
 
@@ -428,7 +413,6 @@ class IqnSolver(MemoizedSolver):
     """Classic-only incremental BFGS with memoized aggregates; the summed
     inverse is maintained by two rank-one inverse updates per step."""
 
-    method = "IQN"
     classic = True
 
     def _swap_phi(self, dz_old, dx, w):
@@ -437,7 +421,8 @@ class IqnSolver(MemoizedSolver):
 
 class DirectSolver(BaseSolver):
     """Direct strategy: each step folds the touched tuple's change into the
-    sums of D_i and D_i z_i - grad_i, and the iterate solves them by Cholesky.
+    sums of D_i and D_i z_i - grad_i, and the iterate solves them with
+    mk.cholesky_solve on a copy of the curvature sum in the _chol buffer.
     The scale stage (SIQN, IGS) uses the per-step beta = (M/2) ||s||_{z_i}."""
 
     _hsum = None  # allocated by the first rebuild, rewritten in place by the others
@@ -445,7 +430,7 @@ class DirectSolver(BaseSolver):
     def __init__(self, objective, x0, config):
         super().__init__(objective, x0, config)
         self._d_old = np.empty((self.d, self.d))  # outgoing D_i, see _fold
-        self._chol = np.empty((self.d, self.d))  # dposv factorizes here
+        self._chol = np.empty((self.d, self.d))  # mk.cholesky_solve factorizes here
 
     def _rebuild(self):
         # A beta-swollen D_i leaves its peak's rounding in the incremental
@@ -454,15 +439,10 @@ class DirectSolver(BaseSolver):
         self._rhs = sum(map(mk.symv, self.D, self.z)) - self.grads.sum(axis=0)
 
     def _solve_iterate(self):
-        # scipy's LAPACK, not numpy's: a numpy solve leaves its own OpenBLAS
-        # pool spinning on the shared cores, which stalls the next kernel.
-        # The sum goes into _chol, which dposv overwrites with its factor
-        # instead of allocating a copy of its own (_chol.T: see mk.symv).
+        # The sum goes into _chol, which the solve overwrites with its factor
+        # instead of allocating a copy of its own.
         np.copyto(self._chol, self._hsum)
-        _, x, info = scipy.linalg.lapack.dposv(self._chol.T, self._rhs, overwrite_a=1)
-        if info != 0:
-            raise SingularAggregate(f"aggregate solve failed: dposv info {info}")
-        return x
+        return mk.cholesky_solve(self._chol, self._rhs)
 
     def _correction(self, t, i, s, skipped):
         """beta in the component Hessian's norm; 0 if the classic stage is skipped."""
@@ -491,7 +471,6 @@ class SiqnSolver(DirectSolver):
     """Two-stage (classic + greedy) updates with the per-step beta
     correction; the O(d^3) correctness reference for the lazy solver."""
 
-    method = "SIQN"
     classic = True
     greedy = True
 
@@ -500,7 +479,6 @@ class IgsSolver(DirectSolver):
     """Greedy-only updates: scale D_i by (1 + beta)^2, then one greedy step
     against the Hessian at the new iterate."""
 
-    method = "IGS"
     greedy = True
 
 
@@ -510,7 +488,6 @@ class NimSolver(DirectSolver):
     always starts at the exact Hessians (exact_start), whatever
     init_curvature says."""
 
-    method = "NIM"
     exact_start = True
 
     def _outgoing(self, i, d_i, z_old):
@@ -534,10 +511,7 @@ _SOLVERS = {
 
 def make_solver(objective, x0, config: SolverConfig) -> BaseSolver:
     """Instantiate the solver selected by config.method."""
-    cls = _SOLVERS[config.method]
-    solver = cls(objective, x0, config)
-    solver.method = config.method
-    return solver
+    return _SOLVERS[config.method](objective, x0, config)
 
 
 def run(objective, x0, config: SolverConfig, x_star=None):

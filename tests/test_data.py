@@ -126,8 +126,9 @@ class TestGenerator:
 
     @pytest.mark.parametrize("spec", [
         dict(xi=np.inf), dict(xi=np.nan), dict(xi=700.0),
-        dict(b_max=np.inf), dict(b_max=np.nan), dict(b_max=-1.0),
-    ], ids=["xi-inf", "xi-nan", "xi-overflow", "b_max-inf", "b_max-nan", "b_max-negative"])
+        dict(b_max=np.inf), dict(b_max=np.nan), dict(b_max=-1.0), dict(seed=-1),
+    ], ids=["xi-inf", "xi-nan", "xi-overflow", "b_max-inf", "b_max-nan", "b_max-negative",
+            "seed-negative"])
     def test_invalid_spec_rejected(self, spec):
         with pytest.raises(InvalidSpec):
             GeneratorSpec(**{"n": 2, "d": 4, "xi": 1.0, **spec})

@@ -395,6 +395,25 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("problem, setting, flags", [
+        # Logistic for the seed: its start point is drawn with no GeneratorSpec
+        # to check it. Quadratic for x0_scale: the logistic reference run
+        # would fail on a non-finite start anyway.
+        (f"logistic\ndata = {LOGISTIC60}", "", ["--seed", "-1"]),
+        ("quadratic\nn = 4\nd = 6", "x0_scale = nan", []),
+        ("quadratic\nn = 4\nd = 6", "x0_scale = inf", [])],
+        ids=["seed-negative", "x0_scale-nan", "x0_scale-inf"])
+    def test_run_bad_seed_or_start_exits_before_output(self, tmp_path, capsys, problem,
+                                                       setting, flags):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = {problem}\nmethods = IQN\n{setting}\n"
+                       f"out = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_alpha_mode_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("problem = quadratic\nn = 4\nd = 6\nmethods = SLIQN\n"
@@ -404,9 +423,11 @@ class TestCli:
         assert err.startswith("error: unknown config key 'alpha_mode'")
         assert not (tmp_path / "out").exists()
 
-    def test_gen_quadratic_overflowing_xi_exits_nonzero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("args", [["--xi", "700"], ["--xi", "1", "--seed", "-3"]],
+                             ids=["xi-700", "seed-negative"])
+    def test_gen_quadratic_overflowing_xi_exits_nonzero(self, tmp_path, capsys, args):
         out = tmp_path / "quad.npz"
-        assert cli_main(["gen-quadratic", "--n", "2", "--d", "4", "--xi", "700",
+        assert cli_main(["gen-quadratic", "--n", "2", "--d", "4", *args,
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")

@@ -8,7 +8,9 @@ scalar case to one where BLAS blocking applies. The oracle's formulas are
 full-matrix numpy expressions that share no code with the kernels.
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from iqnlab import matkernel as mk
-from iqnlab.errors import DegenerateDirection, SingularUpdate
+from iqnlab.errors import DegenerateDirection, SingularAggregate, SingularUpdate
 from iqnlab.oracle import _broyden_explicit, full_matrix
 from iqnlab.solvers import _apply_chain
 
@@ -175,6 +177,57 @@ def test_sm_reads_and_writes_the_lower_triangle_only(rng, d):
         assert rel_err(np.tril(got), np.tril(expected)) < 1e-10
 
 
+@pytest.mark.parametrize("d", DIMS)
+def test_cholesky_kernels_read_and_write_the_lower_triangle_only(rng, d):
+    # Both factorize the stored triangle: a poisoned copy gives the clean
+    # run's bits, and the results match numpy's inverse and solve.
+    a = sym_spd(rng, d)
+    b = rng.standard_normal(d)
+    runs = []
+    for start in (a, poisoned(a)):
+        m, f = start.copy(), start.copy()
+        assert mk.cholesky_inverse(m) is m
+        x = mk.cholesky_solve(f, b)
+        assert_upper_kept(m, start)
+        assert_upper_kept(f, start)
+        runs.append((m, x))
+    (inv, x), (inv_nan, x_nan) = runs
+    np.testing.assert_array_equal(np.tril(inv_nan), np.tril(inv))
+    np.testing.assert_array_equal(x_nan, x)
+    assert rel_err(full_matrix(inv), np.linalg.inv(a)) < 1e-10
+    assert rel_err(x, np.linalg.solve(a, b)) < 1e-10
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_cholesky_kernels_raise_on_an_indefinite_matrix(rng, d):
+    a = sym_spd(rng, d)
+    a[0, 0] = -1.0  # e_0^T A e_0 < 0
+    b = rng.standard_normal(d)
+    kept = b.copy()
+    with pytest.raises(SingularAggregate, match="singular"):
+        mk.cholesky_inverse(a.copy())
+    with pytest.raises(SingularAggregate, match="aggregate solve failed"):
+        mk.cholesky_solve(a.copy(), b)
+    np.testing.assert_array_equal(b, kept)
+
+
+def test_only_matkernel_imports_scipy_linalg():
+    # The lower-triangle storage contract has one owner: no other module of
+    # the package hands a matrix to scipy's BLAS or LAPACK.
+    importers = set()
+    for path in sorted(Path(mk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+                importers.add(path.stem)
+    assert importers == {"matkernel"}
+
+
 @pytest.mark.parametrize("d", (2, 10, 60))
 def test_chain_leaves_the_upper_triangle_untouched(rng, d):
     # 50 steps of both kernels write no upper entry, and on poisoned
@@ -288,14 +341,16 @@ def read_only(m):
 
 
 def test_out_must_be_c_ordered_float64(rng):
-    # The matrix a kernel writes is its output. dsyr would update a copy of
-    # a Fortran-ordered or float32 one and write through a read-only one.
+    # The matrix a kernel writes is its output. dsyr and dpotrf would update
+    # a copy of a Fortran-ordered or float32 one and write through a
+    # read-only one.
     d = 10
     u = rng.standard_normal(d)
     ku = sym_spd(rng, d) @ u
     updates = (lambda m: mk.sm_inverse_update(m, u, 0.3),
                lambda m: mk.broyden_update(0.0, m, ku, float(u @ ku), u),
-               lambda m: mk.broyden_update(0.5, m, ku, float(u @ ku), u))
+               lambda m: mk.broyden_update(0.5, m, ku, float(u @ ku), u),
+               mk.cholesky_inverse)
     for layout, update in itertools.product((fortran, float32, read_only), updates):
         m = layout(sym_spd(rng, d))
         before = m.copy()

@@ -15,6 +15,7 @@ from iqnlab.errors import DegenerateDirection, LazyInconsistency, SingularAggreg
 from iqnlab.objectives import LogisticObjective, QuadraticComponents, QuadraticObjective
 from iqnlab.oracle import (
     full_matrix,
+    inverse_residual,
     lazy_eager_audit,
     memoization_audit,
     recompute_aggregates,
@@ -227,7 +228,7 @@ class TestMemoization:
             refresh_period=10 ** 6))
         for _ in range(500):
             solver.step()
-        assert solver.aggregate_drift() < 1e-10
+        assert inverse_residual(solver) < 1e-10
 
 
 def _sum_drift(solver):
@@ -371,7 +372,7 @@ class TestStateInvariants:
             method=method, tau1=0.5, tau2=0.0, gstop=1e-300))
         for _ in range(6):
             solver.step()
-            direct = solvers._summed_inverse(solver.eager_curvature(0).copy())
+            direct = mk.cholesky_inverse(solver.eager_curvature(0).copy())
             np.testing.assert_array_equal(np.tril(solver.H), np.tril(direct))
         assert outcomes and all(outcomes)
 
@@ -541,6 +542,15 @@ STEP_KERNELS = {
     "SLIQN": {"sm_inverse_update", "broyden_update", "greedy_vector"},
     "GSLIQN": {"sm_inverse_update", "broyden_update", "greedy_vector"},
 }
+
+
+@pytest.mark.parametrize("method", solvers.METHODS)
+def test_solver_goes_by_its_config_method(method):
+    # GSLIQN shares SLIQN's class, so the name comes from the config alone;
+    # perfbench files each step under it.
+    quad = small_quadratic()
+    solver = make_solver(quad, initial_point(quad.d, 1.0, 0), SolverConfig(method=method))
+    assert solver.method == method
 
 
 @pytest.mark.parametrize("method", sorted(STEP_KERNELS))
