@@ -20,6 +20,8 @@ from .objectives import LogisticObjective, QuadraticObjective
 from .solvers import AlphaSchedule, SolverConfig, diverged, index_of, run, run_solver
 
 TRACE_COLUMNS = ("t", "epoch", "grad_norm", "normalized_error", "sigma_max", "wall_ms")
+SUMMARY_COLUMNS = ("method", "epochs_to_gstop", "final_grad_norm", "wall_ms_total",
+                   "status", "x0_sha256")
 
 # The NIM run that stands in for the logistic minimizer x*.
 REFERENCE_GSTOP = 1e-12
@@ -188,9 +190,7 @@ def write_trace_csv(path, records):
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in records:
-            writer.writerow([_fmt(rec.t), _fmt(rec.epoch), _fmt(rec.grad_norm),
-                             _fmt(rec.normalized_error), _fmt(rec.sigma_max),
-                             _fmt(rec.wall_ms)])
+            writer.writerow([_fmt(getattr(rec, column)) for column in TRACE_COLUMNS])
 
 
 def run_experiment(config: ExperimentConfig, log=print):
@@ -223,8 +223,7 @@ def run_experiment(config: ExperimentConfig, log=print):
             records = run(objective, x0, solver_cfg, x_star=x_star)
         except IqnLabError as exc:
             failures.append(f"{method}: {exc}")
-            summary.append({"method": method, "epochs_to_gstop": "",
-                            "final_grad_norm": "", "wall_ms_total": "",
+            summary.append({**dict.fromkeys(SUMMARY_COLUMNS, ""), "method": method,
                             "status": f"error: {exc}", "x0_sha256": x0_hash})
             log(f"{method}: error: {exc}")
             continue
@@ -232,9 +231,8 @@ def run_experiment(config: ExperimentConfig, log=print):
         reached = last.grad_norm < config.gstop
         status = ("diverged" if diverged(last.grad_norm)
                   else "ok" if reached else "max_epochs")
-        epochs = last.t / objective.n if reached else ""
         summary.append({"method": method,
-                        "epochs_to_gstop": _fmt(epochs) if epochs != "" else "",
+                        "epochs_to_gstop": _fmt(last.t / objective.n) if reached else "",
                         "final_grad_norm": _fmt(last.grad_norm),
                         "wall_ms_total": _fmt(sum(r.wall_ms for r in records)),
                         "status": status, "x0_sha256": x0_hash})
@@ -243,10 +241,7 @@ def run_experiment(config: ExperimentConfig, log=print):
             f"({last.t / objective.n:.2f} passes), grad_norm {last.grad_norm:.3e}")
 
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["method", "epochs_to_gstop",
-                                                "final_grad_norm",
-                                                "wall_ms_total", "status",
-                                                "x0_sha256"])
+        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
         writer.writeheader()
         writer.writerows(summary)
 

@@ -193,9 +193,10 @@ class LogisticObjective(FiniteSumObjective):
         Sparse sample rows z_i.
     labels : (n,) array of {0, 1}
     lam : float
-        Regularization weight, must be positive.
+        Regularization weight, must be positive and finite.
     p : float
-        Regularizer exponent, must exceed 2 (2.1 in the benchmark setup).
+        Regularizer exponent, must be finite and exceed 2 (2.1 in the
+        benchmark setup).
     radius : float
         Positive outer radius of the ball on which L is certified; ||x||^p
         has unbounded Hessian growth. mu and L_tilde are certified on the
@@ -205,10 +206,10 @@ class LogisticObjective(FiniteSumObjective):
     """
 
     def __init__(self, features, labels, lam, p=2.1, radius=10.0):
-        if not p > 2.0:
-            raise DegenerateProblem(f"regularizer exponent p must exceed 2, got {p}")
-        if not lam > 0.0:
-            raise DegenerateProblem(f"lam must be positive, got {lam}")
+        if not 2.0 < p < np.inf:
+            raise DegenerateProblem(f"regularizer exponent p must be finite and exceed 2, got {p}")
+        if not 0.0 < lam < np.inf:
+            raise DegenerateProblem(f"lam must be positive and finite, got {lam}")
         if not radius > 0.0:
             raise DegenerateProblem(f"radius must be positive, got {radius}")
         self.features = scipy.sparse.csr_matrix(features, dtype=np.float64)

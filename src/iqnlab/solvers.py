@@ -422,15 +422,16 @@ class IqnSolver(MemoizedSolver):
 class DirectSolver(BaseSolver):
     """Direct strategy: each step folds the touched tuple's change into the
     sums of D_i and D_i z_i - grad_i, and the iterate solves them with
-    mk.cholesky_solve on a copy of the curvature sum in the _chol buffer.
-    The scale stage (SIQN, IGS) uses the per-step beta = (M/2) ||s||_{z_i}."""
+    mk.cholesky_solve. One scratch matrix serves the step twice: it takes a
+    copy of the curvature sum, which the solve overwrites with its factor,
+    then the outgoing D_i, which _fold subtracts from the sum. The scale
+    stage (SIQN, IGS) uses the per-step beta = (M/2) ||s||_{z_i}."""
 
     _hsum = None  # allocated by the first rebuild, rewritten in place by the others
 
     def __init__(self, objective, x0, config):
         super().__init__(objective, x0, config)
-        self._d_old = np.empty((self.d, self.d))  # outgoing D_i, see _fold
-        self._chol = np.empty((self.d, self.d))  # mk.cholesky_solve factorizes here
+        self._scratch = np.empty((self.d, self.d))
 
     def _rebuild(self):
         # A beta-swollen D_i leaves its peak's rounding in the incremental
@@ -439,14 +440,16 @@ class DirectSolver(BaseSolver):
         self._rhs = sum(map(mk.symv, self.D, self.z)) - self.grads.sum(axis=0)
 
     def _solve_iterate(self):
-        # The sum goes into _chol, which the solve overwrites with its factor
-        # instead of allocating a copy of its own.
-        np.copyto(self._chol, self._hsum)
-        return mk.cholesky_solve(self._chol, self._rhs)
+        # The solve factorizes the sum's copy in place instead of allocating
+        # one of its own. The factor is then spent, and the scratch takes
+        # the outgoing D_i before any stage writes D[i].
+        np.copyto(self._scratch, self._hsum)
+        x = mk.cholesky_solve(self._scratch, self._rhs)
+        np.copyto(self._scratch, self.D[index_of(self.t + 1, self.n)])
+        return x
 
     def _correction(self, t, i, s, skipped):
         """beta in the component Hessian's norm; 0 if the classic stage is skipped."""
-        np.copyto(self._d_old, self.D[i])  # before the stages write D[i]
         m_const = self.objective.constants.M
         if skipped or m_const == 0.0:
             return 0.0
@@ -458,12 +461,12 @@ class DirectSolver(BaseSolver):
         return (1.0 + c) * y_raw, (1.0 + c) * s.dot(y_raw)
 
     def _outgoing(self, i, d_i, z_old):
-        return mk.symv(self._d_old, z_old) - self.grads[i]
+        return mk.symv(self._scratch, z_old) - self.grads[i]
 
     def _fold(self, t, i, x, y_raw, outgoing, terms):
-        # hsum + (d_new - d_old), with d_old's buffer as the difference's.
-        np.subtract(self.D[i], self._d_old, out=self._d_old)
-        self._hsum += self._d_old
+        # hsum + (d_new - d_old), with the scratch as the difference's buffer.
+        np.subtract(self.D[i], self._scratch, out=self._scratch)
+        self._hsum += self._scratch
         self._rhs = self._rhs + (mk.symv(self.D[i], x) - self.grads[i]) - outgoing
 
 
@@ -489,10 +492,6 @@ class NimSolver(DirectSolver):
     init_curvature says."""
 
     exact_start = True
-
-    def _outgoing(self, i, d_i, z_old):
-        np.copyto(self._d_old, d_i)  # no stage ran, so no _correction
-        return super()._outgoing(i, d_i, z_old)
 
     def _fold(self, t, i, x, y_raw, outgoing, terms):
         self.D[i] = self.objective.hessian(i, x)

@@ -146,6 +146,11 @@ def test_goldens_cover_refresh_and_full_beta_budget():
     for case in ("logi-SIQN", "logi-IGS"):
         last_t = int(deterministic_columns(GOLDEN / f"{case}.csv")[-1][0])
         assert last_t == LOGI_BETA["max_epochs"] * n_logi
+    # The direct strategy's default refresh at t = 10 n rebuilds its sum;
+    # the step after it solves and copies the outgoing D_i in its scratch.
+    for case in ("quad-SIQN", "quad-IGS"):
+        last_t = int(deterministic_columns(GOLDEN / f"{case}.csv")[-1][0])
+        assert last_t > 10 * PROBLEMS["quad"].n
 
 
 if __name__ == "__main__":

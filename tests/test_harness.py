@@ -370,17 +370,23 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["lam", "config-bytes", "data-bytes"])
+    # A non-finite lam or p is named, not left to fail the reference NIM run.
+    SETTINGS = {"lam": ("lam = abc", "lam must be"),
+                "lam-inf": ("lam = inf", "lam must be positive and finite"),
+                "p-inf": ("p = inf", "regularizer exponent p must be finite")}
+
+    @pytest.mark.parametrize("case", ["lam", "config-bytes", "data-bytes", "lam-inf", "p-inf"])
     def test_run_bad_input_exits_before_output(self, tmp_path, capsys, case):
         data = tmp_path / "train.libsvm"
         data.write_bytes(b"+1 1:0.5\n-1 2:\xff\n" if case == "data-bytes" else b"+1 1:0.5\n")
+        setting, named = self.SETTINGS.get(case, ("lam = auto", ""))
         text = (f"problem = logistic\ndata = {data}\nmethods = IQN\n"
-                f"lam = {'abc' if case == 'lam' else 'auto'}\nout = {tmp_path / 'out'}\n")
+                f"{setting}\nout = {tmp_path / 'out'}\n")
         cfg = tmp_path / "exp.cfg"
         cfg.write_bytes(text.encode() + (b"# \xe9\n" if case == "config-bytes" else b""))
         assert cli_main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith("error:") and named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -108,6 +108,13 @@ class TestLogisticClosedForms:
         with pytest.raises(DegenerateProblem):
             make_logistic([[1.0]], [1.0], p=2.0)
 
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param({"lam": np.inf}, "lam must be positive and finite", id="lam-inf"),
+        pytest.param({"p": np.inf}, "regularizer exponent p must be finite", id="p-inf")])
+    def test_lam_and_p_must_be_finite(self, setting, message):
+        with pytest.raises(DegenerateProblem, match=message):
+            make_logistic([[1.0]], [1.0], **setting)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0])
     def test_radius_must_be_positive(self, radius):
         with pytest.raises(DegenerateProblem, match="radius must be positive"):

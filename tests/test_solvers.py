@@ -434,9 +434,9 @@ class TestAllocation:
         pytest.param("GSLIQN", 0.5, id="GSLIQN-tau"), pytest.param("SIQN", 0.0, id="SIQN"),
         pytest.param("IGS", 0.0, id="IGS")])
     def test_step_allocates_no_d_by_d_array(self, method, tau):
-        # Every stage writes D_i in place and dposv factorizes in one _chol
-        # buffer, so a step (no refresh, no omega, no track_sigma) allocates
-        # only vectors once its buffers exist.
+        # Every stage writes D_i in place and dposv factorizes in the direct
+        # strategy's one scratch matrix, so a step (no refresh, no omega, no
+        # track_sigma) allocates only vectors once its buffers exist.
         d = 120
         quad = small_quadratic(n=4, d=d)
         solver = make_solver(quad, initial_point(d, 1.0, 0), SolverConfig(
@@ -469,26 +469,36 @@ class TestAllocation:
             tracemalloc.stop()
         assert peak < d * d * 8, f"{method} refresh peaked at {peak / (d * d * 8):.2f} d^2 doubles"
 
+    @staticmethod
+    def held_d2(method, steps=0, d=120):
+        """What a solver holds at n = 4 once made and stepped, in d^2 doubles."""
+        quad = small_quadratic(n=4, d=d)
+        tracemalloc.start()
+        try:
+            solver = make_solver(quad, initial_point(d, 1.0, 0), SolverConfig(
+                method=method, tau1=0.5, tau2=0.5, gstop=1e-300))
+            for _ in range(steps):
+                solver.step()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held / (d * d * 8)
+
     @pytest.mark.parametrize("method, reference", [
         ("SLIQN", "IQN"), ("GSLIQN", "IQN"), ("SIQN", "NIM"), ("IGS", "NIM")])
     def test_stages_hold_no_matrix_beyond_their_strategy(self, method, reference):
         # A greedy stage keeps no d x d buffer of its own: a solver holds
         # what the other solvers of its aggregate strategy hold.
-        d = 120
-        quad = small_quadratic(n=4, d=d)
-        x0 = initial_point(d, 1.0, 0)
-        held = {}
-        for name in (method, reference):
-            tracemalloc.start()
-            try:
-                solver = make_solver(quad, x0, SolverConfig(
-                    method=name, tau1=0.5, tau2=0.5, gstop=1e-300))
-                held[name], _ = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            del solver
-        gap = (held[method] - held[reference]) / (d * d * 8)
+        gap = self.held_d2(method) - self.held_d2(reference)
         assert abs(gap) < 0.1, f"{method} holds {gap:+.2f} d^2 doubles beyond {reference}"
+
+    @pytest.mark.parametrize("method", ["SIQN", "IGS", "NIM"])
+    def test_direct_strategy_holds_one_scratch_matrix(self, method):
+        # Both strategies keep the stack D and one aggregate matrix (IQN's H,
+        # the direct sum). Beyond that a direct solver keeps one scratch
+        # matrix, which takes the solve's factor and then the outgoing D_i.
+        gap = self.held_d2(method, steps=2) - self.held_d2("IQN", steps=2)
+        assert abs(gap - 1.0) < 0.1, f"{method} holds {gap:+.2f} d^2 doubles beyond IQN"
 
     @pytest.mark.parametrize("method, init", itertools.product(
         solvers.METHODS, ["scaled-identity", "exact-hessian"]))
