@@ -9,23 +9,30 @@ for the wall-time column.
 
 import csv
 import hashlib
+import itertools
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import matkernel as mk
 from .data import GeneratorSpec, generate_quadratic, initial_point, load_libsvm, rows_to_csr
-from .errors import HarnessError, IqnLabError
-from .objectives import LogisticObjective, QuadraticObjective
-from .solvers import AlphaSchedule, SolverConfig, diverged, index_of, run, run_solver
+from .errors import HarnessError, IqnLabError, SingularAggregate
+from .objectives import ORIGIN_GUARD, LogisticObjective, QuadraticObjective
+from .solvers import AlphaSchedule, SolverConfig, diverged, run
 
 TRACE_COLUMNS = ("t", "epoch", "grad_norm", "normalized_error", "sigma_max", "wall_ms")
 SUMMARY_COLUMNS = ("method", "epochs_to_gstop", "final_grad_norm", "wall_ms_total",
                    "status", "x0_sha256")
 
-# The NIM run that stands in for the logistic minimizer x*.
+# The full-batch Newton run that finds the logistic minimizer x*.
 REFERENCE_GSTOP = 1e-12
-REFERENCE_MAX_EPOCHS = 200
+REFERENCE_MAX_NEWTON_ITERATIONS = 100
+_ARMIJO_C = 1e-4       # sufficient decrease, Nocedal & Wright (3.4)
+_MIN_STEP_LENGTH = 1e-15
+# Values are sums of positive terms, good to far better than this relative
+# error; a predicted decrease below it cannot be resolved by comparing them.
+_VALUE_RESOLUTION = 1e-12
 
 
 @dataclass
@@ -121,8 +128,9 @@ def config_from_mapping(values):
 def build_problem(config: ExperimentConfig):
     """Construct (objective, x0, x_star) for a validated config.
 
-    The logistic reference minimizer is obtained by driving the NIM solver
-    to a 1e-12 averaged gradient norm; the quadratic one is closed form.
+    The logistic reference minimizer is found by full-batch damped Newton
+    to a 1e-12 averaged gradient norm (see :func:`_reference_minimizer`);
+    the quadratic one is closed form. No solver is constructed.
     """
     if config.problem == "quadratic":
         spec = GeneratorSpec(n=config.n, d=config.d, xi=config.xi,
@@ -145,17 +153,60 @@ def build_problem(config: ExperimentConfig):
 
 
 def _reference_minimizer(objective, x0):
-    """Run NIM to a REFERENCE_GSTOP averaged gradient norm; x* is the
-    iterate of its last step."""
-    from .solvers import make_solver  # per call, so a wrapper on it applies
+    """x* of a logistic objective: damped Newton on the total objective
+    (Boyd & Vandenberghe, *Convex Optimization*, 9.5) from x0 until the
+    stopping rule's averaged gradient norm ``||full_gradient|| / n`` is
+    below REFERENCE_GSTOP. It shares no code with the solvers under test.
 
-    solver = make_solver(objective, x0, SolverConfig(
-        method="NIM", gstop=REFERENCE_GSTOP, max_epochs=REFERENCE_MAX_EPOCHS))
-    grad_norm = run_solver(solver)[-1].grad_norm
-    if not grad_norm < REFERENCE_GSTOP:
-        raise HarnessError(f"reference NIM run did not reach {REFERENCE_GSTOP:g} "
-                           f"(got {grad_norm:.3e})")
-    return solver.z[index_of(solver.t, objective.n)].copy()
+    Each iteration solves ``H step = -g`` with ``objective.newton_system``'s
+    Hessian by Cholesky, then halves the step until the total value meets
+    the Armijo condition. A step whose predicted decrease ``-g . step`` is
+    below the values' resolution (``_VALUE_RESOLUTION * |F|``) is taken
+    whole: there Newton converges quadratically, and comparing two values
+    would only compare their rounding errors.
+
+    At ``||x|| < ORIGIN_GUARD`` the regularizer adds no curvature, and
+    Z^T W Z is singular when the data have rank below d; the step there is
+    damped to ``(H + n mu I) step = -g``, mu the certified strong
+    convexity constant (the regularizer's least curvature on the annulus
+    where the constants hold). Everywhere else H >= n c1 I > 0.
+
+    Raises
+    ------
+    HarnessError
+        On a non-finite gradient norm (at once), after
+        REFERENCE_MAX_NEWTON_ITERATIONS iterations, on a Hessian that
+        Cholesky cannot factorize, or when no halving meets the Armijo condition.
+    """
+    n = objective.n
+    x = np.array(x0, dtype=np.float64)
+    value, hessian = objective.newton_system(x)
+    for iteration in itertools.count():
+        g = objective.full_gradient(x)
+        grad_norm = np.sqrt(g.dot(g)) / n
+        if grad_norm < REFERENCE_GSTOP:
+            return x
+        if not np.isfinite(grad_norm) or iteration == REFERENCE_MAX_NEWTON_ITERATIONS:
+            raise HarnessError(f"reference Newton run did not reach {REFERENCE_GSTOP:g} "
+                               f"(got {grad_norm:.3e} after {iteration} iterations)")
+        if np.sqrt(x.dot(x)) < ORIGIN_GUARD:
+            hessian[np.diag_indices(objective.d)] += n * objective.constants.mu
+        try:
+            step = mk.cholesky_solve(hessian, -g)
+        except SingularAggregate as exc:
+            raise HarnessError(f"reference Newton run, iteration {iteration}: {exc}") from exc
+        slope = g.dot(step)
+        alpha = 1.0
+        value_new, hessian = objective.newton_system(x + step)
+        while (-slope > _VALUE_RESOLUTION * abs(value)
+               and not value_new <= value + _ARMIJO_C * alpha * slope):
+            if alpha < _MIN_STEP_LENGTH:
+                raise HarnessError(f"reference Newton run, iteration {iteration}: no step "
+                                   f"length down to {alpha:.1e} decreases the objective")
+            alpha *= 0.5
+            value_new, hessian = objective.newton_system(x + alpha * step)
+        x += alpha * step
+        value = value_new
 
 
 def _solver_config(config: ExperimentConfig, method: str, constants=None) -> SolverConfig:

@@ -281,11 +281,16 @@ class LogisticObjective(FiniteSumObjective):
         if memo.w is None:
             s = memo.s
             memo.w = s * (1.0 - s)
+        return memo.z, memo.w, memo.c1, self._c2(memo)
+
+    def _c2(self, memo):
+        """c2 = 0.5 lam p (p-2) ||x||^(p-4) of the memo's point, filled in
+        on first use; 0 below ORIGIN_GUARD, like c1."""
         if memo.c2 is None:
             nx = memo.nx
             memo.c2 = (0.0 if nx < ORIGIN_GUARD
                        else 0.5 * self.lam * self.p * (self.p - 2.0) * nx ** (self.p - 4.0))
-        return memo.z, memo.w, memo.c1, memo.c2
+        return memo.c2
 
     def _reg_value(self, x):
         return 0.5 * self.lam * self._point(x).nx ** self.p
@@ -298,17 +303,22 @@ class LogisticObjective(FiniteSumObjective):
             return np.zeros(self.d)
         return memo.c1 * x
 
-    def _residual(self, x):
-        """expit(<x, z_i>) - y_i for every i, one (n,) array. The margins
-        come from the compiled kernel ``features @ x`` calls (see the module
-        docstring), given x as ``@`` gives it: the kernel itself converts an
-        x that is not a contiguous float64 array, but reads d values of it
-        whatever its length, so the length is checked first as ``@`` does."""
+    def _margins(self, x):
+        """<x, z_i> for every i, one (n,) array, from the compiled kernel
+        ``features @ x`` calls (see the module docstring), given x as ``@``
+        gives it: the kernel itself converts an x that is not a contiguous
+        float64 array, but reads d values of it whatever its length, so the
+        length is checked first as ``@`` does."""
         if x.shape != (self.d,):
             raise ValueError(f"x must have shape ({self.d},), got {x.shape}")
         f = self.features
-        r = np.zeros(self.n)
-        _sparsetools.csr_matvec(self.n, self.d, f.indptr, f.indices, f.data, x, r)
+        t = np.zeros(self.n)
+        _sparsetools.csr_matvec(self.n, self.d, f.indptr, f.indices, f.data, x, t)
+        return t
+
+    def _residual(self, x):
+        """expit(<x, z_i>) - y_i for every i, one (n,) array."""
+        r = self._margins(x)
         expit(r, out=r)
         r -= self.labels
         return r
@@ -367,6 +377,28 @@ class LogisticObjective(FiniteSumObjective):
         reg *= self.n
         g += reg
         return g
+
+    def newton_system(self, x):
+        """(F(x), H) for the total objective F = sum_i f_i, which full-batch
+        Newton needs: the value, and the Hessian
+        H = Z^T diag(w) Z + n (c1 I + c2 x x^T), w = s (1 - s),
+        s = expit(Z x), as a fresh C-ordered (d, d) array. c1 and c2 come
+        from x's memo, so both vanish below ORIGIN_GUARD as in
+        :meth:`hessian`; Z^T diag(w) Z is then all there is, and singular
+        when Z has rank below d."""
+        t = self._margins(x)
+        sign = 1.0 - 2.0 * self.labels
+        value = float(np.logaddexp(0.0, sign * t).sum() + self.n * self._reg_value(x))
+        s = expit(t)
+        f = self.features
+        weighted = scipy.sparse.csr_matrix(
+            (f.data * np.repeat(s * (1.0 - s), np.diff(f.indptr)), f.indices, f.indptr),
+            shape=f.shape)
+        h = (f.T @ weighted).toarray()
+        memo = self._point(x)
+        h += (self.n * self._c2(memo)) * np.outer(x, x)
+        h[np.diag_indices(self.d)] += self.n * memo.c1
+        return value, h
 
     def gradients_at(self, x):
         residual = self._residual(x)

@@ -4,6 +4,7 @@ fault isolation between methods, and the plot-table condenser."""
 import csv
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iqnlab import cli
+from iqnlab import cli, harness, solvers
+from iqnlab import matkernel as mk
 from iqnlab.cli import main as cli_main
 from iqnlab.errors import HarnessError
 from iqnlab.harness import (
@@ -23,7 +25,7 @@ from iqnlab.harness import (
     run_experiment,
 )
 from iqnlab.objectives import LogisticObjective, QuadraticObjective
-from iqnlab.solvers import METHODS
+from iqnlab.solvers import METHODS, SolverConfig, index_of, make_solver, run_solver
 
 LOGISTIC60 = Path(__file__).parent / "golden" / "logistic60.libsvm"
 
@@ -239,30 +241,174 @@ class TestFaultInjection:
         assert [row["status"] for row in summary] == ["ok"] * len(METHODS)
         assert all(float(row["final_grad_norm"]) < 1e-8 for row in summary)
 
-
-    def test_nan_gradient_stops_the_reference_run(self, tmp_path, monkeypatch, capsys):
-        # The NIM run that finds the logistic x* ends at the first non-finite
-        # stopping-rule norm instead of stepping through its whole budget.
-        fault, calls, real = 80, [], LogisticObjective.gradient
-
-        def poisoned(self, i, x):
-            calls.append(i)
-            return np.full(self.d, np.nan) if len(calls) >= fault else real(self, i, x)
-        monkeypatch.setattr(LogisticObjective, "gradient", poisoned)
-        cfg = ExperimentConfig(problem="logistic", data=str(LOGISTIC60), x0_scale=0.5,
-                               seed=7)
-        with pytest.raises(HarnessError, match="reference NIM run did not reach"):
-            build_problem(cfg)
-        assert fault <= len(calls) <= fault + 3
-
-        calls.clear()
+    @staticmethod
+    def assert_cli_run_fails(tmp_path, capsys, message):
         path = tmp_path / "exp.cfg"
         path.write_text(f"problem = logistic\ndata = {LOGISTIC60}\nx0_scale = 0.5\n"
                         f"seed = 7\nout = {tmp_path / 'out'}\n")
         assert cli_main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: reference NIM run")
-        assert len(calls) <= fault + 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_nan_full_gradient_stops_the_reference_run(self, tmp_path, monkeypatch, capsys):
+        # The Newton run that finds the logistic x* ends at the first
+        # non-finite stopping-rule norm instead of stepping through its cap.
+        fault, calls, real = 3, [], LogisticObjective.full_gradient
+
+        def poisoned(self, x):
+            calls.append(1)
+            return np.full(self.d, np.nan) if len(calls) >= fault else real(self, x)
+        monkeypatch.setattr(LogisticObjective, "full_gradient", poisoned)
+        cfg = ExperimentConfig(problem="logistic", data=str(LOGISTIC60), x0_scale=0.5,
+                               seed=7)
+        message = "reference Newton run did not reach 1e-12 (got nan after 2 iterations)"
+        with pytest.raises(HarnessError, match=re.escape(message)):
+            build_problem(cfg)
+        assert len(calls) == fault
+
+        calls.clear()
+        self.assert_cli_run_fails(tmp_path, capsys, message)
+        assert len(calls) == fault
+
+    def test_reference_run_cap_names_the_norm_reached(self, tmp_path, monkeypatch, capsys):
+        # logistic60 from this start needs 5 iterations; after 2 the
+        # averaged gradient norm is 4.639e-03.
+        monkeypatch.setattr(harness, "REFERENCE_MAX_NEWTON_ITERATIONS", 2)
+        cfg = ExperimentConfig(problem="logistic", data=str(LOGISTIC60), x0_scale=0.5,
+                               seed=7)
+        message = "reference Newton run did not reach 1e-12 (got 4.639e-03 after 2 iterations)"
+        with pytest.raises(HarnessError, match=re.escape(message)):
+            build_problem(cfg)
+        self.assert_cli_run_fails(tmp_path, capsys, message)
+
+
+# Four rows in d = 5: Z^T W Z has rank at most 4, so the Hessian at the
+# origin, where the regularizer adds no curvature, is singular.
+FOUR_ROW_LIBSVM = """\
+1 1:0.5 3:-1.2
+0 2:0.7 4:0.3 5:1.1
+1 1:-0.4 5:0.9
+0 3:0.8 4:-0.6
+"""
+
+
+def nim_minimizer(objective, x0):
+    """x* by a NIM run to the reference run's rule: the cross-check."""
+    solver = make_solver(objective, x0, SolverConfig(
+        method="NIM", gstop=harness.REFERENCE_GSTOP, max_epochs=200))
+    assert run_solver(solver)[-1].grad_norm < harness.REFERENCE_GSTOP
+    return solver.z[index_of(solver.t, objective.n)]
+
+
+def averaged_gradient_norm(objective, x):
+    return np.linalg.norm(objective.full_gradient(x)) / objective.n
+
+
+class TestReferenceMinimizer:
+    def logistic(self, data=LOGISTIC60, x0_scale=0.5, seed=7):
+        return ExperimentConfig(problem="logistic", data=str(data), x0_scale=x0_scale,
+                                seed=seed)
+
+    def test_builds_no_solver(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("build_problem constructed a solver")
+        monkeypatch.setattr(solvers, "make_solver", refuse)
+        objective, _, x_star = build_problem(self.logistic())
+        assert averaged_gradient_norm(objective, x_star) < harness.REFERENCE_GSTOP
+
+    def test_meets_the_rule_and_agrees_with_nim(self):
+        objective, x0, x_star = build_problem(self.logistic())
+        assert averaged_gradient_norm(objective, x_star) < harness.REFERENCE_GSTOP
+        x_nim = nim_minimizer(objective, x0)
+        assert np.linalg.norm(x_star - x_nim) <= 1e-9 * np.linalg.norm(x_nim)
+
+    @pytest.mark.parametrize("data", ["logistic60", "four-row"])
+    def test_origin_start_damps_the_first_step(self, tmp_path, monkeypatch, data):
+        path = LOGISTIC60
+        if data == "four-row":
+            path = tmp_path / "four.libsvm"
+            path.write_text(FOUR_ROW_LIBSVM)
+        solved, real = [], mk.cholesky_solve
+
+        def spy(m, b):
+            solved.append(m.copy())
+            return real(m, b)
+        monkeypatch.setattr(mk, "cholesky_solve", spy)
+        objective, x0, x_star = build_problem(self.logistic(path, x0_scale=0.0))
+        assert not x0.any()
+        # At the origin c1 = c2 = 0: the undamped Hessian is Z^T W Z alone,
+        # finite, and singular for the four rows.
+        _, undamped = objective.newton_system(x0)
+        eigenvalues = np.linalg.eigvalsh(undamped)
+        assert np.isfinite(eigenvalues).all()
+        if data == "four-row":
+            assert abs(eigenvalues[0]) < 1e-12 * eigenvalues[-1]
+        damping = objective.n * objective.constants.mu * np.eye(objective.d)
+        assert np.array_equal(solved[0], undamped + damping)
+        assert averaged_gradient_norm(objective, x_star) < harness.REFERENCE_GSTOP
+        x_nim = nim_minimizer(objective, x0)
+        assert np.linalg.norm(x_star - x_nim) <= 1e-9 * np.linalg.norm(x_nim)
+
+    def log_calls(self, monkeypatch):
+        """Wrap newton_system and full_gradient; returns the call log, one
+        ("value", F) or ("gradient", None) entry per call."""
+        log = []
+        real_system, real_gradient = (LogisticObjective.newton_system,
+                                      LogisticObjective.full_gradient)
+
+        def system(self, x):
+            value, hessian = real_system(self, x)
+            log.append(("value", value))
+            return value, hessian
+
+        def gradient(self, x):
+            log.append(("gradient", None))
+            return real_gradient(self, x)
+        monkeypatch.setattr(LogisticObjective, "newton_system", system)
+        monkeypatch.setattr(LogisticObjective, "full_gradient", gradient)
+        return log
+
+    def test_a_far_start_backtracks(self, monkeypatch):
+        log = self.log_calls(monkeypatch)
+        objective, _, x_star = build_problem(self.logistic(x0_scale=2.0, seed=0))
+        # One value per iteration and the start; one more per halving.
+        gradients = sum(kind == "gradient" for kind, _ in log)
+        assert len(log) - 2 * gradients == 1
+        assert averaged_gradient_norm(objective, x_star) < harness.REFERENCE_GSTOP
+
+    def test_a_decrease_below_the_value_resolution_takes_the_whole_step(self, monkeypatch):
+        # From this start the run reaches steps whose predicted decrease is
+        # ~1e-17 against F ~ 26: the value of the unit step rounds above F,
+        # so the Armijo comparison alone would halve it away.
+        log = self.log_calls(monkeypatch)
+        objective, _, x_star = build_problem(self.logistic(x0_scale=5.0))
+        accepted = [value for (kind, value), (after, _) in zip(log, log[1:])
+                    if kind == "value" and after == "gradient"]
+        assert len(log) == 2 * len(accepted)  # no halving
+        assert any(b > a for a, b in zip(accepted, accepted[1:]))
+        assert averaged_gradient_norm(objective, x_star) < harness.REFERENCE_GSTOP
+
+    def test_indefinite_hessian_is_named(self, monkeypatch):
+        monkeypatch.setattr(LogisticObjective, "newton_system",
+                            lambda self, x: (1.0, -np.eye(self.d)))
+        with pytest.raises(HarnessError, match="^reference Newton run, iteration 0: "
+                                               "aggregate solve failed"):
+            build_problem(self.logistic())
+
+    def test_no_decreasing_step_length_is_named(self, monkeypatch):
+        real, calls = LogisticObjective.newton_system, []
+
+        def no_decrease(self, x):
+            calls.append(1)
+            value, hessian = real(self, x)
+            return (value if len(calls) == 1 else np.nan), hessian
+        monkeypatch.setattr(LogisticObjective, "newton_system", no_decrease)
+        with pytest.raises(HarnessError, match="^reference Newton run, iteration 0: no step "
+                                               "length down to 8.9e-16"):
+            build_problem(self.logistic())
+        assert len(calls) == 52
 
 
 class TestEmitPlotData:
@@ -370,7 +516,7 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    # A non-finite lam or p is named, not left to fail the reference NIM run.
+    # A non-finite lam or p is named, not left to fail the reference Newton run.
     SETTINGS = {"lam": ("lam = abc", "lam must be"),
                 "lam-inf": ("lam = inf", "lam must be positive and finite"),
                 "p-inf": ("p = inf", "regularizer exponent p must be finite")}
@@ -403,8 +549,8 @@ class TestCli:
 
     @pytest.mark.parametrize("problem, setting, flags", [
         # Logistic for the seed: its start point is drawn with no GeneratorSpec
-        # to check it. Quadratic for x0_scale: the logistic reference run
-        # would fail on a non-finite start anyway.
+        # to check it. Quadratic for x0_scale: the logistic reference Newton
+        # run would fail on a non-finite start anyway.
         (f"logistic\ndata = {LOGISTIC60}", "", ["--seed", "-1"]),
         ("quadratic\nn = 4\nd = 6", "x0_scale = nan", []),
         ("quadratic\nn = 4\nd = 6", "x0_scale = inf", [])],
