@@ -6,27 +6,30 @@ components in cyclic order and take each iterate from the aggregate system
     x = (sum_i D_i)^{-1} (sum_i D_i z_i - sum_i grad_i).
 
 One step() runs every method: the touched tuple's curvature passes through
-the method's stages, then its aggregate strategy folds the change in.
+the method's stages, then its aggregate strategy folds the change into the
+curvature aggregate. Every method keeps phi = sum_i D_i z_i and
+g = sum_i grad_i the same way, in place, so the methods differ only in how
+they keep sum_i D_i.
 
 method  scale c        classic stage   greedy stage    aggregate strategy
 IQN     0              BFGS along s    -               memoized inverse chain
 SLIQN   pending alpha  BFGS along s    BFGS on e_k     chain, lazy omega
 GSLIQN  pending alpha  Broyden(tau1)   Broyden(tau2)   chain, lazy omega
-SIQN    beta           BFGS along s    BFGS on e_k     exact sums + Cholesky
-IGS     beta           -               BFGS on e_k     exact sums + Cholesky
-NIM     exact component Hessian instead of stages      exact sums + Cholesky
+SIQN    beta           BFGS along s    BFGS on e_k     exact sum + Cholesky
+IGS     beta           -               BFGS on e_k     exact sum + Cholesky
+NIM     exact component Hessian instead of stages      exact sum + Cholesky
 
 The scale stage multiplies D_i by (1 + c)^2 and the reference Hessian K by
 (1 + c), with beta = (M/2) ||s||_{z_i} per step (0 when the classic stage is
 skipped along a tiny step). The greedy coordinate e_k maximizes the ratio
 of the diagonals of Q and the Hessian. The memoized chain keeps
 H = (sum D_i)^{-1} by rank-one inverse updates in O(d^2); the direct
-strategy updates exact sums in O(d^2) and solves them in O(d^3). Every
-matrix a solver keeps (H, each D_i, the direct sums) is symmetric and stored
-as its lower triangle, and only matkernel's kernels touch it: mk.symv reads
-it, mk.cholesky_inverse rebuilds H from the summed curvature and
-mk.cholesky_solve solves the direct sums. Nothing reads the strict upper
-triangle. How far H has drifted from the inverse of the sum is the oracle's
+strategy updates the exact sum of D_i in O(d^2) and solves it against
+phi - g in O(d^3). Every matrix a solver keeps (H, each D_i, the direct
+sum) is symmetric and stored as its lower triangle, and only matkernel's
+kernels touch it: mk.symv reads it, mk.cholesky_inverse rebuilds H from the
+summed curvature and mk.cholesky_solve solves the direct sum. Nothing reads
+the strict upper triangle. How far H has drifted from the inverse of the sum is the oracle's
 measure (oracle.inverse_residual), not the solvers'.
 
 Lazy scaling (SLIQN/GSLIQN): stored matrices omit multiplicative epoch
@@ -188,14 +191,18 @@ class BaseSolver:
 
     step() runs every method: the class flags below pick its curvature
     stages, and its aggregate strategy overrides the hooks after step().
-    The aggregates are built by _rebuild() at init and rebuilt exactly after
-    every refresh_period-th step.
+    Every method keeps phi = sum D_i z_i and g = sum grad_i the same way:
+    _rebuild() builds them and step() updates them in place. A strategy
+    adds only its curvature aggregate. The aggregates are built by
+    _rebuild() at init and rebuilt exactly after every refresh_period-th
+    step.
     """
 
     classic = False  # classic Broyden(tau1) stage along the step s
     greedy = False   # greedy Broyden(tau2) stage on the greedy coordinate
     exact_start = False  # D starts at the component Hessians whatever init_curvature says
     tau1 = tau2 = 0.0
+    alpha = AlphaSchedule()  # omega = 1 unless a method sets a schedule
 
     def __init__(self, objective: FiniteSumObjective, x0, config: SolverConfig):
         self.objective = objective
@@ -243,7 +250,7 @@ class BaseSolver:
         x = self._solve_iterate()
         z_old = self.z[i]
         d_i = self.D[i]
-        y_raw = q = None
+        q = None
         skipped = False
         terms = []
         stages = self.classic or self.greedy  # NIM runs none: its _fold writes the exact Hessian
@@ -259,15 +266,16 @@ class BaseSolver:
             if c != 0.0:
                 d_i *= (1.0 + c) ** 2
         grad_new = self.objective.gradient(i, x)
-        if stages:
-            y_raw = grad_new - self.grads[i]
-        outgoing = self._outgoing(i, d_i, z_old)
+        y_raw = grad_new - self.grads[i]
+        outgoing = self._outgoing(d_i, z_old)
 
         # The stages update D_i in place through the public kernels, called
         # as module attributes so that a wrapper on matkernel sees each call,
         # and collect the rank-one terms each adds to D_i.
         if self.classic and not skipped:
-            terms += mk.broyden_update(self.tau1, d_i, *self._secant(s, y_raw, c), s)
+            # K s = (1 + c) y_raw, and <s, K s> = (1 + c) <s, y_raw>.
+            k = 1.0 + c
+            terms += mk.broyden_update(self.tau1, d_i, k * y_raw, k * s.dot(y_raw), s)
         if self.greedy:
             if self.config.track_sigma:
                 q = d_i.copy()  # the audits compare it with the updated D_i
@@ -282,15 +290,26 @@ class BaseSolver:
         self.z[i] = x
         self.grads[i] = grad_new
         self.t = t
-        self._fold(t, i, x, y_raw, outgoing, terms)
+        w = omega(t, self.n, self.alpha)
+        self._fold(i, w, terms)
+        # phi trades the tuple's old share for D_i x, after _fold (NIM
+        # writes its D_i there), then takes omega.
+        phi = self.phi
+        phi -= outgoing
+        phi += mk.symv(d_i, x)
+        if w != 1.0:
+            phi *= w
+        self.g += y_raw
         if t % self.refresh_period == 0:
             self._rebuild()
         return StepResult(t=t, index=i, x=x, q=q, d_unscaled=d_i,
                           classic_skipped=skipped)
 
     def _rebuild(self):
-        """Build the aggregates exactly from the n tuples."""
-        raise NotImplementedError
+        """Build the aggregates exactly from the n tuples: phi and g here,
+        the curvature aggregate in each strategy's override."""
+        self.phi = sum(mk.symv(self.eager_curvature(i), self.z[i]) for i in range(self.n))
+        self.g = self.grads.sum(axis=0)
 
     def _solve_iterate(self):
         """The iterate from the aggregate system of the current tuples."""
@@ -300,27 +319,24 @@ class BaseSolver:
         """c of the scale stage (1 + c)^2 D_i and of K = (1 + c) Hessian."""
         return 0.0
 
-    def _secant(self, s, y_raw, c):
-        """(K s, <s, K s>) for the classic stage, K = (1 + c) Hessian."""
-        y = y_raw if c == 0.0 else (1.0 + c) * y_raw
-        return y, s.dot(y)
+    def _outgoing(self, d_i, z_old):
+        """The old tuple's share D_i z_old of phi, read after the scale
+        stage, which brings a lazy D_i to the eager value phi summed, and
+        before the curvature stages."""
+        return mk.symv(d_i, z_old)
 
-    def _outgoing(self, i, d_i, z_old):
-        """What the aggregates lose with the old tuple, read before it changes."""
-        return None
-
-    def _fold(self, t, i, x, y_raw, outgoing, terms):
-        """Bring the aggregates up to date with the written-back tuple i."""
+    def _fold(self, i, w, terms):
+        """Bring the curvature aggregate up to date with the written-back
+        tuple i and the step's omega w."""
 
 
 class MemoizedSolver(BaseSolver):
-    """Memoized aggregates H = (sum D_i)^{-1}, phi = sum D_i z_i,
-    g = sum grad_i. H follows every step through the rank-one inverse chain
-    of the terms the stages added, with the epoch scaling omega applied
-    lazily; the periodic rebuild, mk.cholesky_inverse of the summed
+    """Memoized curvature aggregate H = (sum D_i)^{-1}, applied to
+    BaseSolver's phi - g. H follows every step through the rank-one inverse
+    chain of the terms the stages added, with the epoch scaling omega
+    applied lazily; the periodic rebuild, mk.cholesky_inverse of the summed
     curvature, bounds its drift."""
 
-    alpha = AlphaSchedule()  # omega = 1 unless a method sets a schedule
     H = None  # allocated by the first rebuild, rewritten in place by the others
 
     def _curvature_sum(self):
@@ -334,27 +350,14 @@ class MemoizedSolver(BaseSolver):
         return dbar
 
     def _rebuild(self):
-        self.phi = sum(mk.symv(self.eager_curvature(i), self.z[i]) for i in range(self.n))
+        super()._rebuild()
         self.H = mk.cholesky_inverse(self._curvature_sum())
-        self.g = self.grads.sum(axis=0)
 
     def _solve_iterate(self):
         return mk.symv(self.H, self.phi - self.g)
 
-    def _swap_phi(self, dz_old, dx, w):
-        """phi with the touched tuple's share D_i z_old replaced by D_i x,
-        scaled by omega; each method keeps its own association."""
-        raise NotImplementedError
-
-    def _outgoing(self, i, d_i, z_old):
-        return mk.symv(d_i, z_old)
-
-    def _fold(self, t, i, x, y_raw, dz_old, terms):
-        w = omega(t, self.n, self.alpha)
-        chained = _apply_chain(self.H, terms)
-        self.phi = self._swap_phi(dz_old, mk.symv(self.D[i], x), w)
-        self.g = self.g + y_raw
-        if not chained:
+    def _fold(self, i, w, terms):
+        if not _apply_chain(self.H, terms):
             # Rounding made an intermediate singular (see _apply_chain). H is
             # then part-updated: rebuild it directly.
             self.H = mk.cholesky_inverse(self._curvature_sum())
@@ -405,9 +408,6 @@ class SharpenedLazySolver(MemoizedSolver):
         self.scale_epoch[i] = epoch
         return self.alpha.value(epoch - 1)
 
-    def _swap_phi(self, dz_old, dx, w):
-        return w * (self.phi - dz_old + dx)
-
 
 class IqnSolver(MemoizedSolver):
     """Classic-only incremental BFGS with memoized aggregates; the summed
@@ -415,17 +415,15 @@ class IqnSolver(MemoizedSolver):
 
     classic = True
 
-    def _swap_phi(self, dz_old, dx, w):
-        return self.phi + dx - dz_old
-
 
 class DirectSolver(BaseSolver):
     """Direct strategy: each step folds the touched tuple's change into the
-    sums of D_i and D_i z_i - grad_i, and the iterate solves them with
-    mk.cholesky_solve. One scratch matrix serves the step twice: it takes a
-    copy of the curvature sum, which the solve overwrites with its factor,
-    then the outgoing D_i, which _fold subtracts from the sum. The scale
-    stage (SIQN, IGS) uses the per-step beta = (M/2) ||s||_{z_i}."""
+    exact sum of D_i, and the iterate solves it against BaseSolver's
+    phi - g with mk.cholesky_solve. One scratch matrix serves the step
+    twice: it takes a copy of the curvature sum, which the solve overwrites
+    with its factor, then the outgoing D_i, which _outgoing reads and _fold
+    subtracts from the sum. The scale stage (SIQN, IGS) uses the per-step
+    beta = (M/2) ||s||_{z_i}."""
 
     _hsum = None  # allocated by the first rebuild, rewritten in place by the others
 
@@ -436,15 +434,15 @@ class DirectSolver(BaseSolver):
     def _rebuild(self):
         # A beta-swollen D_i leaves its peak's rounding in the incremental
         # sums, which floors the gradient until the next rebuild.
+        super()._rebuild()
         self._hsum = np.sum(self.D, axis=0, out=self._hsum)
-        self._rhs = sum(map(mk.symv, self.D, self.z)) - self.grads.sum(axis=0)
 
     def _solve_iterate(self):
         # The solve factorizes the sum's copy in place instead of allocating
         # one of its own. The factor is then spent, and the scratch takes
         # the outgoing D_i before any stage writes D[i].
         np.copyto(self._scratch, self._hsum)
-        x = mk.cholesky_solve(self._scratch, self._rhs)
+        x = mk.cholesky_solve(self._scratch, self.phi - self.g)
         np.copyto(self._scratch, self.D[index_of(self.t + 1, self.n)])
         return x
 
@@ -456,18 +454,15 @@ class DirectSolver(BaseSolver):
         quad = float(s @ (self.objective.hessian(i, self.z[i]) @ s))
         return 0.5 * m_const * np.sqrt(max(quad, 0.0))
 
-    def _secant(self, s, y_raw, c):
-        # (1 + beta) <s, y_raw>, not <s, (1 + beta) y_raw>: SIQN's rounding.
-        return (1.0 + c) * y_raw, (1.0 + c) * s.dot(y_raw)
+    def _outgoing(self, d_i, z_old):
+        # The scale stage has swollen d_i by (1 + beta)^2; the scratch holds
+        # the D_i that phi summed.
+        return mk.symv(self._scratch, z_old)
 
-    def _outgoing(self, i, d_i, z_old):
-        return mk.symv(self._scratch, z_old) - self.grads[i]
-
-    def _fold(self, t, i, x, y_raw, outgoing, terms):
+    def _fold(self, i, w, terms):
         # hsum + (d_new - d_old), with the scratch as the difference's buffer.
         np.subtract(self.D[i], self._scratch, out=self._scratch)
         self._hsum += self._scratch
-        self._rhs = self._rhs + (mk.symv(self.D[i], x) - self.grads[i]) - outgoing
 
 
 class SiqnSolver(DirectSolver):
@@ -493,9 +488,9 @@ class NimSolver(DirectSolver):
 
     exact_start = True
 
-    def _fold(self, t, i, x, y_raw, outgoing, terms):
-        self.D[i] = self.objective.hessian(i, x)
-        super()._fold(t, i, x, y_raw, outgoing, terms)
+    def _fold(self, i, w, terms):
+        self.D[i] = self.objective.hessian(i, self.z[i])
+        super()._fold(i, w, terms)
 
 
 _SOLVERS = {

@@ -105,10 +105,11 @@ class TestInitState:
                                    atol=1e-15)
         np.testing.assert_allclose(full_matrix(solver.H), np.eye(2) / 24.0, atol=1e-15)
 
-    def test_initial_aggregates_match_definitions(self, rng):
+    @pytest.mark.parametrize("method", solvers.METHODS)
+    def test_initial_aggregates_match_definitions(self, method, rng):
         quad = small_quadratic()
         x0 = rng.standard_normal(quad.d)
-        solver = make_solver(quad, x0, SolverConfig(method="SLIQN"))
+        solver = make_solver(quad, x0, SolverConfig(method=method))
         np.testing.assert_allclose(solver.g, quad.gradients_at(x0).sum(axis=0),
                                    atol=1e-12)
         dbar = sum(full_matrix(solver.eager_curvature(i)) for i in range(quad.n))
@@ -238,7 +239,7 @@ def _sum_drift(solver):
     hsum = np.tril(sum(full))
     rhs = sum(d_i @ z_i for d_i, z_i in zip(full, solver.z)) - solver.grads.sum(axis=0)
     return max(np.linalg.norm(np.tril(solver._hsum) - hsum) / np.linalg.norm(hsum),
-               np.linalg.norm(solver._rhs - rhs) / np.linalg.norm(rhs))
+               np.linalg.norm(solver.phi - solver.g - rhs) / np.linalg.norm(rhs))
 
 
 class TestDirectSums:
