@@ -66,6 +66,9 @@ class ExperimentConfig:
             raise HarnessError(f"unknown problem {self.problem!r}")
         if not self.methods:
             raise HarnessError("at least one method is required")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:  # each would overwrite the other's trace
+            raise HarnessError(f"methods lists {', '.join(repeated)} more than once")
         if self.seed < 0:
             raise HarnessError(f"seed must be non-negative, got {self.seed}")
         if not np.isfinite(self.x0_scale):
@@ -130,26 +133,36 @@ def build_problem(config: ExperimentConfig):
 
     The logistic reference minimizer is found by full-batch damped Newton
     to a 1e-12 averaged gradient norm (see :func:`_reference_minimizer`);
-    the quadratic one is closed form. No solver is constructed.
+    the quadratic one is closed form. No solver is constructed. A problem
+    whose arrays cannot be allocated is a HarnessError naming N and d.
     """
     if config.problem == "quadratic":
         spec = GeneratorSpec(n=config.n, d=config.d, xi=config.xi,
                              b_max=config.b_max, seed=config.seed)
-        objective = QuadraticObjective(generate_quadratic(spec))
-        x0 = initial_point(objective.d, config.x0_scale, config.seed)
-        return objective, x0, objective.exact_minimizer()
+        try:
+            objective = QuadraticObjective(generate_quadratic(spec))
+            x0 = initial_point(objective.d, config.x0_scale, config.seed)
+            return objective, x0, objective.exact_minimizer()
+        except MemoryError as exc:
+            raise HarnessError(f"a quadratic with N = {spec.n} and d = {spec.d} "
+                               f"does not fit in memory: {exc}") from exc
 
     try:
         rows, dim = load_libsvm(config.data)
     except (OSError, UnicodeDecodeError) as exc:
         raise HarnessError(f"cannot read dataset {config.data}: {exc}") from exc
-    features, labels = rows_to_csr(rows, dim)
-    lam = 1.0 / len(rows) if config.lam == "auto" else float(config.lam)
-    x0 = initial_point(dim, config.x0_scale, config.seed)
-    radius = 10.0 * max(1.0, float(np.linalg.norm(x0)))
-    objective = LogisticObjective(features, labels, lam=lam, p=config.p, radius=radius)
-    x_star = _reference_minimizer(objective, x0)
-    return objective, x0, x_star
+    if dim == 0:
+        raise HarnessError(f"dataset {config.data} has no features (d = 0)")
+    try:
+        features, labels = rows_to_csr(rows, dim)
+        lam = 1.0 / len(rows) if config.lam == "auto" else float(config.lam)
+        x0 = initial_point(dim, config.x0_scale, config.seed)
+        radius = 10.0 * max(1.0, float(np.linalg.norm(x0)))
+        objective = LogisticObjective(features, labels, lam=lam, p=config.p, radius=radius)
+        return objective, x0, _reference_minimizer(objective, x0)
+    except MemoryError as exc:
+        raise HarnessError(f"dataset {config.data} with N = {len(rows)} and d = {dim} "
+                           f"does not fit in memory: {exc}") from exc
 
 
 def _reference_minimizer(objective, x0):
@@ -250,8 +263,9 @@ def run_experiment(config: ExperimentConfig, log=print):
     Writes ``<method>.csv`` per method plus ``summary.csv`` into the output
     directory and returns the summary rows. A method that ends on a
     :func:`~iqnlab.solvers.diverged` gradient norm is recorded as diverged
-    without failing its siblings; solver exceptions are recorded as failures
-    and re-raised collectively at the end.
+    without failing its siblings; solver exceptions, and a MemoryError from
+    a method whose state cannot be allocated, are recorded as failures and
+    re-raised collectively at the end.
     """
     config.validate()
     objective, x0, x_star = build_problem(config)  # validates data before any output
@@ -272,11 +286,13 @@ def run_experiment(config: ExperimentConfig, log=print):
         solver_cfg = _solver_config(config, method, constants)
         try:
             records = run(objective, x0, solver_cfg, x_star=x_star)
-        except IqnLabError as exc:
-            failures.append(f"{method}: {exc}")
+        except (IqnLabError, MemoryError) as exc:
+            reason = (f"out of memory at N = {objective.n}, d = {objective.d}: {exc}"
+                      if isinstance(exc, MemoryError) else str(exc))
+            failures.append(f"{method}: {reason}")
             summary.append({**dict.fromkeys(SUMMARY_COLUMNS, ""), "method": method,
-                            "status": f"error: {exc}", "x0_sha256": x0_hash})
-            log(f"{method}: error: {exc}")
+                            "status": f"error: {reason}", "x0_sha256": x0_hash})
+            log(f"{method}: error: {reason}")
             continue
         last = records[-1]
         reached = last.grad_norm < config.gstop

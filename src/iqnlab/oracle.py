@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import SingularAggregate
-from .solvers import SolverConfig, make_solver
+from .solvers import AlphaSchedule, SolverConfig, make_solver
 from .objectives import LogisticObjective, QuadraticObjective
 
 
@@ -408,8 +408,12 @@ def run_check_suite(seed=20240111):
     reports.append(gradient_audit(logi, rng))
     reports.append(hessian_audit(logi, rng))
 
+    # A nonzero alpha makes every lazy factor and secant scale (1 + alpha)
+    # differ from 1; at the default alpha = 0 the lazy path is the eager one.
+    lazy = SolverConfig(method="GSLIQN", tau1=0.3, tau2=0.7, gstop=1e-300,
+                        alpha=AlphaSchedule(epsilon=0.05, rho=0.5, m_sqrt_l=1.0))
+    reports.append(lazy_eager_audit(logi, x0_logi, lazy, steps=3 * logi.n))
     cfg = SolverConfig(method="SLIQN", gstop=1e-300, max_epochs=100)
-    reports.append(lazy_eager_audit(logi, x0_logi, cfg, steps=3 * logi.n))
     reports.append(memoization_audit(quad, x0_quad, cfg, steps=3 * quad.n))
     reports.append(memoization_audit(
         quad, x0_quad, SolverConfig(method="IQN", gstop=1e-300), steps=3 * quad.n))

@@ -517,14 +517,20 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     # A non-finite lam or p is named, not left to fail the reference Newton run.
+    # Labels with no features give d = 0, which failed inside the first BLAS
+    # call; a repeated method overwrote its own trace.
     SETTINGS = {"lam": ("lam = abc", "lam must be"),
                 "lam-inf": ("lam = inf", "lam must be positive and finite"),
-                "p-inf": ("p = inf", "regularizer exponent p must be finite")}
+                "p-inf": ("p = inf", "regularizer exponent p must be finite"),
+                "no-features": ("lam = auto", "train.libsvm has no features (d = 0)"),
+                "duplicate-methods": ("methods = iqn,IQN", "methods lists IQN more than once")}
+    DATA = {"data-bytes": b"+1 1:0.5\n-1 2:\xff\n", "no-features": b"1\n0\n1\n"}
 
-    @pytest.mark.parametrize("case", ["lam", "config-bytes", "data-bytes", "lam-inf", "p-inf"])
+    @pytest.mark.parametrize("case", ["lam", "config-bytes", "data-bytes", "lam-inf", "p-inf",
+                                      "no-features", "duplicate-methods"])
     def test_run_bad_input_exits_before_output(self, tmp_path, capsys, case):
         data = tmp_path / "train.libsvm"
-        data.write_bytes(b"+1 1:0.5\n-1 2:\xff\n" if case == "data-bytes" else b"+1 1:0.5\n")
+        data.write_bytes(self.DATA.get(case, b"+1 1:0.5\n"))
         setting, named = self.SETTINGS.get(case, ("lam = auto", ""))
         text = (f"problem = logistic\ndata = {data}\nmethods = IQN\n"
                 f"{setting}\nout = {tmp_path / 'out'}\n")
@@ -535,6 +541,47 @@ class TestCli:
         assert err.startswith("error:") and named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    # A LIBSVM index of 10^12 asked initial_point for 7.28 TiB. The tests
+    # inject the MemoryError: on a host that overcommits memory a real
+    # request of that size can succeed and then page in gigabytes.
+    @pytest.mark.parametrize("problem", [f"logistic\ndata = {LOGISTIC60}",
+                                         "quadratic\nn = 4\nd = 6"],
+                             ids=["logistic", "quadratic"])
+    def test_run_unallocatable_problem_exits_before_output(self, tmp_path, capsys,
+                                                           monkeypatch, problem):
+        def no_memory(d, alpha_scale, seed):
+            raise MemoryError(f"Unable to allocate an array with shape ({d},)")
+
+        monkeypatch.setattr(harness, "initial_point", no_memory)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = {problem}\nmethods = IQN\nout = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        size = "N = 60 and d = 12" if "logistic" in problem else "N = 4 and d = 6"
+        assert err.startswith("error:") and f"{size} does not fit in memory" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_unallocatable_method_fails_alone(self, tmp_path, capsys, monkeypatch):
+        # A quadratic with n = 1, d = 10^6 asked for a 7.28 TiB curvature stack.
+        def no_memory(self, x0):
+            raise MemoryError("Unable to allocate the curvature stack")
+
+        monkeypatch.setattr(solvers.IqnSolver, "_initial_curvature", no_memory)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = quadratic\nn = 4\nd = 6\nmethods = IQN, SLIQN\n"
+                       f"out = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IQN: out of memory at N = 4, d = 6")
+        assert "Traceback" not in err
+        rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert [row["method"] for row in rows] == ["IQN", "SLIQN"]
+        assert rows[0]["status"].startswith("error: out of memory")
+        assert rows[1]["status"] == "ok"
+        assert not (tmp_path / "out" / "IQN.csv").exists()
+        assert (tmp_path / "out" / "SLIQN.csv").exists()
 
     def test_run_overflowing_constants_exit_before_output(self, tmp_path, capsys):
         # mu = lam p / 2 ~ 1e-250 overflows mu^(-3/2) in M = L_tilde mu^(-3/2).
