@@ -253,8 +253,7 @@ class BaseSolver:
         q = None
         skipped = False
         terms = []
-        stages = self.classic or self.greedy  # NIM runs none: its _fold writes the exact Hessian
-        if stages:
+        if self.classic or self.greedy:  # NIM runs none: its _fold writes the exact Hessian
             s = x - z_old
             # Vector 2-norms as numpy's norm computes them, minus its overhead.
             skipped = self.classic and (
