@@ -3,8 +3,9 @@
 Matrices are plain C-ordered float64 ``numpy`` arrays. Each update kernel
 overwrites its matrix argument in place, through BLAS level-2 routines from
 ``scipy.linalg.blas``; a caller who wants the old matrix too passes a copy.
-``sm_inverse_update`` returns the matrix, a curvature kernel the list of
-terms ``(x, c)`` it added, each meaning ``B += c x x^T``. An update costs a
+``sm_inverse_update`` returns the matrix, a curvature kernel the product
+``B u`` it took along its direction and the list of terms ``(x, c)`` it
+added, each meaning ``B += c x x^T``. An update costs a
 few O(d^2) passes and allocates only vectors. Guards are checked before anything
 is written, so a kernel that raises leaves its matrix as it was; only a
 Cholesky kernel finds a singular matrix while factorizing it, and leaves a
@@ -33,6 +34,8 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy as _daxpy
+from scipy.linalg.blas import ddot as _ddot
 from scipy.linalg.blas import dsymv as _dsymv
 from scipy.linalg.blas import dsyr as _dsyr
 from scipy.linalg.lapack import dposv as _dposv
@@ -68,6 +71,42 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 def symv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``m @ x`` for a symmetric ``m``, read from its lower triangle."""
     return _dsymv(1.0, m.T, x)
+
+
+def add_product_change(y: np.ndarray, bu: np.ndarray, terms: list,
+                       x: np.ndarray) -> np.ndarray:
+    """``y += B' x - B z`` in place for ``x = z + u``, where ``B'`` is B
+    plus the ``terms`` a curvature kernel added and ``bu = B u`` the
+    product it returned: ``y += bu + sum_j c_j <x_j, x> x_j``; returns y.
+
+    Each term costs one ``ddot`` and one ``daxpy`` on vectors, and no
+    matrix is read. A term whose x_j is ``bu`` itself (the first one below
+    tau = 1) takes bu's 1 into its own coefficient.
+
+    Raises
+    ------
+    ValueError
+        If ``y`` is not a writeable contiguous float64 vector (y is then
+        untouched).
+    """
+    if not y.flags.writeable:
+        raise ValueError(_NOT_IN_PLACE_VECTOR)
+    # daxpy takes n and a positionally: as keywords they cost f2py ~0.15 us
+    # per call, which weighs at small d.
+    n = len(y)
+    rest = 1.0  # bu's coefficient, until a term whose x_j is bu takes it
+    for x_j, c_j in terms:
+        a = c_j * _ddot(x_j, x)
+        if x_j is bu:
+            a, rest = a + rest, 0.0
+        if _daxpy(x_j, y, n, a) is not y:
+            raise ValueError(_NOT_IN_PLACE_VECTOR)
+    if rest != 0.0 and _daxpy(bu, y, n, rest) is not y:
+        raise ValueError(_NOT_IN_PLACE_VECTOR)
+    return y
+
+
+_NOT_IN_PLACE_VECTOR = "the vector must be a writeable contiguous float64 array"
 
 
 # f2py hands dsyr and dpotrf a copy of a view that is not a float64 Fortran
@@ -171,9 +210,10 @@ def _curvature_guards(b, ku, u):
 
 
 def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
-                   u: np.ndarray) -> list:
+                   u: np.ndarray) -> tuple:
     """Overwrite B with its restricted Broyden update toward K along u,
-    ``tau * DFP + (1 - tau) * BFGS``; returns the terms it added.
+    ``tau * DFP + (1 - tau) * BFGS``; returns ``(bu, terms)``: the product
+    ``B u`` of the B it started from and the terms it added.
 
     ``b`` is a writeable C-ordered float64 array holding the symmetric B in
     its lower triangle, the only part read or written. K enters only
@@ -189,8 +229,9 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     endpoints are exact. The result satisfies the secant property
     ``B_new @ u == ku``.
 
-    Returns the terms ``(x, c)`` in the order applied (the K-term's x is
-    ``ku`` itself): two for BFGS, three for DFP, four otherwise.
+    The terms ``(x, c)`` come in the order applied: two for BFGS, three for
+    DFP, four otherwise. The K-term's x is ``ku`` itself, and below tau = 1
+    the first term's x is ``bu`` itself; at tau = 1 no term's x is ``bu``.
 
     Raises
     ------
@@ -206,7 +247,9 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
         raise InvalidTau(f"tau must lie in [0, 1], got {tau}")
     guard_ubu, guard_uku = _curvature_guards(b, ku, u)
     bu = symv(b, u)
-    ubu = u.dot(bu)
+    # Python floats, so that the terms' c are: numpy scalar arithmetic costs
+    # their users ~0.15 us an operation, which weighs at small d.
+    ubu, uku = float(u.dot(bu)), float(uku)
     if ubu <= guard_ubu or uku <= guard_uku:
         label = "BFGS" if tau == 0.0 else "DFP" if tau == 1.0 else f"Broyden(tau={tau})"
         raise DegenerateDirection(
@@ -220,17 +263,17 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
         terms += [(ku + bu, -half), (ku - bu, half)]
     for x, c in terms:
         _add_symmetric(b, c, x)
-    return terms
+    return bu, terms
 
 
-def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> list:
+def bfgs_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> tuple:
     """Generalized BFGS update of B toward K along u, in place:
     ``B - B u u^T B / <u, B u> + ku ku^T / uku``. :func:`broyden_update`
     at tau = 0."""
     return broyden_update(0.0, b, ku, uku, u)
 
 
-def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> list:
+def dfp_update(b: np.ndarray, ku: np.ndarray, uku: float, u: np.ndarray) -> tuple:
     """DFP update of B toward K along u, in place:
     ``B - (ku u^T B + B u u^T ku^T)/uku + (1 + <u,Bu>/uku) ku ku^T/uku``.
     :func:`broyden_update` at tau = 1."""

@@ -9,7 +9,11 @@ One step() runs every method: the touched tuple's curvature passes through
 the method's stages, then its aggregate strategy folds the change into the
 curvature aggregate. Every method keeps phi = sum_i D_i z_i and
 g = sum_i grad_i the same way, in place, so the methods differ only in how
-they keep sum_i D_i.
+they keep sum_i D_i. When the classic stage runs from the D_i that phi
+holds, the step takes phi's change D_i(new) x - D_i z_old from the stage's
+product B s and the terms both stages added, with no product of D_i (two
+fewer d x d sweeps); a skipped classic stage, IGS, NIM and SIQN's nonzero
+beta trade the old share for a fresh product instead.
 
 method  scale c        classic stage   greedy stage    aggregate strategy
 IQN     0              BFGS along s    -               memoized inverse chain
@@ -192,8 +196,12 @@ class BaseSolver:
     step() runs every method: the class flags below pick its curvature
     stages, and its aggregate strategy overrides the hooks after step().
     Every method keeps phi = sum D_i z_i and g = sum grad_i the same way:
-    _rebuild() builds them and step() updates them in place. A strategy
-    adds only its curvature aggregate. The aggregates are built by
+    _rebuild() builds them and step() updates them in place. With x =
+    z_old + s, phi's change is B s + sum_j c_j <x_j, x> x_j whenever the
+    classic stage ran from the D_i phi holds (mk.add_product_change);
+    otherwise, with no B s or a D_i swollen by beta, it is D_i(new) x less
+    _outgoing's D_i z_old, two products of D_i. A strategy adds only its
+    curvature aggregate. The aggregates are built by
     _rebuild() at init and rebuilt exactly after every refresh_period-th
     step.
     """
@@ -266,7 +274,15 @@ class BaseSolver:
                 d_i *= (1.0 + c) ** 2
         grad_new = self.objective.gradient(i, x)
         y_raw = grad_new - self.grads[i]
-        outgoing = self._outgoing(d_i, z_old)
+        # Tuple i's share of phi is D_i z_old with D_i as the stages start
+        # from it, unless a direct solver's beta has swollen D_i: a memoized
+        # solver's c only folds in the lazy factor phi already holds. When
+        # the classic stage runs from that D_i, phi's change comes from the
+        # stages' own products and no product of D_i is taken; otherwise
+        # phi trades the old share for a fresh D_i x.
+        from_terms = self.classic and not skipped and (
+            c == 0.0 or isinstance(self, MemoizedSolver))
+        outgoing = None if from_terms else self._outgoing(d_i, z_old)
 
         # The stages update D_i in place through the public kernels, called
         # as module attributes so that a wrapper on matkernel sees each call,
@@ -274,7 +290,7 @@ class BaseSolver:
         if self.classic and not skipped:
             # K s = (1 + c) y_raw, and <s, K s> = (1 + c) <s, y_raw>.
             k = 1.0 + c
-            terms += mk.broyden_update(self.tau1, d_i, k * y_raw, k * s.dot(y_raw), s)
+            bs, terms = mk.broyden_update(self.tau1, d_i, k * y_raw, k * s.dot(y_raw), s)
         if self.greedy:
             if self.config.track_sigma:
                 q = d_i.copy()  # the audits compare it with the updated D_i
@@ -283,7 +299,7 @@ class BaseSolver:
             h_col = self.objective.hessian_column(i, x, k)
             e_k = self._e
             e_k[k] = 1.0
-            terms += mk.broyden_update(self.tau2, d_i, h_col, float(h_diag[k]), e_k)
+            terms += mk.broyden_update(self.tau2, d_i, h_col, float(h_diag[k]), e_k)[1]
             e_k[k] = 0.0
 
         self.z[i] = x
@@ -291,11 +307,15 @@ class BaseSolver:
         self.t = t
         w = omega(t, self.n, self.alpha)
         self._fold(i, w, terms)
-        # phi trades the tuple's old share for D_i x, after _fold (NIM
-        # writes its D_i there), then takes omega.
+        # phi takes the new share, after _fold (NIM writes its D_i there),
+        # then omega.
         phi = self.phi
-        phi -= outgoing
-        phi += mk.symv(d_i, x)
+        if from_terms:
+            # x = z_old + s, so D_i(new) x - D_i z_old = B s + sum_j c_j <x_j, x> x_j.
+            mk.add_product_change(phi, bs, terms, x)
+        else:
+            phi -= outgoing
+            phi += mk.symv(d_i, x)
         if w != 1.0:
             phi *= w
         self.g += y_raw
@@ -319,9 +339,10 @@ class BaseSolver:
         return 0.0
 
     def _outgoing(self, d_i, z_old):
-        """The old tuple's share D_i z_old of phi, read after the scale
-        stage, which brings a lazy D_i to the eager value phi summed, and
-        before the curvature stages."""
+        """The old tuple's share D_i z_old of phi when step() cannot take
+        phi's change from the terms, read after the scale stage, which
+        brings a lazy D_i to the eager value phi summed, and before the
+        curvature stages."""
         return mk.symv(d_i, z_old)
 
     def _fold(self, i, w, terms):

@@ -1,7 +1,8 @@
 """The in-place BLAS update kernels against the oracle's textbook forms.
 
 Every kernel overwrites its matrix argument: ``sm_inverse_update`` returns
-it, the curvature kernels return the rank-one terms they added. Each reads
+it, the curvature kernels return the product ``B u`` and the rank-one terms
+they added. Each reads
 and writes the lower triangle only, so a result is compared in full after
 ``full_matrix`` mirrors it. Each is checked across dimensions from the
 scalar case to one where BLAS blocking applies. The oracle's formulas are
@@ -44,7 +45,7 @@ def apply(kernel, args, m, in_place):
     """Run ``kernel(*args)`` on ``m`` itself or, as a caller that keeps its
     input does, on a fresh copy of it, and return the updated matrix. Either
     way ``sm_inverse_update`` must return the matrix it was given, a
-    curvature kernel its list of terms, and each must leave every other
+    curvature kernel its ``(bu, terms)`` pair, and each must leave every other
     argument, and in the fresh mode ``m``, unchanged."""
     target = m if in_place else m.copy()
     args = [target if a is m else a for a in args]
@@ -53,7 +54,8 @@ def apply(kernel, args, m, in_place):
     if kernel is mk.sm_inverse_update:
         assert out is target
     else:
-        assert isinstance(out, list)
+        bu, terms = out
+        assert isinstance(bu, np.ndarray) and isinstance(terms, list)
     for a, before in kept:
         np.testing.assert_array_equal(a, before)
     return target
@@ -103,11 +105,15 @@ class TestAgainstTextbook:
 @pytest.mark.parametrize("d", DIMS)
 def test_broyden_returns_the_terms_it_added(rng, d, tau, count):
     # The terms are what the solvers' inverse chain applies to H, so they
-    # must add up to the change the kernel made to B.
+    # must add up to the change the kernel made to B. B u is the old B's
+    # product, and below tau = 1 it is the first term's x itself, which
+    # the solvers' phi update relies on.
     b, ku, uku, u = TestAgainstTextbook.update_args(rng, d)
     before = b.copy()
-    terms = mk.broyden_update(tau, b, ku, uku, u)
+    bu, terms = mk.broyden_update(tau, b, ku, uku, u)
     assert len(terms) == count
+    np.testing.assert_allclose(bu, before @ u, rtol=1e-13, atol=1e-13)
+    assert [x is bu for x, _ in terms] == [tau < 1.0] + [False] * (count - 1)
     added = before + sum(c * np.outer(x, x) for x, c in terms)
     assert rel_err(np.tril(added), np.tril(b)) < 1e-13
 
@@ -260,7 +266,7 @@ def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
     sy = float(s @ y)
     expected = np.linalg.inv(_broyden_explicit(tau, b, y, sy, s))
     h = mk.symmetrize(np.linalg.inv(b))
-    assert _apply_chain(h, mk.broyden_update(tau, b.copy(), y, sy, s))
+    assert _apply_chain(h, mk.broyden_update(tau, b.copy(), y, sy, s)[1])
     assert rel_err(full_matrix(h), expected) < 1e-10
 
 
@@ -302,7 +308,7 @@ def test_broyden_terms_chain_is_symmetric_and_inverts_the_update(stage):
     ku = k @ u
     uku = float(u @ ku)
     h = mk.symmetrize(np.linalg.inv(b))
-    assert _apply_chain(h, mk.broyden_update(tau, b.copy(), ku, uku, u))
+    assert _apply_chain(h, mk.broyden_update(tau, b.copy(), ku, uku, u)[1])
     expected = np.linalg.inv(_broyden_explicit(tau, b, ku, uku, u))
     assert rel_err(full_matrix(h), expected) < 1e-9
 
@@ -357,3 +363,34 @@ def test_out_must_be_c_ordered_float64(rng):
         with pytest.raises(ValueError, match="writeable C-ordered float64"):
             update(m)
         np.testing.assert_array_equal(m, before)
+
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("d", DIMS)
+def test_product_change_matches_the_updated_matrix(rng, d, tau):
+    # B' x - B z for x = z + u from B u and the terms alone, at every tau:
+    # below tau = 1 the first term's x is B u itself, at tau = 1 none is.
+    b, ku, uku, u = TestAgainstTextbook.update_args(rng, d)
+    z = rng.standard_normal(d)
+    x = z + u
+    before = full_matrix(b)
+    bu, terms = mk.broyden_update(tau, b, ku, uku, u)
+    y = rng.standard_normal(d)
+    expected = y + full_matrix(b) @ x - before @ z
+    assert mk.add_product_change(y, bu, terms, x) is y
+    assert rel_err(y, expected) < 1e-12
+
+
+def test_product_change_target_must_be_writeable_contiguous_float64(rng):
+    # daxpy would add into a copy of a strided or float32 vector and write
+    # through a read-only one.
+    d = 6
+    b, ku, uku, u = TestAgainstTextbook.update_args(rng, d)
+    bu, terms = mk.broyden_update(0.5, b, ku, uku, u)
+    for y in (rng.standard_normal(2 * d)[::2], rng.standard_normal(d).astype(np.float32),
+              read_only(rng.standard_normal(d))):
+        before = y.copy()
+        with pytest.raises(ValueError, match="writeable contiguous float64"):
+            mk.add_product_change(y, bu, terms, u)
+        np.testing.assert_array_equal(y, before)
