@@ -278,6 +278,35 @@ def memoization_audit(objective, x0, config, steps, tolerance=1e-9):
         context=f"{config.method}, {steps} steps")
 
 
+# How far the direct_sums audit pushes the sums just before a rebuild
+# (relative): the order of the drift rounding leaves after a beta peak.
+SEEDED_DRIFT = 1e-6
+
+
+def direct_sums_audit(objective, x0, config, steps, tolerance=1e-9):
+    """After every step, a direct solver's incremental sum of D_i and its
+    phi - g must match :func:`direct_sums` (relative errors, on the lower
+    triangles). Over a few passes rounding alone drifts them by ~1e-16, so
+    just before the first rebuild both are pushed SEEDED_DRIFT off: the
+    audit then also fails when the rebuild does not rebuild them."""
+    solver = make_solver(objective, x0, config)
+    worst = 0.0
+    for step_no in range(1, steps + 1):
+        solver.step()
+        dbar, phi, g = direct_sums(solver)
+        dbar, rhs = np.tril(dbar), phi - g
+        hsum_err = np.linalg.norm(np.tril(solver._hsum) - dbar) / np.linalg.norm(dbar)
+        rhs_err = (np.linalg.norm(solver.phi - solver.g - rhs)
+                   / max(np.linalg.norm(rhs), 1.0))
+        worst = max(worst, float(hsum_err), float(rhs_err))
+        if step_no == solver.refresh_period - 1:
+            solver._hsum *= 1.0 + SEEDED_DRIFT
+            solver.phi *= 1.0 + SEEDED_DRIFT
+    return AuditReport.from_deviation(
+        "direct_sums_exactness", worst, tolerance,
+        context=f"{config.method}, {steps} steps, rebuild every {solver.refresh_period}")
+
+
 def drift_audit(objective, x0, config, steps):
     """:func:`inverse_residual` measured at every refresh boundary, before
     the refresh overwrites the memoized inverse."""
@@ -417,6 +446,18 @@ def run_check_suite(seed=20240111):
     reports.append(memoization_audit(quad, x0_quad, cfg, steps=3 * quad.n))
     reports.append(memoization_audit(
         quad, x0_quad, SolverConfig(method="IQN", gstop=1e-300), steps=3 * quad.n))
+    # Past the default 10 n rebuild, with both stages' four Broyden terms.
+    reports.append(memoization_audit(
+        quad, x0_quad, SolverConfig(method="GSLIQN", tau1=0.5, tau2=0.5, gstop=1e-300),
+        steps=11 * quad.n))
+    # SIQN at beta = 0 (quadratic) takes phi's change from its terms; IGS
+    # and NIM, and the logistic beta, take the two products.
+    for method, objective, x0 in (("SIQN", quad, x0_quad), ("IGS", logi, x0_logi),
+                                  ("NIM", logi, x0_logi)):
+        reports.append(direct_sums_audit(
+            objective, x0, SolverConfig(method=method, gstop=1e-300,
+                                        refresh_period=2 * objective.n),
+            steps=5 * objective.n))
     reports.append(drift_audit(
         quad, x0_quad,
         SolverConfig(method="SLIQN", gstop=1e-300, max_epochs=200, refresh_period=200),
