@@ -8,6 +8,7 @@ from iqnlab.objectives import QuadraticComponents, QuadraticObjective
 from iqnlab.oracle import (
     AuditReport,
     EagerReference,
+    direct_sums_audit,
     drift_audit,
     finite_diff_gradient,
     finite_diff_hessian,
@@ -18,6 +19,7 @@ from iqnlab.oracle import (
     run_check_suite,
     _synthetic_logistic,
 )
+from iqnlab import solvers
 from iqnlab.solvers import AlphaSchedule, SolverConfig, make_solver
 
 
@@ -170,6 +172,28 @@ def test_drift_audit_uses_the_solver_default_period():
                          steps=2 * 10 * quad.n)
     assert report.context.endswith(f"refresh every {10 * quad.n}")
     assert report.passed, report.line()
+
+
+def test_direct_sums_audit_fails_without_a_rebuild(monkeypatch):
+    # The audit pushes the sums off just before the first rebuild, which
+    # must bring them back: a direct solver that only builds its sums at
+    # init fails it.
+    rebuild = solvers.DirectSolver._rebuild
+
+    def at_init_only(self):
+        if self._hsum is None:
+            rebuild(self)
+    quad = small_quadratic()
+    for method in ("SIQN", "IGS", "NIM"):
+        config = SolverConfig(method=method, gstop=1e-300, refresh_period=2 * quad.n)
+        report = direct_sums_audit(quad, initial_point(quad.d, 1.0, 0), config,
+                                   steps=3 * quad.n)
+        assert report.passed, report.line()
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers.DirectSolver, "_rebuild", at_init_only)
+            report = direct_sums_audit(quad, initial_point(quad.d, 1.0, 0), config,
+                                       steps=3 * quad.n)
+        assert report.max_deviation > 1e-7, report.line()
 
 
 def test_check_suite_passes_everywhere():

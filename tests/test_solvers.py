@@ -14,6 +14,7 @@ from iqnlab.data import GeneratorSpec, generate_quadratic, initial_point
 from iqnlab.errors import DegenerateDirection, LazyInconsistency, SingularAggregate
 from iqnlab.objectives import LogisticObjective, QuadraticComponents, QuadraticObjective
 from iqnlab.oracle import (
+    direct_sums,
     full_matrix,
     inverse_residual,
     lazy_eager_audit,
@@ -233,19 +234,32 @@ class TestMemoization:
 
 
 def _sum_drift(solver):
-    """Relative distance of the direct strategy's sums from a rebuild, on
-    the lower triangles that define them."""
-    full = [full_matrix(d_i) for d_i in solver.D]
-    hsum = np.tril(sum(full))
-    rhs = sum(d_i @ z_i for d_i, z_i in zip(full, solver.z)) - solver.grads.sum(axis=0)
-    return max(np.linalg.norm(np.tril(solver._hsum) - hsum) / np.linalg.norm(hsum),
-               np.linalg.norm(solver.phi - solver.g - rhs) / np.linalg.norm(rhs))
+    """Relative distance of a solver's phi, g and phi - g, and of the direct
+    strategy's sum, from oracle.direct_sums, on the lower triangles that
+    define the sums."""
+    dbar, phi, g = direct_sums(solver)
+    rhs = phi - g
+    drift = max(np.linalg.norm(solver.phi - phi) / np.linalg.norm(phi),
+                np.linalg.norm(solver.g - g) / max(np.linalg.norm(g), 1.0),
+                np.linalg.norm(solver.phi - solver.g - rhs) / np.linalg.norm(rhs))
+    if isinstance(solver, solvers.DirectSolver):
+        hsum = np.tril(dbar)
+        drift = max(drift, np.linalg.norm(np.tril(solver._hsum) - hsum) / np.linalg.norm(hsum))
+    return drift
+
+
+# Exact curvature lands on x* at t = 1, so from t = n + 1 on, the touched
+# tuple already sits at the iterate and the classic stage is skipped.
+EXACT_START = dict(init_curvature="exact-hessian")
 
 
 class TestDirectSums:
     # Worst per-step drift over 100 epochs, with the default refresh: 1.1e-15
     # on small quadratics, 1.0e-11 on small logistic problems (SIQN).
     DRIFT_BOUND = 1e-9
+    # Settings beyond the default ones for the "quad-..." runs below.
+    SETTINGS = {"dfp": dict(tau1=1.0, tau2=1.0), "skip": EXACT_START,
+                "geometric": dict(tau1=0.5, tau2=0.5, alpha=GEOMETRIC)}
 
     @pytest.mark.parametrize("method", ["SIQN", "IGS", "NIM"])
     def test_sums_are_built_at_init(self, method):
@@ -263,18 +277,27 @@ class TestDirectSums:
         # DegenerateDirection at t = 52.)
         return small_logistic(rng, n=12, d=6), 0.1
 
-    @pytest.mark.parametrize("problem", ["quad", "logi"])
-    @pytest.mark.parametrize("method", ["SIQN", "IGS", "NIM"])
+    @pytest.mark.parametrize("method, problem", [
+        *itertools.product(solvers.METHODS, ["quad", "logi"]),
+        ("GSLIQN", "quad-dfp"),
+        *((method, "quad-skip") for method in ("IQN", "SIQN", "SLIQN", "GSLIQN")),
+        ("SLIQN", "quad-geometric"), ("GSLIQN", "quad-geometric")])
     def test_sums_track_a_rebuild_over_100_epochs(self, method, problem, rng):
-        obj, scale = ((small_quadratic(), 1.0) if problem == "quad"
+        # phi takes its change from the stages' terms at tau1 < 1 and at
+        # tau1 = 1 (where B s is no term), and from two products of D_i
+        # where the classic stage is skipped or absent; every path must
+        # track the direct sums through ten rebuilds.
+        obj, scale = ((small_quadratic(), 1.0) if problem.startswith("quad")
                       else self.beta_swelling_logistic(rng))
+        settings = self.SETTINGS.get(problem.partition("-")[2], {})
         solver = make_solver(obj, initial_point(obj.d, scale, 8),
-                             SolverConfig(method=method, gstop=1e-300))
-        worst = 0.0
+                             SolverConfig(method=method, gstop=1e-300, **settings))
+        worst, skipped = 0.0, 0
         for _ in range(100 * obj.n):
-            solver.step()
+            skipped += solver.step().classic_skipped
             worst = max(worst, _sum_drift(solver))
         assert worst <= self.DRIFT_BOUND
+        assert skipped or problem != "quad-skip"
 
     def test_refresh_removes_the_gradient_floor(self, rng):
         # The rounding left from the peak floors the gradient norm at the
@@ -580,6 +603,39 @@ def test_steps_call_the_public_kernels(method, monkeypatch):
     for _ in range(2 * quad.n - 1):  # short of the 10 n refresh
         solver.step()
     assert {name for name, count in calls.items() if count} == STEP_KERNELS[method]
+
+
+# Products m @ x (mk.symv) per step: the iterate solve's symv(H), B u in
+# each Broyden stage and symv(H) for each term of the inverse chain. phi's
+# change comes from the classic stage's B s and the terms, so no other
+# product of D_i is taken (the parent took D_i z_old and D_i x: 6 and 9).
+STEP_PRODUCTS = {"IQN": 4, "SLIQN": 7}
+
+
+@pytest.mark.parametrize("method", sorted(STEP_PRODUCTS))
+def test_step_takes_no_product_of_d_i_for_phi(method, monkeypatch):
+    # Exact curvature lands on x* at t = 1: the first n steps run the
+    # classic stage, the next n skip it and take D_i z_old and D_i x.
+    quad = small_quadratic()
+    solver = make_solver(quad, initial_point(quad.d, 1.0, 0), SolverConfig(
+        method=method, gstop=1e-300, **EXACT_START))
+    products = []
+
+    def counted(m, x, _symv=mk.symv):
+        products.append(np.shares_memory(m, solver.D))
+        return _symv(m, x)
+    monkeypatch.setattr(mk, "symv", counted)
+    greedy = int(solver.greedy)  # the greedy stage's B e_k
+    for t in range(1, 2 * quad.n + 1):  # short of the 10 n refresh
+        products.clear()
+        skipped = solver.step().classic_skipped
+        assert skipped == (t > quad.n)
+        if skipped:
+            # The solve, the greedy stage and its 2 terms, and the two
+            # fallback products of D_i.
+            assert (len(products), sum(products)) == (1 + 3 * greedy + 2, greedy + 2)
+        else:
+            assert (len(products), sum(products)) == (STEP_PRODUCTS[method], 1 + greedy)
 
 
 @pytest.mark.parametrize("method", solvers.METHODS)
