@@ -73,6 +73,22 @@ def symv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _dsymv(1.0, m.T, x)
 
 
+# f2py hands dsyr and dpotrf a copy of a view that is not a float64 Fortran
+# array, daxpy one of a vector that is not a contiguous float64 one, and
+# each writes through a read-only one. The update would then be lost, or
+# land in memory the caller protected, so the in-place writes below check
+# both and raise with their target untouched.
+_NOT_IN_PLACE = "the matrix must be a writeable C-ordered float64 array"
+_NOT_IN_PLACE_VECTOR = "the vector must be a writeable contiguous float64 array"
+
+
+def _add_symmetric(m, c, x):
+    """``m += c x x^T`` in place, written to the lower triangle only."""
+    a = m.T
+    if not m.flags.writeable or _dsyr(c, x, a=a, overwrite_a=1) is not a:
+        raise ValueError(_NOT_IN_PLACE)
+
+
 def add_product_change(y: np.ndarray, bu: np.ndarray, terms: list,
                        x: np.ndarray) -> np.ndarray:
     """``y += B' x - B z`` in place for ``x = z + u``, where ``B'`` is B
@@ -104,23 +120,6 @@ def add_product_change(y: np.ndarray, bu: np.ndarray, terms: list,
     if rest != 0.0 and _daxpy(bu, y, n, rest) is not y:
         raise ValueError(_NOT_IN_PLACE_VECTOR)
     return y
-
-
-_NOT_IN_PLACE_VECTOR = "the vector must be a writeable contiguous float64 array"
-
-
-# f2py hands dsyr and dpotrf a copy of a view that is not a float64 Fortran
-# array, and writes through a read-only one. The update would then be lost,
-# or land in memory the caller protected, so the in-place writes below check
-# both and raise with m untouched.
-_NOT_IN_PLACE = "the matrix must be a writeable C-ordered float64 array"
-
-
-def _add_symmetric(m, c, x):
-    """``m += c x x^T`` in place, written to the lower triangle only."""
-    a = m.T
-    if not m.flags.writeable or _dsyr(c, x, a=a, overwrite_a=1) is not a:
-        raise ValueError(_NOT_IN_PLACE)
 
 
 def cholesky_inverse(m: np.ndarray) -> np.ndarray:
@@ -247,8 +246,8 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
         raise InvalidTau(f"tau must lie in [0, 1], got {tau}")
     guard_ubu, guard_uku = _curvature_guards(b, ku, u)
     bu = symv(b, u)
-    # Python floats, so that the terms' c are: numpy scalar arithmetic costs
-    # their users ~0.15 us an operation, which weighs at small d.
+    # Python floats make the terms' c Python floats: numpy scalar
+    # arithmetic costs their users ~0.15 us an operation at small d.
     ubu, uku = float(u.dot(bu)), float(uku)
     if ubu <= guard_ubu or uku <= guard_uku:
         label = "BFGS" if tau == 0.0 else "DFP" if tau == 1.0 else f"Broyden(tau={tau})"
