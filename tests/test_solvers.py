@@ -608,7 +608,7 @@ def test_steps_call_the_public_kernels(method, monkeypatch):
 # Products m @ x (mk.symv) per step: the iterate solve's symv(H), B u in
 # each Broyden stage and symv(H) for each term of the inverse chain. phi's
 # change comes from the classic stage's B s and the terms, so no other
-# product of D_i is taken (the parent took D_i z_old and D_i x: 6 and 9).
+# product of D_i is taken (taking D_i z_old and D_i x too made 6 and 9).
 STEP_PRODUCTS = {"IQN": 4, "SLIQN": 7}
 
 
