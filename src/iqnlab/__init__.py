@@ -8,13 +8,12 @@ from .objectives import (
     SmoothnessConstants,
 )
 from .data import GeneratorSpec, generate_quadratic, initial_point, load_libsvm, parse_libsvm
-from .solvers import AlphaSchedule, SolverConfig, TraceRecord, make_solver, run
+from .solvers import SolverConfig, TraceRecord, make_solver, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "AlphaSchedule",
     "GeneratorSpec",
     "LogisticObjective",
     "QuadraticComponents",

@@ -19,7 +19,7 @@ from . import matkernel as mk
 from .data import GeneratorSpec, generate_quadratic, initial_point, load_libsvm, rows_to_csr
 from .errors import HarnessError, IqnLabError, SingularAggregate
 from .objectives import ORIGIN_GUARD, LogisticObjective, QuadraticObjective
-from .solvers import AlphaSchedule, SolverConfig, diverged, run
+from .solvers import SolverConfig, diverged, run
 
 TRACE_COLUMNS = ("t", "epoch", "grad_norm", "normalized_error", "sigma_max", "wall_ms")
 SUMMARY_COLUMNS = ("method", "epochs_to_gstop", "final_grad_norm", "wall_ms_total",
@@ -56,8 +56,7 @@ class ExperimentConfig:
     refresh_period: int = 0  # 0 means the solver default
     tau1: float = 0.0
     tau2: float = 0.0
-    alpha_epsilon: float = 0.0  # > 0 turns the alpha schedule on
-    alpha_rho: float = 0.5
+    alpha_epsilon: float = 0.0  # alpha0 = M sqrt(L) alpha_epsilon; > 0 turns it on
     track_sigma: bool = False
     out: str = "results"
 
@@ -73,6 +72,9 @@ class ExperimentConfig:
             raise HarnessError(f"seed must be non-negative, got {self.seed}")
         if not np.isfinite(self.x0_scale):
             raise HarnessError(f"x0_scale must be finite, got {self.x0_scale}")
+        if not 0.0 <= self.alpha_epsilon < np.inf:  # alpha0 = 0 * epsilon would pass it
+            raise HarnessError(f"invalid solver settings: alpha_epsilon = {self.alpha_epsilon}"
+                               " is not finite and non-negative")
         if self.problem == "logistic" and not self.data:
             raise HarnessError("logistic problems need a 'data' path")
         if self.lam != "auto":
@@ -225,16 +227,15 @@ def _reference_minimizer(objective, x0):
 def _solver_config(config: ExperimentConfig, method: str, constants=None) -> SolverConfig:
     """The SolverConfig of one method; raises HarnessError on bad settings.
 
-    ``constants`` scale the alpha schedule by M sqrt(L). Validation runs
-    before the problem exists and passes none: the scale does not affect
-    validity unless it overflows.
+    ``constants`` give alpha0 = M sqrt(L) alpha_epsilon. Validation runs
+    before the problem exists and passes none, so it checks alpha_epsilon
+    itself: the scale does not affect validity unless it overflows.
     """
     m_sqrt_l = 0.0 if constants is None else constants.M * np.sqrt(constants.L)
     try:
-        alpha = AlphaSchedule(epsilon=config.alpha_epsilon, rho=config.alpha_rho,
-                              m_sqrt_l=m_sqrt_l)
         return SolverConfig(
-            method=method, tau1=config.tau1, tau2=config.tau2, alpha=alpha,
+            method=method, tau1=config.tau1, tau2=config.tau2,
+            alpha0=m_sqrt_l * config.alpha_epsilon,
             gstop=config.gstop, max_epochs=config.max_epochs,
             refresh_period=config.refresh_period, track_sigma=config.track_sigma)
     except ValueError as exc:
@@ -340,6 +341,5 @@ def emit_plot_data(trace_paths, out_path):
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "epoch", "normalized_error"])
-        for method, epoch, value in rows:
-            writer.writerow([method, epoch, f"{value:.17g}"])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
     return rows

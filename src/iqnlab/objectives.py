@@ -299,8 +299,6 @@ class LogisticObjective(FiniteSumObjective):
         """c1 x, from x's memo (the one given, or looked up)."""
         if memo is None:
             memo = self._point(x)
-        if memo.nx < ORIGIN_GUARD:
-            return np.zeros(self.d)
         return memo.c1 * x
 
     def _margins(self, x):

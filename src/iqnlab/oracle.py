@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import SingularAggregate
-from .solvers import AlphaSchedule, SolverConfig, make_solver
+from .solvers import SolverConfig, make_solver
 from .objectives import LogisticObjective, QuadraticObjective
 
 
@@ -166,9 +166,8 @@ class EagerReference:
         self.D = base
 
     def alpha(self, k):
-        """alpha_k, stated from the schedule's fields."""
-        a = self.config.alpha
-        return a.m_sqrt_l * a.epsilon * a.rho ** k
+        """alpha_k = alpha0 * 0.5^k, stated here from config.alpha0."""
+        return self.config.alpha0 * 0.5 ** k
 
     def step(self):
         t = self.t + 1
@@ -335,7 +334,7 @@ def sigma_decay_audit(objective, x0, config, steps, tolerance=1e-9):
     consts = objective.constants
     rate = 1.0 - consts.mu / (objective.d * consts.L)
     solver = make_solver(objective, x0, replace(config, track_sigma=True))  # keeps Q
-    worst = -np.inf
+    worst = 0.0
     checked = 0
     for _ in range(steps):
         res = solver.step()
@@ -347,9 +346,8 @@ def sigma_decay_audit(objective, x0, config, steps, tolerance=1e-9):
         if before > 1e-12:
             worst = max(worst, after - rate * before)
             checked += 1
-    worst = 0.0 if checked == 0 else worst
     return AuditReport.from_deviation(
-        "sigma_greedy_contraction", max(worst, 0.0), tolerance,
+        "sigma_greedy_contraction", worst, tolerance,
         context=f"{config.method}, {checked} greedy updates, rate {rate:.6f}")
 
 
@@ -439,8 +437,7 @@ def run_check_suite(seed=20240111):
 
     # A nonzero alpha makes every lazy factor and secant scale (1 + alpha)
     # differ from 1; at the default alpha = 0 the lazy path is the eager one.
-    lazy = SolverConfig(method="GSLIQN", tau1=0.3, tau2=0.7, gstop=1e-300,
-                        alpha=AlphaSchedule(epsilon=0.05, rho=0.5, m_sqrt_l=1.0))
+    lazy = SolverConfig(method="GSLIQN", tau1=0.3, tau2=0.7, alpha0=0.05, gstop=1e-300)
     reports.append(lazy_eager_audit(logi, x0_logi, lazy, steps=3 * logi.n))
     cfg = SolverConfig(method="SLIQN", gstop=1e-300, max_epochs=100)
     reports.append(memoization_audit(quad, x0_quad, cfg, steps=3 * quad.n))

@@ -46,7 +46,7 @@ values.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,8 +54,6 @@ import numpy as np
 from . import matkernel as mk
 from .errors import IqnLabError, LazyInconsistency, SingularUpdate
 from .objectives import FiniteSumObjective
-
-METHODS = ("IQN", "SIQN", "SLIQN", "GSLIQN", "IGS", "NIM")
 
 # Steps shorter than this (relative to the iterate scale) skip the classic
 # curvature stage; the operators are undefined along a zero direction.
@@ -74,42 +72,31 @@ def index_of(t: int, n: int) -> int:
     return (t - 1) % n
 
 
-@dataclass(frozen=True)
-class AlphaSchedule:
-    """Epoch correction factors alpha_k = m_sqrt_l * epsilon * rho^k,
-    non-increasing in k. The default epsilon = 0 pins alpha_k = 0: the
-    correction is not needed empirically."""
-
-    epsilon: float = 0.0
-    rho: float = 0.5
-    m_sqrt_l: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"alpha schedule needs rho in (0, 1), got {self.rho}")
-        if not (0.0 <= self.epsilon < math.inf and 0.0 <= self.m_sqrt_l < math.inf):
-            raise ValueError("alpha schedule needs finite epsilon >= 0 and m_sqrt_l >= 0")
-
-    def value(self, k: int) -> float:
-        return self.m_sqrt_l * self.epsilon * self.rho ** k
+def alpha(alpha0: float, k: int) -> float:
+    """The epoch correction factor alpha_k = alpha0 * 0.5^k."""
+    return alpha0 * 0.5 ** k
 
 
-def omega(t: int, n: int, alpha: AlphaSchedule) -> float:
-    """Per-iteration aggregate scaling: (1 + alpha_{t/n})^2 at epoch ends
-    (t mod n == 0), 1 otherwise."""
+def omega(t: int, n: int, alpha0: float) -> float:
+    """Per-iteration aggregate scaling: (1 + alpha_{t/n})^2, with alpha_k
+    from alpha0, at epoch ends (t mod n == 0), 1 otherwise."""
     if t % n != 0:
         return 1.0
-    return (1.0 + alpha.value(t // n)) ** 2
+    return (1.0 + alpha(alpha0, t // n)) ** 2
 
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by every method; tau1/tau2 are read by GSLIQN only."""
+    """Knobs shared by every method; tau1/tau2 are read by GSLIQN only,
+    alpha0 by SLIQN and GSLIQN only. alpha0 starts the epoch correction
+    alpha_k = alpha0 * 0.5^k (the harness sets M sqrt(L) epsilon); the
+    default 0 pins every alpha_k to 0, as the correction is not needed
+    empirically."""
 
     method: str = "SLIQN"
     tau1: float = 0.0
     tau2: float = 0.0
-    alpha: AlphaSchedule = field(default_factory=AlphaSchedule)
+    alpha0: float = 0.0
     gstop: float = 1e-10
     max_epochs: int = 50
     refresh_period: int = 0  # steps between aggregate rebuilds; 0: BaseSolver's default
@@ -121,6 +108,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not 0.0 <= self.tau1 <= 1.0 or not 0.0 <= self.tau2 <= 1.0:
             raise ValueError("tau1 and tau2 must lie in [0, 1]")
+        if not 0.0 <= self.alpha0 < math.inf:
+            raise ValueError(f"alpha0 must be finite and non-negative, got {self.alpha0}")
         if not self.gstop > 0.0:
             raise ValueError("gstop must be positive")
         if self.max_epochs < 1:
@@ -174,14 +163,9 @@ def _apply_chain(h, terms):
     as positive). Every intermediate then lies above the old or the new sum
     in the PSD order, so none is singular while both are definite. False
     when one is all the same: ``h`` is then partly updated and must be
-    rebuilt.
-
-    The sort key is a Python bool. A kernel's c is mostly ``np.float64``,
-    whose comparison is an ``np.bool_``, and sorting four terms by those
-    took ~7 us against ~1 us for Python bools (numpy 2.4). The stable sort
-    gives the same order either way."""
+    rebuilt."""
     try:
-        for x, c in sorted(terms, key=lambda term: bool(term[1] < 0.0)):
+        for x, c in sorted(terms, key=lambda term: term[1] < 0.0):
             mk.sm_inverse_update(h, x, c)
     except SingularUpdate:
         return False
@@ -210,7 +194,7 @@ class BaseSolver:
     greedy = False   # greedy Broyden(tau2) stage on the greedy coordinate
     exact_start = False  # D starts at the component Hessians whatever init_curvature says
     tau1 = tau2 = 0.0
-    alpha = AlphaSchedule()  # omega = 1 unless a method sets a schedule
+    alpha0 = 0.0  # omega = 1 unless a method sets alpha0
 
     def __init__(self, objective: FiniteSumObjective, x0, config: SolverConfig):
         self.objective = objective
@@ -305,7 +289,7 @@ class BaseSolver:
         self.z[i] = x
         self.grads[i] = grad_new
         self.t = t
-        w = omega(t, self.n, self.alpha)
+        w = omega(t, self.n, self.alpha0)
         self._fold(i, w, terms)
         # phi takes the new share, after _fold (NIM writes its D_i there),
         # then omega.
@@ -329,6 +313,17 @@ class BaseSolver:
         the curvature aggregate in each strategy's override."""
         self.phi = sum(mk.symv(self.eager_curvature(i), self.z[i]) for i in range(self.n))
         self.g = self.grads.sum(axis=0)
+
+    def _curvature_sum(self, out):
+        """sum_i D_i (eager), accumulated over ``out``, or over a new d x d
+        array when ``out`` is None: after the first rebuild no rebuild
+        allocates one."""
+        if out is None:
+            out = np.empty((self.d, self.d))
+        out.fill(0.0)
+        for i in range(self.n):
+            out += self.eager_curvature(i)
+        return out
 
     def _solve_iterate(self):
         """The iterate from the aggregate system of the current tuples."""
@@ -359,19 +354,10 @@ class MemoizedSolver(BaseSolver):
 
     H = None  # allocated by the first rebuild, rewritten in place by the others
 
-    def _curvature_sum(self):
-        """sum_i D_i (eager), accumulated over H's buffer, which
-        mk.cholesky_inverse then inverts in place: after the first rebuild
-        no rebuild allocates a d x d array."""
-        dbar = np.empty((self.d, self.d)) if self.H is None else self.H
-        dbar.fill(0.0)
-        for i in range(self.n):
-            dbar += self.eager_curvature(i)
-        return dbar
-
     def _rebuild(self):
+        # The sum takes H's buffer, which mk.cholesky_inverse inverts in place.
         super()._rebuild()
-        self.H = mk.cholesky_inverse(self._curvature_sum())
+        self.H = mk.cholesky_inverse(self._curvature_sum(self.H))
 
     def _solve_iterate(self):
         return mk.symv(self.H, self.phi - self.g)
@@ -380,7 +366,7 @@ class MemoizedSolver(BaseSolver):
         if not _apply_chain(self.H, terms):
             # Rounding made an intermediate singular (see _apply_chain). H is
             # then part-updated: rebuild it directly.
-            self.H = mk.cholesky_inverse(self._curvature_sum())
+            self.H = mk.cholesky_inverse(self._curvature_sum(self.H))
         elif w != 1.0:
             self.H /= w
 
@@ -402,7 +388,7 @@ class SharpenedLazySolver(MemoizedSolver):
     def __init__(self, objective, x0, config):
         self.tau1 = config.tau1 if config.method == "GSLIQN" else 0.0
         self.tau2 = config.tau2 if config.method == "GSLIQN" else 0.0
-        self.alpha = config.alpha
+        self.alpha0 = config.alpha0
         # Stored matrices are the unscaled I_i^0; the (1 + alpha_0)^2 factor
         # is pending from epoch 0.
         self.scale_epoch = np.zeros(objective.n, dtype=np.int64)
@@ -412,7 +398,7 @@ class SharpenedLazySolver(MemoizedSolver):
         """D[i] times the epoch-boundary scalings not yet folded into it."""
         factor = 1.0
         for k in range(int(self.scale_epoch[i]), self.t // self.n + 1):
-            a = self.alpha.value(k)
+            a = alpha(self.alpha0, k)
             if a != 0.0:
                 factor *= (1.0 + a) ** 2
         return self.D[i] if factor == 1.0 else factor * self.D[i]
@@ -426,7 +412,7 @@ class SharpenedLazySolver(MemoizedSolver):
                 f"tuple {i} stored in epoch {self.scale_epoch[i]}, touched in "
                 f"epoch {epoch}; pending scaling spans more than one epoch")
         self.scale_epoch[i] = epoch
-        return self.alpha.value(epoch - 1)
+        return alpha(self.alpha0, epoch - 1)
 
 
 class IqnSolver(MemoizedSolver):
@@ -455,7 +441,7 @@ class DirectSolver(BaseSolver):
         # A beta-swollen D_i leaves its peak's rounding in the incremental
         # sums, which floors the gradient until the next rebuild.
         super()._rebuild()
-        self._hsum = np.sum(self.D, axis=0, out=self._hsum)
+        self._hsum = self._curvature_sum(self._hsum)
 
     def _solve_iterate(self):
         # The solve factorizes the sum's copy in place instead of allocating
@@ -521,6 +507,7 @@ _SOLVERS = {
     "IGS": IgsSolver,
     "NIM": NimSolver,
 }
+METHODS = tuple(_SOLVERS)
 
 
 def make_solver(objective, x0, config: SolverConfig) -> BaseSolver:

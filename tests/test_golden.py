@@ -25,13 +25,13 @@ from pathlib import Path
 import pytest
 
 from iqnlab.harness import ExperimentConfig, build_problem, write_trace_csv
-from iqnlab.solvers import AlphaSchedule, SolverConfig, run
+from iqnlab.solvers import SolverConfig, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Quadratics have M = 0, so the harness's alpha schedule is all zeros there;
-# this one is set directly to exercise the lazy epoch scaling.
-GEOMETRIC = AlphaSchedule(epsilon=0.05, rho=0.5, m_sqrt_l=1.0)
+# Quadratics have M = 0, so the harness's alpha0 is 0 there; this alpha0 is
+# set directly to exercise the lazy epoch scaling.
+GEOMETRIC = 0.05
 
 PROBLEMS = {
     "quad": ExperimentConfig(problem="quadratic", n=8, d=10, xi=1.5, b_max=10.0,
@@ -64,10 +64,10 @@ CASES = {
     "quad-NIM": ("quad", dict(method="NIM", **QUAD)),
     "quad-GSLIQN-tau": ("quad", dict(method="GSLIQN", tau1=0.5, tau2=0.3, **QUAD)),
     "quad-GSLIQN-dfp": ("quad", dict(method="GSLIQN", tau1=1.0, tau2=1.0, **QUAD)),
-    "quad-SLIQN-geometric": ("quad", dict(method="SLIQN", alpha=GEOMETRIC,
+    "quad-SLIQN-geometric": ("quad", dict(method="SLIQN", alpha0=GEOMETRIC,
                                           track_sigma=True, **QUAD)),
     "quad-GSLIQN-geometric": ("quad", dict(method="GSLIQN", tau1=0.5, tau2=0.5,
-                                           alpha=GEOMETRIC, **QUAD)),
+                                           alpha0=GEOMETRIC, **QUAD)),
     "quad-IQN-refresh": ("quad", dict(method="IQN", refresh_period=7, **QUAD)),
     "quad-SLIQN-refresh": ("quad", dict(method="SLIQN", refresh_period=7, **QUAD)),
     "quad-IQN-skip": ("quad", dict(method="IQN", **EXACT_START)),
@@ -85,7 +85,7 @@ CASES = {
     "logi-IGS": ("logi", dict(method="IGS", **LOGI_BETA)),
     "logi-NIM": ("logi", dict(method="NIM", **LOGI)),
     "logi-GSLIQN-tau": ("logi", dict(method="GSLIQN", tau1=0.3, tau2=0.7, **LOGI)),
-    "logi-SLIQN-geometric": ("logi", dict(method="SLIQN", alpha=GEOMETRIC, **LOGI)),
+    "logi-SLIQN-geometric": ("logi", dict(method="SLIQN", alpha0=GEOMETRIC, **LOGI)),
     "logi-SLIQN-hessian-init": ("logi", dict(method="SLIQN", init_curvature="exact-hessian",
                                              **LOGI)),
 }

@@ -505,7 +505,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["tau1 = 2.0", "alpha_epsilon = -1",
-                                         "alpha_rho = 1.5", "refresh_period = -1"])
+                                         "refresh_period = -1"])
     def test_run_bad_solver_setting_exits_before_output(self, tmp_path, capsys, setting):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("problem = quadratic\nn = 4\nd = 6\nmethods = GSLIQN\n"

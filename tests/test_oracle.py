@@ -20,7 +20,7 @@ from iqnlab.oracle import (
     _synthetic_logistic,
 )
 from iqnlab import solvers
-from iqnlab.solvers import AlphaSchedule, SolverConfig, make_solver
+from iqnlab.solvers import SolverConfig, make_solver
 
 
 def small_quadratic(n=5, d=6, seed=3):
@@ -99,8 +99,7 @@ class TestEagerReference:
 
     def test_matches_lazy_with_geometric_alpha_over_three_epochs(self):
         quad = small_quadratic()
-        alpha = AlphaSchedule(epsilon=0.1, rho=0.5, m_sqrt_l=1.0)
-        cfg = SolverConfig(method="SLIQN", alpha=alpha, gstop=1e-300)
+        cfg = SolverConfig(method="SLIQN", alpha0=0.1, gstop=1e-300)
         report = lazy_eager_audit(quad, initial_point(quad.d, 1.0, 5), cfg,
                                   steps=3 * quad.n)
         assert report.passed, report.line()

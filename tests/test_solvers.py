@@ -22,8 +22,8 @@ from iqnlab.oracle import (
     recompute_aggregates,
 )
 from iqnlab.solvers import (
-    AlphaSchedule,
     SolverConfig,
+    alpha,
     index_of,
     make_solver,
     omega,
@@ -43,7 +43,7 @@ def small_logistic(rng, n=10, d=20, lam=None):
                              lam=lam or 1.0 / n, p=2.1, radius=10.0)
 
 
-GEOMETRIC = AlphaSchedule(epsilon=0.1, rho=0.5, m_sqrt_l=1.0)
+GEOMETRIC = 0.1  # alpha0: alpha_k = 0.1 * 0.5^k
 
 
 class TestScheduling:
@@ -60,29 +60,23 @@ class TestScheduling:
         assert seen == list(range(quad.n)) * 3
 
     def test_omega_zero_schedule(self):
-        # epsilon = 0 pins alpha to 0 whatever the scale.
-        for alpha in (AlphaSchedule(), AlphaSchedule(m_sqrt_l=1e6)):
-            assert all(alpha.value(k) == 0.0 for k in range(5))
-            assert all(omega(t, 4, alpha) == 1.0 for t in range(1, 13))
+        # alpha0 = 0 pins every alpha_k to 0.
+        assert all(alpha(0.0, k) == 0.0 for k in range(5))
+        assert all(omega(t, 4, 0.0) == 1.0 for t in range(1, 13))
 
-    @pytest.mark.parametrize("fields", [
-        dict(rho=0.0), dict(rho=1.0), dict(rho=1.5), dict(rho=float("nan")),
-        dict(epsilon=-0.1), dict(epsilon=float("inf")), dict(epsilon=float("nan")),
-        dict(m_sqrt_l=-1.0), dict(m_sqrt_l=float("inf")), dict(m_sqrt_l=float("nan")),
-    ], ids=["rho-0", "rho-1", "rho-1.5", "rho-nan", "epsilon-negative", "epsilon-inf",
-            "epsilon-nan", "m_sqrt_l-negative", "m_sqrt_l-inf", "m_sqrt_l-nan"])
-    def test_bad_schedule_rejected(self, fields):
-        with pytest.raises(ValueError):
-            AlphaSchedule(**{"epsilon": 0.1, "m_sqrt_l": 1.0, **fields})
+    # alpha0 is M sqrt(L) epsilon; each id names the epsilon it is at scale 1.
+    @pytest.mark.parametrize("alpha0", [-0.1, float("inf"), float("nan")],
+                             ids=["epsilon-negative", "epsilon-inf", "epsilon-nan"])
+    def test_bad_schedule_rejected(self, alpha0):
+        with pytest.raises(ValueError, match="alpha0"):
+            SolverConfig(alpha0=alpha0)
 
     def test_omega_geometric_values(self):
-        # m_sqrt_l * epsilon = 1 and rho = 0.5, so alpha_1 = 0.5 and omega
-        # at the first epoch end is 1.5^2.
-        alpha = AlphaSchedule(epsilon=1.0, rho=0.5, m_sqrt_l=1.0)
+        # alpha0 = 1, so alpha_1 = 0.5 and omega at the first epoch end is 1.5^2.
         n = 7
-        assert omega(n, n, alpha) == pytest.approx(2.25, abs=0)
-        assert omega(n + 1, n, alpha) == 1.0
-        assert alpha.value(0) == 1.0 and alpha.value(2) == 0.25
+        assert omega(n, n, 1.0) == pytest.approx(2.25, abs=0)
+        assert omega(n + 1, n, 1.0) == 1.0
+        assert alpha(1.0, 0) == 1.0 and alpha(1.0, 2) == 0.25
 
 
 class TestInitState:
@@ -98,9 +92,7 @@ class TestInitState:
     def test_alpha0_scaling_applied_to_aggregates(self):
         a = np.full((3, 2), 2.0)
         quad = QuadraticObjective(QuadraticComponents(a_diag=a, b=np.zeros((3, 2))))
-        alpha = AlphaSchedule(epsilon=1.0, rho=0.5, m_sqrt_l=1.0)
-        solver = make_solver(quad, np.zeros(2),
-                             SolverConfig(method="SLIQN", alpha=alpha))
+        solver = make_solver(quad, np.zeros(2), SolverConfig(method="SLIQN", alpha0=1.0))
         # alpha_0 = 1 so the eager curvature carries (1 + 1)^2 = 4.
         np.testing.assert_allclose(solver.eager_curvature(0), 8.0 * np.eye(2),
                                    atol=1e-15)
@@ -189,7 +181,7 @@ class TestMemoization:
     @pytest.mark.parametrize("method", ["IQN", "SLIQN", "GSLIQN"])
     def test_aggregates_match_direct_recomputation(self, method, rng):
         quad = small_quadratic()
-        cfg = SolverConfig(method=method, tau1=0.3, tau2=0.6, alpha=GEOMETRIC,
+        cfg = SolverConfig(method=method, tau1=0.3, tau2=0.6, alpha0=GEOMETRIC,
                            gstop=1e-300)
         report = memoization_audit(quad, initial_point(quad.d, 1.0, 1), cfg,
                                    steps=3 * quad.n)
@@ -259,7 +251,7 @@ class TestDirectSums:
     DRIFT_BOUND = 1e-9
     # Settings beyond the default ones for the "quad-..." runs below.
     SETTINGS = {"dfp": dict(tau1=1.0, tau2=1.0), "skip": EXACT_START,
-                "geometric": dict(tau1=0.5, tau2=0.5, alpha=GEOMETRIC)}
+                "geometric": dict(tau1=0.5, tau2=0.5, alpha0=GEOMETRIC)}
 
     @pytest.mark.parametrize("method", ["SIQN", "IGS", "NIM"])
     def test_sums_are_built_at_init(self, method):
@@ -314,7 +306,7 @@ class TestDirectSums:
 class TestLazyScaling:
     def test_lazy_matches_eager_with_geometric_alpha(self, rng):
         quad = small_quadratic()
-        cfg = SolverConfig(method="SLIQN", alpha=GEOMETRIC, gstop=1e-300)
+        cfg = SolverConfig(method="SLIQN", alpha0=GEOMETRIC, gstop=1e-300)
         report = lazy_eager_audit(quad, initial_point(quad.d, 1.0, 5), cfg,
                                   steps=3 * quad.n)
         assert report.passed, report.line()
@@ -337,14 +329,13 @@ class TestLazyScaling:
 
     def test_stored_matrices_lag_by_exactly_one_boundary(self):
         quad = small_quadratic(n=3, d=4)
-        alpha = AlphaSchedule(epsilon=0.2, rho=0.5, m_sqrt_l=1.0)
         solver = make_solver(quad, initial_point(4, 1.0, 0),
-                             SolverConfig(method="SLIQN", alpha=alpha))
+                             SolverConfig(method="SLIQN", alpha0=0.2))
         for _ in range(quad.n):  # full first epoch
             solver.step()
         # every tuple was rewritten in epoch 1; one boundary (end of epoch 1)
         # has passed, so the eager value carries (1 + alpha_1)^2
-        factor = (1.0 + alpha.value(1)) ** 2
+        factor = (1.0 + alpha(0.2, 1)) ** 2
         for i in range(quad.n):
             np.testing.assert_allclose(solver.eager_curvature(i),
                                        factor * solver.D[i], atol=0)
@@ -407,7 +398,7 @@ class TestStateInvariants:
             solver = make_solver(quad, initial_point(quad.d, 1.0, 0),
                                  SolverConfig(method=method, gstop=1e-300))
             monkeypatch.setattr(type(solver), "_curvature_sum",
-                                lambda self: np.zeros((self.d, self.d)))
+                                lambda self, out: np.zeros((self.d, self.d)))
             with pytest.raises(SingularAggregate, match="singular"):
                 solver.step()
 
@@ -425,8 +416,7 @@ class TestStateInvariants:
 
     def test_lazy_matches_eager_logistic_geometric_many_epochs(self, rng):
         logi = small_logistic(rng)
-        alpha = AlphaSchedule(epsilon=0.05, rho=0.5, m_sqrt_l=1.0)
-        cfg = SolverConfig(method="SLIQN", alpha=alpha, gstop=1e-300)
+        cfg = SolverConfig(method="SLIQN", alpha0=0.05, gstop=1e-300)
         report = lazy_eager_audit(logi, initial_point(logi.d, 0.5, 8), cfg,
                                   steps=8 * logi.n)
         assert report.passed, report.line()
@@ -701,7 +691,7 @@ class TestGeneralizedBroyden:
 
     def test_tau_half_matches_eager_broyden(self, rng):
         quad = small_quadratic()
-        cfg = SolverConfig(method="GSLIQN", tau1=0.5, tau2=0.5, alpha=GEOMETRIC,
+        cfg = SolverConfig(method="GSLIQN", tau1=0.5, tau2=0.5, alpha0=GEOMETRIC,
                            gstop=1e-300)
         report = lazy_eager_audit(quad, initial_point(quad.d, 1.0, 5), cfg,
                                   steps=2 * quad.n)
