@@ -8,12 +8,13 @@ the two is evidence rather than tautology. Audits run on demand (the `check`
 CLI subcommand and the test suite), never inside solver loops.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
 
-from .errors import SingularAggregate
+from .errors import IqnLabError, SingularAggregate
 from .solvers import SolverConfig, make_solver
 from .objectives import LogisticObjective, QuadraticObjective
 
@@ -242,6 +243,25 @@ class EagerReference:
 # audits
 # ---------------------------------------------------------------------------
 
+def _audit(name):
+    """Make a measure that returns (max deviation, tolerance, context) into
+    an audit that returns its AuditReport. An IqnLabError the measure
+    raises becomes a FAIL report that names it, with nothing measured (NaN
+    deviation and tolerance), so one raising audit costs the suite no
+    other line."""
+    def decorate(measure):
+        @functools.wraps(measure)
+        def audit(*args, **kwargs):
+            try:
+                return AuditReport.from_deviation(name, *measure(*args, **kwargs))
+            except IqnLabError as exc:
+                return AuditReport.from_deviation(
+                    name, np.nan, np.nan, f"raised {type(exc).__name__}: {exc}")
+        return audit
+    return decorate
+
+
+@_audit("lazy_vs_eager")
 def lazy_eager_audit(objective, x0, config, steps):
     """Max relative iterate deviation between the lazy solver and the eager
     reference over the given number of steps."""
@@ -253,11 +273,10 @@ def lazy_eager_audit(objective, x0, config, steps):
         x_eager = eager.step()
         scale = max(float(np.linalg.norm(x_eager)), 1e-30)
         worst = max(worst, float(np.linalg.norm(x_lazy - x_eager)) / scale)
-    return AuditReport.from_deviation(
-        "lazy_vs_eager", worst, 1e-8,
-        context=f"{config.method}, {steps} steps, n={objective.n}, d={objective.d}")
+    return worst, 1e-8, f"{config.method}, {steps} steps, n={objective.n}, d={objective.d}"
 
 
+@_audit("memoization_exactness")
 def memoization_audit(objective, x0, config, steps, tolerance=1e-9):
     """After every step, memoized phi and g must match the direct sums
     (relative error), and H must invert the directly summed curvature
@@ -272,9 +291,7 @@ def memoization_audit(objective, x0, config, steps, tolerance=1e-9):
         g_err = (np.linalg.norm(solver.g - g_direct)
                  / max(np.linalg.norm(g_direct), 1.0))
         worst = max(worst, float(phi_err), float(g_err), inverse_residual(solver))
-    return AuditReport.from_deviation(
-        "memoization_exactness", worst, tolerance,
-        context=f"{config.method}, {steps} steps")
+    return worst, tolerance, f"{config.method}, {steps} steps"
 
 
 # How far the direct_sums audit pushes the sums just before a rebuild
@@ -282,6 +299,7 @@ def memoization_audit(objective, x0, config, steps, tolerance=1e-9):
 SEEDED_DRIFT = 1e-6
 
 
+@_audit("direct_sums_exactness")
 def direct_sums_audit(objective, x0, config, steps, tolerance=1e-9):
     """After every step, a direct solver's incremental sum of D_i and its
     phi - g must match :func:`direct_sums` (relative errors, on the lower
@@ -301,11 +319,11 @@ def direct_sums_audit(objective, x0, config, steps, tolerance=1e-9):
         if step_no == solver.refresh_period - 1:
             solver._hsum *= 1.0 + SEEDED_DRIFT
             solver.phi *= 1.0 + SEEDED_DRIFT
-    return AuditReport.from_deviation(
-        "direct_sums_exactness", worst, tolerance,
-        context=f"{config.method}, {steps} steps, rebuild every {solver.refresh_period}")
+    return (worst, tolerance,
+            f"{config.method}, {steps} steps, rebuild every {solver.refresh_period}")
 
 
+@_audit("memoized_inverse_drift")
 def drift_audit(objective, x0, config, steps):
     """:func:`inverse_residual` measured at every refresh boundary, before
     the refresh overwrites the memoized inverse."""
@@ -319,11 +337,10 @@ def drift_audit(objective, x0, config, steps):
         if step_no % period == 0:
             worst = max(worst, inverse_residual(solver))
             solver._rebuild()
-    return AuditReport.from_deviation(
-        "memoized_inverse_drift", worst, 1e-6,
-        context=f"{config.method}, {steps} steps, refresh every {period}")
+    return worst, 1e-6, f"{config.method}, {steps} steps, refresh every {period}"
 
 
+@_audit("sigma_greedy_contraction")
 def sigma_decay_audit(objective, x0, config, steps, tolerance=1e-9):
     """On quadratics every greedy update must contract the approximation
     error: sigma(D_new, A_i) <= (1 - mu/(dL)) sigma(Q, A_i) + tol."""
@@ -346,11 +363,10 @@ def sigma_decay_audit(objective, x0, config, steps, tolerance=1e-9):
         if before > 1e-12:
             worst = max(worst, after - rate * before)
             checked += 1
-    return AuditReport.from_deviation(
-        "sigma_greedy_contraction", worst, tolerance,
-        context=f"{config.method}, {checked} greedy updates, rate {rate:.6f}")
+    return worst, tolerance, f"{config.method}, {checked} greedy updates, rate {rate:.6f}"
 
 
+@_audit("psd_dominance")
 def psd_dominance_audit(objective, x0, config, steps, tolerance=1e-8):
     """On quadratics, Q and the omega-free updated curvature must stay PSD
     above the component Hessian at every step."""
@@ -366,10 +382,10 @@ def psd_dominance_audit(objective, x0, config, steps, tolerance=1e-8):
                 continue
             min_eig = float(np.linalg.eigvalsh(full_matrix(mat) - hess)[0])
             worst = max(worst, -min_eig)
-    return AuditReport.from_deviation(
-        "psd_dominance", worst, tolerance, context=f"{config.method}, {steps} steps")
+    return worst, tolerance, f"{config.method}, {steps} steps"
 
 
+@_audit("gradient_vs_finite_differences")
 def gradient_audit(objective, rng, points=20, tolerance=1e-5):
     """Component gradients against central differences (relative error)."""
     worst = 0.0
@@ -379,11 +395,10 @@ def gradient_audit(objective, rng, points=20, tolerance=1e-5):
         fd = finite_diff_gradient(objective, i, x)
         an = objective.gradient(i, x)
         worst = max(worst, float(np.linalg.norm(an - fd) / max(np.linalg.norm(fd), 1.0)))
-    return AuditReport.from_deviation(
-        "gradient_vs_finite_differences", worst, tolerance,
-        context=f"{points} random points")
+    return worst, tolerance, f"{points} random points"
 
 
+@_audit("hessian_vs_differenced_gradient")
 def hessian_audit(objective, rng, points=20, tolerance=1e-4):
     """Component Hessians against differenced gradients, plus exactness of
     the diagonal and column slices."""
@@ -398,9 +413,7 @@ def hessian_audit(objective, rng, points=20, tolerance=1e-4):
         col_err = np.max(np.abs(objective.hessian_column(i, x, j) - full[:, j]))
         diag_err = np.max(np.abs(objective.hessian_diag(i, x) - np.diagonal(full)))
         worst = max(worst, float(col_err), float(diag_err))
-    return AuditReport.from_deviation(
-        "hessian_vs_differenced_gradient", worst, tolerance,
-        context=f"{points} random points")
+    return worst, tolerance, f"{points} random points"
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,26 @@ class TestRunExperiment:
         assert (float(by_method["SLIQN"]["epochs_to_gstop"])
                 <= float(by_method["IQN"]["epochs_to_gstop"]))
 
+    def test_alpha_epsilon_scales_alpha0_by_m_sqrt_l(self, tmp_path):
+        # M > 0 on logistic data, so epsilon reaches the lazy scaling: the
+        # run writes the trace of alpha0 = M sqrt(L) epsilon, not that of 0.
+        traces = {}
+        for eps in (0.0, 1e-4):
+            cfg = ExperimentConfig(problem="logistic", data=str(LOGISTIC60),
+                                   methods=("SLIQN",), x0_scale=0.5, seed=7, gstop=1e-8,
+                                   alpha_epsilon=eps, out=str(tmp_path / f"eps{eps}"))
+            run_experiment(cfg, log=lambda *_: None)
+            traces[eps] = read_csv(Path(cfg.out) / "SLIQN.csv")
+        objective, x0, x_star = build_problem(cfg)
+        c = objective.constants
+        records = solvers.run(objective, x0, SolverConfig(
+            method="SLIQN", alpha0=c.M * np.sqrt(c.L) * 1e-4, gstop=1e-8,
+            max_epochs=cfg.max_epochs), x_star=x_star)
+        columns = [col for col in harness.TRACE_COLUMNS if col != "wall_ms"]
+        assert [[row[col] for col in columns] for row in traces[1e-4]] == [
+            [harness._fmt(getattr(rec, col)) for col in columns] for rec in records]
+        assert len(traces[1e-4]) != len(traces[0.0])
+
     def test_sigma_column_populated_when_tracked(self, tmp_path):
         cfg = quad_config(tmp_path, track_sigma=True, methods=("SLIQN",),
                           max_epochs=2, gstop=float("inf"))

@@ -285,6 +285,11 @@ def test_chain_applies_positive_then_negative_terms_in_stage_order(monkeypatch):
         assert x is terms[k][0] and c is terms[k][1]
 
 
+def test_chain_reports_a_singular_intermediate():
+    # I - e_1 e_1^T is singular: the chain stops and asks for a rebuild.
+    assert not _apply_chain(np.eye(2), [(np.array([1.0, 0.0]), -1.0)])
+
+
 @st.composite
 def broyden_stage(draw):
     """(B, K, u, tau): SPD B and K = M M^T + I with entries of M in [-1, 1],

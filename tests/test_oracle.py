@@ -1,9 +1,15 @@
 """Tests of the verification layer itself: finite differences, aggregate
 recomputation, and the eager reference."""
 
-import numpy as np
+import json
 
+import numpy as np
+import pytest
+
+from iqnlab import matkernel as mk
+from iqnlab.cli import main as cli_main
 from iqnlab.data import GeneratorSpec, generate_quadratic, initial_point
+from iqnlab.errors import SingularAggregate
 from iqnlab.objectives import QuadraticComponents, QuadraticObjective
 from iqnlab.oracle import (
     AuditReport,
@@ -104,6 +110,26 @@ class TestEagerReference:
                                   steps=3 * quad.n)
         assert report.passed, report.line()
 
+    # The check suite's problems. IQN runs the classic stage alone, SIQN
+    # scales by beta (nonzero on the logistic) and the exact-Hessian start
+    # skips the L I one; each against the reference's own branch.
+    @pytest.mark.parametrize("problem", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("method, init", [("IQN", "scaled-identity"),
+                                              ("SIQN", "scaled-identity"),
+                                              ("SLIQN", "exact-hessian")])
+    def test_matches_each_method_over_three_passes(self, problem, method, init):
+        seed = 20240111
+        if problem == "quadratic":
+            obj = QuadraticObjective(generate_quadratic(
+                GeneratorSpec(n=10, d=8, xi=1.0, b_max=10.0, seed=seed)))
+            x0 = initial_point(obj.d, 1.0, seed)
+        else:
+            obj = _synthetic_logistic(np.random.default_rng(seed), n=10, d=20)
+            x0 = initial_point(obj.d, 0.5, seed)
+        cfg = SolverConfig(method=method, init_curvature=init, gstop=1e-300)
+        report = lazy_eager_audit(obj, x0, cfg, steps=3 * obj.n)
+        assert report.passed, report.line()
+
     def test_single_component_reduces_to_sharpened_bfgs(self):
         # n = 1: the incremental scheme collapses to the full two-stage
         # (classic + greedy) iteration on the one component.
@@ -199,3 +225,21 @@ def test_check_suite_passes_everywhere():
     reports = run_check_suite()
     failing = [r.line() for r in reports if not r.passed]
     assert not failing, "\n".join(failing)
+
+
+def test_check_keeps_every_line_when_an_audit_raises(monkeypatch, capsys):
+    # Every direct solve fails, so each direct_sums audit raises at its
+    # first step: those lines FAIL with the error, the others still run.
+    def singular(m, b):
+        raise SingularAggregate("aggregate solve failed: forced")
+    monkeypatch.setattr(mk, "cholesky_solve", singular)
+    assert cli_main(["check"]) == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert failed == [line for line in lines if "direct_sums_exactness" in line]
+    assert len(failed) == 3
+    assert all(line.endswith("raised SingularAggregate: aggregate solve failed: forced")
+               for line in failed)
+    assert sum(line.startswith("[PASS]") for line in lines) == 11
+    assert json.loads(summary) == {"passed": 11, "failed": 3, "total": 14}
