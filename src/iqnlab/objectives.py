@@ -296,7 +296,8 @@ class LogisticObjective(FiniteSumObjective):
         return 0.5 * self.lam * self._point(x).nx ** self.p
 
     def _reg_gradient(self, x, memo=None):
-        """c1 x, from x's memo (the one given, or looked up)."""
+        """c1 x, from x's memo (the one given, or looked up); c1 is 0 below
+        ORIGIN_GUARD."""
         if memo is None:
             memo = self._point(x)
         return memo.c1 * x

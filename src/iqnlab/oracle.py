@@ -244,7 +244,7 @@ class EagerReference:
 # ---------------------------------------------------------------------------
 
 def _audit(name):
-    """Make a measure that returns (max deviation, tolerance, context) into
+    """Turn a measure that returns (max deviation, tolerance, context) into
     an audit that returns its AuditReport. An IqnLabError the measure
     raises becomes a FAIL report that names it, with nothing measured (NaN
     deviation and tolerance), so one raising audit costs the suite no
