@@ -13,6 +13,11 @@ class DegenerateDirection(IqnLabError):
     """A curvature update was requested along a direction with vanishing curvature."""
 
 
+class SwollenCurvature(IqnLabError):
+    """A direct solver's per-step (1 + beta)^2 scaling swelled a curvature
+    matrix until its update guards failed."""
+
+
 class InvalidTau(IqnLabError):
     """Restricted Broyden parameter outside [0, 1]."""
 

@@ -1,6 +1,6 @@
 """Dense symmetric-matrix kernels for quasi-Newton curvature maintenance.
 
-Matrices are plain C-ordered float64 ``numpy`` arrays. Each update kernel
+Matrices are plain float64 ``numpy`` arrays. Each update kernel
 overwrites its matrix argument in place, through BLAS level-2 routines from
 ``scipy.linalg.blas``; a caller who wants the old matrix too passes a copy.
 ``sm_inverse_update`` returns the matrix, a curvature kernel the product
@@ -9,19 +9,28 @@ added, each meaning ``B += c x x^T``. An update costs a
 few O(d^2) passes and allocates only vectors. Guards are checked before anything
 is written, so a kernel that raises leaves its matrix as it was; only a
 Cholesky kernel finds a singular matrix while factorizing it, and leaves a
-partial factor behind. A matrix the kernel cannot update in place
-(Fortran-ordered, not float64, read-only) raises ``ValueError`` at the first
-write, also with the matrix untouched.
+partial factor behind. A matrix the kernel cannot update in place (not
+float64, read-only, or neither C- nor Fortran-ordered; the Cholesky kernels
+take C order only) raises ``ValueError`` at the first write, also with the
+matrix untouched.
 
 A symmetric matrix is stored as its lower triangle (``m[i, j]``, ``i >= j``);
 nothing here reads or writes the strict upper one. Every update is a sum of
 symmetric terms ``c x x^T``, the Sherman-Morrison update inverting one:
-``symv`` (``dsymv``) takes the products and ``dsyr`` writes each term. The
+``symv`` (``dsymv``) takes the products and ``dsyr`` writes each term, each
+picking BLAS's triangle flag from the matrix's memory order. The
 Cholesky kernels factorize the same triangle: ``cholesky_inverse``
 (``dpotrf`` + ``dpotri``) rebuilds an inverse over it and ``cholesky_solve``
 (``dposv``) solves with it. Only this module hands a stored matrix to
 BLAS or LAPACK. ``symmetrize`` mirrors the full matrix for ``sigma_metric``,
 whose SciPy solve reads all of it.
+
+``symmetric_stack`` lays n matrices out two to a (d + 1) x d buffer: one
+C-ordered view's lower triangle is the buffer's strictly lower part, and
+a Fortran-ordered view's lower triangle is the rest, diagonal included.
+So a matrix's strict upper triangle is its partner's lower one, and a
+write that is not a rank-one term goes through ``scale_lower`` or
+``copy_lower``, which touch the lower triangle only.
 
 The curvature operators take the reference matrix K only through its action
 ``ku = K @ u`` and the scalar ``uku = <u, K u>``. The two call sites need
@@ -30,6 +39,7 @@ along a basis vector it is a single Hessian column. This is what keeps each
 update at O(d^2).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -64,13 +74,78 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return m
 
 
-# BLAS and LAPACK take Fortran-ordered matrices; the C-ordered m is passed
-# as its Fortran-ordered view m.T, since f2py would copy m itself on every
-# call. The upper triangle of m.T, their default, is the lower triangle of m.
+def symmetric_stack(n: int, d: int) -> list:
+    """n zeroed d x d symmetric matrices in ceil(n / 2) buffers of
+    (d + 1) x d doubles, half the memory of n full ones. Matrix 2p is
+    ``buf[p, 1:]`` (C order, its lower triangle the buffer's strictly
+    lower part) and matrix 2p + 1 is ``buf[p, :-1].T`` (Fortran order, its
+    lower triangle the buffer's upper part, diagonal included)."""
+    buf = np.zeros(((n + 1) // 2, d + 1, d))
+    return [buf[i // 2, 1:] if i % 2 == 0 else buf[i // 2, :-1].T for i in range(n)]
+
+
+# Lower-triangle masks for the diagonal blocks of scale_lower and
+# copy_lower, in both memory orders: a mask of m's size would allocate
+# d^2 bytes, and a loop over rows would make d calls.
+_BLOCK = 64
+_TRI = np.tri(_BLOCK, dtype=bool)
+_TRI_F = np.asfortranarray(_TRI)
+
+
+@functools.lru_cache(maxsize=None)
+def _lower_blocks(d, fortran):
+    """(index, mask) pairs that cover a d x d lower triangle once, each
+    block walked in the matrix's memory order; mask None means the whole
+    block. Cached: at small d building them costs more than the write."""
+    blocks = []
+    for k0 in range(0, d, _BLOCK):
+        k1 = min(k0 + _BLOCK, d)
+        # Ellipsis indexes a one-block matrix at a third of two slices' cost.
+        diagonal = ... if k1 - k0 == d else (slice(k0, k1), slice(k0, k1))
+        if fortran:  # column blocks: the triangle, then below it
+            blocks.append((diagonal, _TRI_F[:k1 - k0, :k1 - k0]))
+            if k1 < d:
+                blocks.append(((slice(k1, d), slice(k0, k1)), None))
+        else:  # row blocks: left of the triangle, then the triangle
+            if k0:
+                blocks.append(((slice(k0, k1), slice(0, k0)), None))
+            blocks.append((diagonal, _TRI[:k1 - k0, :k1 - k0]))
+    return tuple(blocks)
+
+
+def scale_lower(m: np.ndarray, f: float) -> np.ndarray:
+    """``m *= f`` on the lower triangle only, in place; returns m."""
+    for idx, mask in _lower_blocks(len(m), m.flags.f_contiguous):
+        block = m[idx]
+        if mask is None:  # where=True would take numpy's slower masked loop
+            block *= f
+        else:
+            np.multiply(block, f, out=block, where=mask)
+    return m
+
+
+def copy_lower(m: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Copy src's lower triangle into m's, in place; returns m."""
+    for idx, mask in _lower_blocks(len(m), m.flags.f_contiguous):
+        if mask is None:
+            m[idx] = src[idx]
+        else:
+            np.copyto(m[idx], src[idx], where=mask)
+    return m
+
+
+# BLAS and LAPACK take Fortran-ordered matrices. A C-ordered m is passed as
+# its Fortran-ordered view m.T, since f2py would copy m itself on every
+# call; the upper triangle of m.T, their default, is the lower triangle of
+# m. A Fortran-ordered m is passed as it is, with the lower flag.
+# Arguments go by position: as keywords they cost f2py ~0.4 us a call,
+# which weighs at small d.
 
 def symv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``m @ x`` for a symmetric ``m``, read from its lower triangle."""
-    return _dsymv(1.0, m.T, x)
+    if m.flags.c_contiguous:
+        return _dsymv(1.0, m.T, x)
+    return _dsymv(1.0, m, x, 0.0, None, 0, 1, 0, 1, 1)
 
 
 # f2py hands dsyr and dpotrf a copy of a view that is not a float64 Fortran
@@ -79,14 +154,15 @@ def symv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 # land in memory the caller protected, so the in-place writes below check
 # both and raise with their target untouched.
 _NOT_IN_PLACE = "the matrix must be a writeable C-ordered float64 array"
+_NOT_IN_PLACE_SYMMETRIC = "the matrix must be a writeable C- or Fortran-ordered float64 array"
 _NOT_IN_PLACE_VECTOR = "the vector must be a writeable contiguous float64 array"
 
 
 def _add_symmetric(m, c, x):
     """``m += c x x^T`` in place, written to the lower triangle only."""
-    a = m.T
-    if not m.flags.writeable or _dsyr(c, x, a=a, overwrite_a=1) is not a:
-        raise ValueError(_NOT_IN_PLACE)
+    a, lower = (m.T, 0) if m.flags.c_contiguous else (m, 1)
+    if not m.flags.writeable or _dsyr(c, x, lower, 1, 0, len(x), a, 1) is not a:
+        raise ValueError(_NOT_IN_PLACE_SYMMETRIC)
 
 
 def add_product_change(y: np.ndarray, bu: np.ndarray, terms: list,
@@ -168,7 +244,7 @@ def sm_inverse_update(h: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
 
     Parameters
     ----------
-    h : (d, d) writeable C-ordered float64 array
+    h : (d, d) writeable C- or Fortran-ordered float64 array
         Inverse of the current matrix A (lower triangle); updated in place.
     x, c : (d,) float array, float
         The added term ``c x x^T``, as a curvature kernel returns it.
@@ -214,10 +290,10 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     ``tau * DFP + (1 - tau) * BFGS``; returns ``(bu, terms)``: the product
     ``B u`` of the B it started from and the terms it added.
 
-    ``b`` is a writeable C-ordered float64 array holding the symmetric B in
-    its lower triangle, the only part read or written. K enters only
-    as ``ku = K u`` and ``uku = <u, K u>``. The update is applied as
-    symmetric rank-one terms
+    ``b`` is a writeable C- or Fortran-ordered float64 array holding the
+    symmetric B in its lower triangle, the only part read or written. K
+    enters only as ``ku = K u`` and ``uku = <u, K u>``. The update is
+    applied as symmetric rank-one terms
 
         B - (1 - tau)/<u,Bu> bu bu^T + ((1 - tau) + tau c)/uku ku ku^T
           - tau/(2 uku) (ku + bu)(ku + bu)^T + tau/(2 uku) (ku - bu)(ku - bu)^T
@@ -321,9 +397,3 @@ def sigma_metric(a: np.ndarray, g: np.ndarray) -> float:
     except scipy.linalg.LinAlgError as exc:
         raise SingularA(f"Cholesky factorization failed: {exc}") from exc
     return float(np.trace(scipy.linalg.cho_solve(cf, g, check_finite=False)) - len(g))
-
-
-def psd_dominates(g: np.ndarray, a: np.ndarray, tol: float) -> bool:
-    """True iff the smallest eigenvalue of ``G - A`` is >= -tol; ``eigvalsh``
-    reads the lower triangles of G and A only."""
-    return bool(np.linalg.eigvalsh(np.subtract(g, a, dtype=np.float64))[0] >= -tol)

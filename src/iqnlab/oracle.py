@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse
 
-from .errors import IqnLabError, SingularAggregate
+from .errors import IqnLabError
 from .solvers import SolverConfig, make_solver
 from .objectives import LogisticObjective, QuadraticObjective
 
@@ -104,17 +104,6 @@ def inverse_residual(solver):
     :func:`direct_sums`: how far H has drifted from the inverse, measured
     with no inversion."""
     return float(np.linalg.norm(full_matrix(solver.H) @ direct_sums(solver)[0] - np.eye(solver.d)))
-
-
-def recompute_aggregates(solver):
-    """(H, phi, g) rebuilt from the solver's tuples by direct evaluation:
-    the inverse of :func:`direct_sums`' curvature sum, returned in full."""
-    dbar, phi, g = direct_sums(solver)
-    try:
-        h = np.linalg.inv(dbar)
-    except np.linalg.LinAlgError as exc:
-        raise SingularAggregate(f"recomputed aggregate is singular: {exc}") from exc
-    return 0.5 * (h + h.T), phi, g
 
 
 # ---------------------------------------------------------------------------

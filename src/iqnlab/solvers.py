@@ -11,9 +11,9 @@ curvature aggregate. Every method keeps phi = sum_i D_i z_i and
 g = sum_i grad_i the same way, in place, so the methods differ only in how
 they keep sum_i D_i. When the classic stage runs from the D_i that phi
 holds, the step takes phi's change D_i(new) x - D_i z_old from the stage's
-product B s and the terms both stages added, with no product of D_i (two
-fewer d x d sweeps); a skipped classic stage, IGS, NIM and SIQN's nonzero
-beta trade the old share for a fresh product instead.
+product B s and the terms both stages added, with no product of D_i; a
+skipped classic stage, IGS, NIM and SIQN's nonzero beta trade the old share
+for a fresh product instead.
 
 method  scale c        classic stage   greedy stage    aggregate strategy
 IQN     0              BFGS along s    -               memoized inverse chain
@@ -33,8 +33,12 @@ phi - g in O(d^3). Every matrix a solver keeps (H, each D_i, the direct
 sum) is symmetric and stored as its lower triangle, and only matkernel's
 kernels touch it: mk.symv reads it, mk.cholesky_inverse rebuilds H from the
 summed curvature and mk.cholesky_solve solves the direct sum. Nothing reads
-the strict upper triangle. How far H has drifted from the inverse of the sum is the oracle's
-measure (oracle.inverse_residual), not the solvers'.
+the strict upper triangle. H, the direct sum and its scratch are C-ordered.
+The D_i come from mk.symmetric_stack, two to a buffer: D_i's strict upper
+triangle is its partner's lower one, so the scale stage, NIM's Hessian and
+the exact start write D_i through mk.scale_lower and mk.copy_lower. How far
+H has drifted from the inverse of the sum is the oracle's measure
+(oracle.inverse_residual), not the solvers'.
 
 Lazy scaling (SLIQN/GSLIQN): stored matrices omit multiplicative epoch
 scalings. The stored value of a tuple written in epoch e equals its true
@@ -52,7 +56,13 @@ from typing import Optional
 import numpy as np
 
 from . import matkernel as mk
-from .errors import IqnLabError, LazyInconsistency, SingularUpdate
+from .errors import (
+    DegenerateDirection,
+    IqnLabError,
+    LazyInconsistency,
+    SingularUpdate,
+    SwollenCurvature,
+)
 from .objectives import FiniteSumObjective
 
 # Steps shorter than this (relative to the iterate scale) skip the classic
@@ -174,7 +184,8 @@ def _apply_chain(h, terms):
 
 class BaseSolver:
     """Shared tuple state: iterates z (n, d), gradients (n, d), curvature
-    D (n, d, d), and the iteration counter t (completed iterations).
+    D (a list of n d x d views from mk.symmetric_stack), and the iteration
+    counter t (completed iterations).
     ``method`` is config.method, the one name a solver goes by.
 
     step() runs every method: the class flags below pick its curvature
@@ -214,16 +225,17 @@ class BaseSolver:
         self._rebuild()
 
     def _initial_curvature(self, x0):
-        """The (n, d, d) stack D at x0: L I, or the component Hessians at x0
-        for init_curvature = "exact-hessian" and for an exact_start method.
+        """The stack D at x0: L I, or the component Hessians at x0 for
+        init_curvature = "exact-hessian" and for an exact_start method.
         The Hessians are written into the stack in place, one at a time, so
         the start holds at most one d x d temporary beyond the stack."""
-        stack = np.zeros((self.n, self.d, self.d))
-        if self.exact_start or self.config.init_curvature == "exact-hessian":
-            for i in range(self.n):
-                stack[i] = self.objective.hessian(i, x0)
-        else:
-            stack[:, np.arange(self.d), np.arange(self.d)] = self.objective.constants.L
+        stack = mk.symmetric_stack(self.n, self.d)
+        exact = self.exact_start or self.config.init_curvature == "exact-hessian"
+        for i, d_i in enumerate(stack):
+            if exact:
+                mk.copy_lower(d_i, self.objective.hessian(i, x0))
+            else:
+                np.fill_diagonal(d_i, self.objective.constants.L)
         return stack
 
     def eager_curvature(self, i: int) -> np.ndarray:
@@ -255,7 +267,7 @@ class BaseSolver:
             # before every oracle call at x, which then share one point.
             c = self._correction(t, i, s, skipped)
             if c != 0.0:
-                d_i *= (1.0 + c) ** 2
+                mk.scale_lower(d_i, (1.0 + c) ** 2)
         grad_new = self.objective.gradient(i, x)
         y_raw = grad_new - self.grads[i]
         # Tuple i's share of phi is D_i z_old with D_i as the stages start
@@ -432,10 +444,26 @@ class DirectSolver(BaseSolver):
     beta = (M/2) ||s||_{z_i}."""
 
     _hsum = None  # allocated by the first rebuild, rewritten in place by the others
+    _beta = 0.0  # the scale stage's c of the current step
 
     def __init__(self, objective, x0, config):
         super().__init__(objective, x0, config)
         self._scratch = np.empty((self.d, self.d))
+
+    def step(self):
+        try:
+            return super().step()
+        except DegenerateDirection as exc:
+            if self._beta == 0.0:
+                raise
+            # (1 + beta)^2 compounds on D_i step after step; a stage's guard
+            # then blames the direction for what the swelling did.
+            t = self.t + 1
+            i = index_of(t, self.n)
+            diag = self.D[i].diagonal()
+            raise SwollenCurvature(
+                f"{self.method} beta = {self._beta:.3e} at step t={t} swelled D_{i}, "
+                f"whose diagonal spans {diag.min():.3e} to {diag.max():.3e}: {exc}") from exc
 
     def _rebuild(self):
         # A beta-swollen D_i leaves its peak's rounding in the incremental
@@ -446,29 +474,36 @@ class DirectSolver(BaseSolver):
     def _solve_iterate(self):
         # The solve factorizes the sum's copy in place instead of allocating
         # one of its own. The factor is then spent, and the scratch takes
-        # the outgoing D_i before any stage writes D[i].
+        # the outgoing D_i before any stage writes D[i], through a view in
+        # D_i's memory order (the scratch itself, or its transpose).
         np.copyto(self._scratch, self._hsum)
         x = mk.cholesky_solve(self._scratch, self.phi - self.g)
-        np.copyto(self._scratch, self.D[index_of(self.t + 1, self.n)])
+        d_i = self.D[index_of(self.t + 1, self.n)]
+        self._old = self._scratch if d_i.flags.c_contiguous else self._scratch.T
+        np.copyto(self._old, d_i)
         return x
 
     def _correction(self, t, i, s, skipped):
         """beta in the component Hessian's norm; 0 if the classic stage is skipped."""
         m_const = self.objective.constants.M
         if skipped or m_const == 0.0:
-            return 0.0
-        quad = float(s @ (self.objective.hessian(i, self.z[i]) @ s))
-        return 0.5 * m_const * np.sqrt(max(quad, 0.0))
+            self._beta = 0.0
+        else:
+            quad = float(s @ (self.objective.hessian(i, self.z[i]) @ s))
+            self._beta = 0.5 * m_const * np.sqrt(max(quad, 0.0))
+        return self._beta
 
     def _outgoing(self, d_i, z_old):
         # The scale stage has swollen d_i by (1 + beta)^2; the scratch holds
         # the D_i that phi summed.
-        return mk.symv(self._scratch, z_old)
+        return mk.symv(self._old, z_old)
 
     def _fold(self, i, w, terms):
-        # hsum + (d_new - d_old), with the scratch as the difference's buffer.
-        np.subtract(self.D[i], self._scratch, out=self._scratch)
-        self._hsum += self._scratch
+        # hsum + (d_new - d_old), with the scratch as the difference's
+        # buffer. A Fortran-ordered D_i's difference is added across memory
+        # orders, the one transposing pass of its step.
+        np.subtract(self.D[i], self._old, out=self._old)
+        self._hsum += self._old
 
 
 class SiqnSolver(DirectSolver):
@@ -495,7 +530,7 @@ class NimSolver(DirectSolver):
     exact_start = True
 
     def _fold(self, i, w, terms):
-        self.D[i] = self.objective.hessian(i, self.z[i])
+        mk.copy_lower(self.D[i], self.objective.hessian(i, self.z[i]))
         super()._fold(i, w, terms)
 
 

@@ -32,7 +32,7 @@ from iqnlab.oracle import (
 )
 from iqnlab.solvers import SolverConfig, make_solver, run
 
-from conftest import rand_spd
+from conftest import psd_dominates, rand_spd
 
 
 def _report(criterion, passed, detail):
@@ -173,7 +173,7 @@ def test_criterion_05_psd_dominance_over_run():
     for _ in range(5 * objective.n):
         res = solver.step()
         hess = objective.hessian(res.index, res.x)
-        ok = mk.psd_dominates(res.d_unscaled, hess, tol=1e-8)
+        ok = psd_dominates(res.d_unscaled, hess, tol=1e-8)
         min_eig = float(np.linalg.eigvalsh(mk.symmetrize(res.d_unscaled.copy()) - hess)[0])
         worst = max(worst, -min_eig)
         if not ok:
@@ -205,8 +205,8 @@ def test_criterion_06_secant_and_hereditary_suite():
             out = g
             if np.linalg.norm(full_matrix(out) @ u - au) > 1e-10 * np.linalg.norm(au):
                 failures += 1
-            if not (mk.psd_dominates(out, a / xi, tol=1e-9)
-                    and mk.psd_dominates(eta * a, out, tol=1e-9)):
+            if not (psd_dominates(out, a / xi, tol=1e-9)
+                    and psd_dominates(eta * a, out, tol=1e-9)):
                 failures += 1
     _report(6, failures == 0, f"3000 randomized operator cases, {failures} failures")
 

@@ -52,7 +52,7 @@ EXACT_START = dict(gstop=float("inf"), max_epochs=3, init_curvature="exact-hessi
 LOGI = dict(gstop=1e-8, max_epochs=15)
 BLOCK = dict(gstop=float("inf"), max_epochs=3)
 # SIQN's beta correction stalls on this logistic problem: it raises
-# DegenerateDirection at t = 241, so its budget stays below four passes.
+# SwollenCurvature at t = 241, so its budget stays below four passes.
 LOGI_BETA = dict(gstop=1e-8, max_epochs=3)
 
 CASES = {

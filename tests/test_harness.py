@@ -25,6 +25,7 @@ from iqnlab.harness import (
     run_experiment,
 )
 from iqnlab.objectives import LogisticObjective, QuadraticObjective
+from iqnlab.oracle import _synthetic_logistic
 from iqnlab.solvers import METHODS, SolverConfig, index_of, make_solver, run_solver
 
 LOGISTIC60 = Path(__file__).parent / "golden" / "logistic60.libsvm"
@@ -224,6 +225,23 @@ EMPTY_ROW_LIBSVM = """\
 
 
 class TestFaultInjection:
+    def test_beta_swelling_fails_only_its_method(self, tmp_path, monkeypatch):
+        # SIQN's (1 + beta)^2 swells a D_i on the check suite's logistic
+        # shape until a guard fails (test_solvers); NIM in the same run
+        # still reaches gstop.
+        rng = np.random.default_rng(20240111)
+        objective = _synthetic_logistic(rng, n=10, d=20)
+        x0 = 0.5 * rng.standard_normal(objective.d)
+        monkeypatch.setattr(harness, "build_problem", lambda config: (objective, x0, None))
+        cfg = quad_config(tmp_path, methods=("SIQN", "NIM"), max_epochs=10)
+        with pytest.raises(HarnessError, match=r"^SIQN: step t=51 failed: SIQN beta = .* "
+                                               r"swelled D_0, whose diagonal spans"):
+            run_experiment(cfg, log=lambda *_: None)
+        status = {row["method"]: row["status"]
+                  for row in read_csv(Path(cfg.out) / "summary.csv")}
+        assert status["SIQN"].startswith("error: step t=51 failed: SIQN beta")
+        assert status["NIM"] == "ok"
+
     @pytest.mark.parametrize("target", ["IQN", "SIQN", "SLIQN", "GSLIQN", "IGS"])
     def test_nan_gradient_diverges_only_its_method(self, tmp_path, monkeypatch, target):
         poison_gradient(monkeypatch, np.nan)

@@ -159,13 +159,15 @@ def assert_upper_kept(after, before):
     np.testing.assert_array_equal(after[upper], before[upper])
 
 
+# Both memory orders: mk.symmetric_stack hands out C- and Fortran-ordered D_i,
+# and the rank-one kernels take BLAS's triangle flag from the order.
 @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("d", DIMS)
 def test_broyden_reads_and_writes_the_lower_triangle_only(rng, d, tau):
     b, ku, uku, u = TestAgainstTextbook.update_args(rng, d)
     expected = _broyden_explicit(tau, b, ku, uku, u)
-    for start in (b, poisoned(b)):
-        got = start.copy()
+    for start, order in itertools.product((b, poisoned(b)), "CF"):
+        got = np.array(start, order=order)
         mk.broyden_update(tau, got, ku, uku, u)
         assert_upper_kept(got, start)
         assert rel_err(np.tril(got), np.tril(expected)) < 1e-12
@@ -177,10 +179,41 @@ def test_sm_reads_and_writes_the_lower_triangle_only(rng, d):
     u = rng.standard_normal(d)
     expected = np.linalg.inv(a + 0.4 * np.outer(u, u))
     h = mk.symmetrize(np.linalg.inv(a))
-    for start in (h, poisoned(h)):
-        got = mk.sm_inverse_update(start.copy(), u, 0.4)
+    for start, order in itertools.product((h, poisoned(h)), "CF"):
+        got = mk.sm_inverse_update(np.array(start, order=order), u, 0.4)
         assert_upper_kept(got, start)
         assert rel_err(np.tril(got), np.tril(expected)) < 1e-10
+
+
+# d = 64 is one of the writers' blocks; 65 and 130 cross block edges.
+@pytest.mark.parametrize("d", (1, 2, 10, 64, 65, 130))
+@pytest.mark.parametrize("order", "CF")
+def test_lower_writers_touch_the_lower_triangle_only(rng, d, order):
+    m = np.array(rng.standard_normal((d, d)), order=order)
+    src = rng.standard_normal((d, d))
+    start = m.copy()
+    assert mk.scale_lower(m, 3.0) is m
+    assert_upper_kept(m, start)
+    np.testing.assert_array_equal(np.tril(m), np.tril(3.0 * start))
+    assert mk.copy_lower(m, src) is m
+    assert_upper_kept(m, start)
+    np.testing.assert_array_equal(np.tril(m), np.tril(src))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+@pytest.mark.parametrize("d", (1, 3, 10))
+def test_symmetric_stack_pairs_disjoint_triangles(n, d):
+    # ceil(n/2) buffers of (d + 1) x d doubles; D_2p is C-ordered and
+    # D_2p+1 Fortran-ordered, and filling each one's lower triangle leaves
+    # every other one's as it was written.
+    stack = mk.symmetric_stack(n, d)
+    assert stack[0].base.shape == ((n + 1) // 2, d + 1, d)
+    for i, m in enumerate(stack):
+        assert m.shape == (d, d) and m.base is stack[0].base
+        assert m.flags.c_contiguous if i % 2 == 0 else m.flags.f_contiguous
+        mk.copy_lower(m, np.full((d, d), i + 1.0))
+    for i, m in enumerate(stack):
+        np.testing.assert_array_equal(np.tril(m), np.tril(np.full((d, d), i + 1.0)))
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -342,6 +375,11 @@ def fortran(m):
     return np.asfortranarray(m)
 
 
+def strided(m):
+    """A writeable view of m in neither memory order."""
+    return np.repeat(np.repeat(m, 2, axis=0), 2, axis=1)[::2, ::2]
+
+
 def float32(m):
     return m.astype(np.float32)
 
@@ -353,8 +391,9 @@ def read_only(m):
 
 def test_out_must_be_c_ordered_float64(rng):
     # The matrix a kernel writes is its output. dsyr and dpotrf would update
-    # a copy of a Fortran-ordered or float32 one and write through a
-    # read-only one.
+    # a copy of a float32 or strided one and write through a read-only one.
+    # dpotrf, given m.T, would also update a copy of a Fortran-ordered one;
+    # dsyr takes either order (test_broyden_reads_and_writes_...).
     d = 10
     u = rng.standard_normal(d)
     ku = sym_spd(rng, d) @ u
@@ -362,10 +401,12 @@ def test_out_must_be_c_ordered_float64(rng):
                lambda m: mk.broyden_update(0.0, m, ku, float(u @ ku), u),
                lambda m: mk.broyden_update(0.5, m, ku, float(u @ ku), u),
                mk.cholesky_inverse)
-    for layout, update in itertools.product((fortran, float32, read_only), updates):
+    cases = [*itertools.product((float32, read_only, strided), updates),
+             (fortran, mk.cholesky_inverse)]
+    for layout, update in cases:
         m = layout(sym_spd(rng, d))
         before = m.copy()
-        with pytest.raises(ValueError, match="writeable C-ordered float64"):
+        with pytest.raises(ValueError, match="writeable C-( or Fortran-)?ordered float64"):
             update(m)
         np.testing.assert_array_equal(m, before)
 

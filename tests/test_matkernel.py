@@ -16,7 +16,7 @@ from iqnlab.errors import (
 
 from iqnlab.oracle import full_matrix
 
-from conftest import rand_spd
+from conftest import psd_dominates, rand_spd
 
 
 class TestShermanMorrison:
@@ -208,12 +208,12 @@ class TestSigmaMetric:
 class TestPsdDominates:
     def test_reflexive_and_shifted(self, rng):
         a = rand_spd(rng, 4)
-        assert mk.psd_dominates(a, a, tol=0.0)
-        assert mk.psd_dominates(a + np.eye(4), a, tol=0.0)
+        assert psd_dominates(a, a, tol=0.0)
+        assert psd_dominates(a + np.eye(4), a, tol=0.0)
 
     def test_detects_violation(self):
         a = 2.0 * np.eye(3)
-        assert not mk.psd_dominates(a - np.eye(3), a, tol=1e-9)
+        assert not psd_dominates(a - np.eye(3), a, tol=1e-9)
 
 
 class TestOperatorProperties:
@@ -261,8 +261,8 @@ class TestOperatorProperties:
             g = sqrt_a @ s @ sqrt_a.T
             u = rng.standard_normal(d)
             mk.broyden_update(tau, g, a @ u, float(u @ a @ u), u)
-            assert mk.psd_dominates(g, a / xi, tol=1e-9)
-            assert mk.psd_dominates(eta * a, g, tol=1e-9)
+            assert psd_dominates(g, a / xi, tol=1e-9)
+            assert psd_dominates(eta * a, g, tol=1e-9)
 
     def test_greedy_step_contracts_sigma(self, rng):
         # One greedy update toward K = A with A <= G and mu I <= A <= L I.

@@ -21,12 +21,13 @@ from iqnlab.oracle import (
     full_matrix,
     lazy_eager_audit,
     memoization_audit,
-    recompute_aggregates,
     run_check_suite,
     _synthetic_logistic,
 )
 from iqnlab import solvers
 from iqnlab.solvers import SolverConfig, make_solver
+
+from conftest import recompute_aggregates
 
 
 def small_quadratic(n=5, d=6, seed=3):

@@ -2,6 +2,7 @@
 bookkeeping, memoization exactness, and the convergence contracts."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,12 @@ import scipy.sparse
 from iqnlab import matkernel as mk
 from iqnlab import solvers
 from iqnlab.data import GeneratorSpec, generate_quadratic, initial_point
-from iqnlab.errors import DegenerateDirection, LazyInconsistency, SingularAggregate
+from iqnlab.errors import (
+    DegenerateDirection,
+    LazyInconsistency,
+    SingularAggregate,
+    SwollenCurvature,
+)
 from iqnlab.objectives import LogisticObjective, QuadraticComponents, QuadraticObjective
 from iqnlab.oracle import (
     direct_sums,
@@ -19,7 +25,7 @@ from iqnlab.oracle import (
     inverse_residual,
     lazy_eager_audit,
     memoization_audit,
-    recompute_aggregates,
+    _synthetic_logistic,
 )
 from iqnlab.solvers import (
     SolverConfig,
@@ -29,6 +35,8 @@ from iqnlab.solvers import (
     omega,
     run,
 )
+
+from conftest import recompute_aggregates
 
 
 def small_quadratic(n=5, d=6, xi=1.0, seed=3, b_max=10.0):
@@ -85,8 +93,9 @@ class TestInitState:
         a = np.full((3, 2), 2.0)
         quad = QuadraticObjective(QuadraticComponents(a_diag=a, b=np.zeros((3, 2))))
         solver = make_solver(quad, np.zeros(2), SolverConfig(method="SLIQN"))
-        for i in range(3):
-            np.testing.assert_array_equal(solver.eager_curvature(i), 2.0 * np.eye(2))
+        for i in range(3):  # each D_i's strict upper triangle is its partner's
+            np.testing.assert_array_equal(full_matrix(solver.eager_curvature(i)),
+                                          2.0 * np.eye(2))
         np.testing.assert_allclose(full_matrix(solver.H), np.eye(2) / 6.0, atol=1e-15)
 
     def test_alpha0_scaling_applied_to_aggregates(self):
@@ -94,7 +103,7 @@ class TestInitState:
         quad = QuadraticObjective(QuadraticComponents(a_diag=a, b=np.zeros((3, 2))))
         solver = make_solver(quad, np.zeros(2), SolverConfig(method="SLIQN", alpha0=1.0))
         # alpha_0 = 1 so the eager curvature carries (1 + 1)^2 = 4.
-        np.testing.assert_allclose(solver.eager_curvature(0), 8.0 * np.eye(2),
+        np.testing.assert_allclose(full_matrix(solver.eager_curvature(0)), 8.0 * np.eye(2),
                                    atol=1e-15)
         np.testing.assert_allclose(full_matrix(solver.H), np.eye(2) / 24.0, atol=1e-15)
 
@@ -414,6 +423,23 @@ class TestStateInvariants:
         with pytest.raises(SingularAggregate, match="aggregate solve failed"):
             solver.step()
 
+    # The check suite's logistic shape, x0 = 0.5 N(0, I) from the same rng:
+    # (1 + beta)^2 compounds on D_i until a BFGS guard fails, at step t.
+    @pytest.mark.parametrize("seed, t", [(20240111, 51), (0, 56), (1, 52)])
+    def test_beta_swelling_raises_a_typed_error(self, seed, t):
+        rng = np.random.default_rng(seed)
+        logi = _synthetic_logistic(rng, n=10, d=20)
+        solver = make_solver(logi, 0.5 * rng.standard_normal(logi.d),
+                             SolverConfig(method="SIQN", gstop=1e-300))
+        for _ in range(t - 1):
+            solver.step()
+        message = (rf"^SIQN beta = \S+ at step t={t} swelled D_{index_of(t, logi.n)}, "
+                   r"whose diagonal spans \S+ to (\S+): BFGS denominators")
+        with pytest.raises(SwollenCurvature, match=message) as info:
+            solver.step()
+        assert isinstance(info.value.__cause__, DegenerateDirection)
+        assert float(re.match(message, str(info.value)).group(1)) > 1e15
+
     def test_lazy_matches_eager_logistic_geometric_many_epochs(self, rng):
         logi = small_logistic(rng)
         cfg = SolverConfig(method="SLIQN", alpha0=0.05, gstop=1e-300)
@@ -443,18 +469,20 @@ class TestAllocation:
     # at tau != 0 each stage adds two symmetric cross terms to the chain,
     # whose vectors are all it allocates. On the quadratic (M = 0) SIQN and
     # IGS read no component Hessian.
-    @pytest.mark.parametrize("method, tau", [
-        pytest.param("IQN", 0.0, id="IQN"), pytest.param("SLIQN", 0.0, id="SLIQN"),
-        pytest.param("GSLIQN", 0.5, id="GSLIQN-tau"), pytest.param("SIQN", 0.0, id="SIQN"),
-        pytest.param("IGS", 0.0, id="IGS")])
-    def test_step_allocates_no_d_by_d_array(self, method, tau):
+    # SLIQN at alpha0 > 0 runs the scale stage, mk.scale_lower, every step.
+    @pytest.mark.parametrize("method, tau, alpha0", [
+        pytest.param("IQN", 0.0, 0.0, id="IQN"), pytest.param("SLIQN", 0.0, 0.0, id="SLIQN"),
+        pytest.param("SLIQN", 0.0, GEOMETRIC, id="SLIQN-scaled"),
+        pytest.param("GSLIQN", 0.5, 0.0, id="GSLIQN-tau"),
+        pytest.param("SIQN", 0.0, 0.0, id="SIQN"), pytest.param("IGS", 0.0, 0.0, id="IGS")])
+    def test_step_allocates_no_d_by_d_array(self, method, tau, alpha0):
         # Every stage writes D_i in place and dposv factorizes in the direct
         # strategy's one scratch matrix, so a step (no refresh, no omega, no
         # track_sigma) allocates only vectors once its buffers exist.
         d = 120
         quad = small_quadratic(n=4, d=d)
         solver = make_solver(quad, initial_point(d, 1.0, 0), SolverConfig(
-            method=method, tau1=tau, tau2=tau, gstop=1e-300))
+            method=method, tau1=tau, tau2=tau, alpha0=alpha0, gstop=1e-300))
         solver.step()
         solver.step()
         tracemalloc.start()
@@ -505,6 +533,19 @@ class TestAllocation:
         # what the other solvers of its aggregate strategy hold.
         gap = self.held_d2(method) - self.held_d2(reference)
         assert abs(gap) < 0.1, f"{method} holds {gap:+.2f} d^2 doubles beyond {reference}"
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_stack_holds_two_matrices_per_buffer(self, n):
+        # ceil(n/2) buffers of (d + 1) x d doubles hold every D_i: what a
+        # solver keeps beyond H is that, not n d x d matrices.
+        d = 120
+        solver = make_solver(small_quadratic(n=n, d=d), initial_point(d, 1.0, 0),
+                             SolverConfig(method="IQN"))
+        stack = solver.D[0].base
+        assert stack.size == (n + 1) // 2 * (d + 1) * d
+        assert all(d_i.shape == (d, d) and d_i.base is stack for d_i in solver.D)
+        if n == 4:  # two buffers and H, where four full D_i and H held 5.1
+            assert abs(self.held_d2("IQN") - (2 * (d + 1) / d + 1.0)) < 0.25
 
     @pytest.mark.parametrize("method", ["SIQN", "IGS", "NIM"])
     def test_direct_strategy_holds_one_scratch_matrix(self, method):
@@ -610,9 +651,10 @@ def test_step_takes_no_product_of_d_i_for_phi(method, monkeypatch):
     solver = make_solver(quad, initial_point(quad.d, 1.0, 0), SolverConfig(
         method=method, gstop=1e-300, **EXACT_START))
     products = []
+    stack = solver.D[0].base  # the buffers every D_i is a view of
 
     def counted(m, x, _symv=mk.symv):
-        products.append(np.shares_memory(m, solver.D))
+        products.append(np.shares_memory(m, stack))
         return _symv(m, x)
     monkeypatch.setattr(mk, "symv", counted)
     greedy = int(solver.greedy)  # the greedy stage's B e_k
@@ -630,26 +672,72 @@ def test_step_takes_no_product_of_d_i_for_phi(method, monkeypatch):
 
 @pytest.mark.parametrize("method", solvers.METHODS)
 def test_strict_upper_triangles_are_never_read(method):
-    # Every matrix a solver keeps is defined by its lower triangle: with
-    # NaN in the strict upper triangle of every D_i and of H or the direct
-    # sum, the trace must not change in any bit, through refreshes and the
-    # sigma diagnostics.
-    quad = small_quadratic(n=6, d=64, xi=2.0, seed=11)
+    # H and the direct sum are defined by their lower triangles, and at odd
+    # n the last buffer of the D stack has a spare triangle no D_i owns:
+    # with NaN in all three, the trace must not change in any bit, through
+    # refreshes and the sigma diagnostics. (A D_i's own strict upper
+    # triangle is its partner's lower one; see the disjointness test.)
+    quad = small_quadratic(n=5, d=64, xi=2.0, seed=11)
     x0 = initial_point(quad.d, 1.0, 11)
     cfg = SolverConfig(method=method, tau1=0.5, tau2=0.5, gstop=1e-300, max_epochs=3,
-                       refresh_period=5, track_sigma=True)
+                       refresh_period=4, track_sigma=True)
     traces = []
     for poison in (False, True):
         solver = make_solver(quad, x0, cfg)
         if poison:
             upper = np.triu_indices(quad.d, 1)
-            solver.D[:, upper[0], upper[1]] = np.nan
             (solver._hsum if hasattr(solver, "_hsum") else solver.H)[upper] = np.nan
+            spare = solver.D[-1].base[-1, :-1].T  # where D_5 would be
+            spare[np.tril_indices(quad.d)] = np.nan
+            assert not np.isnan(full_matrix(solver.D[-1])).any()
         records = solvers.run_solver(solver, x_star=quad.exact_minimizer())
         traces.append([(r.t, r.grad_norm, r.normalized_error, r.sigma_max)
                        for r in records])
     assert len(traces[0]) == 3 * quad.n
     assert traces[1] == traces[0]
+
+
+# Every write to D_i (the stages, the scale stage at alpha0 > 0 and at
+# beta > 0, NIM's Hessian, the exact start) must stay inside D_i's own lower
+# triangle: the rest of its buffer is its partner's lower triangle. Each
+# case names the lower-triangle writer it drives.
+DISJOINT = {
+    "IQN-exact-start": ("quad", dict(method="IQN", init_curvature="exact-hessian"),
+                        "copy_lower"),
+    "SLIQN-alpha": ("quad", dict(method="SLIQN", alpha0=GEOMETRIC), "scale_lower"),
+    "GSLIQN-alpha": ("quad", dict(method="GSLIQN", tau1=0.5, tau2=0.5, alpha0=GEOMETRIC),
+                     "scale_lower"),
+    "SIQN-beta": ("logi", dict(method="SIQN"), "scale_lower"),
+    "IGS-beta": ("logi", dict(method="IGS"), "scale_lower"),
+    "NIM": ("logi", dict(method="NIM"), "copy_lower"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISJOINT))
+def test_writes_to_d_i_leave_every_other_d_j_bit_identical(case, monkeypatch):
+    problem, settings, writer = DISJOINT[case]
+    calls = []
+
+    def counted(m, arg, _write=getattr(mk, writer)):
+        calls.append(m)
+        return _write(m, arg)
+    monkeypatch.setattr(mk, writer, counted)
+    n, d = 5, 12  # odd n: the last buffer holds one D_i and a spare triangle
+    obj = (small_quadratic(n=n, d=d, seed=4) if problem == "quad"
+           else small_logistic(np.random.default_rng(4), n=n, d=d))
+    x0 = initial_point(d, 0.5, 4)
+    solver = make_solver(obj, x0, SolverConfig(gstop=1e-300, refresh_period=3, **settings))
+    exact = solver.exact_start or "init_curvature" in settings
+    for i, d_i in enumerate(solver.D):
+        start = obj.hessian(i, x0) if exact else obj.constants.L * np.eye(d)
+        np.testing.assert_array_equal(np.tril(d_i), np.tril(start))
+    for _ in range(3 * n):  # three passes, a rebuild every third step
+        before = [np.tril(d_j) for d_j in solver.D]
+        i = solver.step().index
+        for j, d_j in enumerate(solver.D):
+            if j != i:
+                np.testing.assert_array_equal(np.tril(d_j), before[j], err_msg=f"D_{j}")
+    assert len(calls) >= (n if exact else 3 * n)
 
 
 class TestGeneralizedBroyden:
