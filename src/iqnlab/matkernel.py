@@ -90,6 +90,7 @@ def symmetric_stack(n: int, d: int) -> list:
 _BLOCK = 64
 _TRI = np.tri(_BLOCK, dtype=bool)
 _TRI_F = np.asfortranarray(_TRI)
+_TRI.flags.writeable = _TRI_F.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=None)
