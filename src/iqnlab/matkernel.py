@@ -9,16 +9,20 @@ added, each meaning ``B += c x x^T``. An update costs a
 few O(d^2) passes and allocates only vectors. Guards are checked before anything
 is written, so a kernel that raises leaves its matrix as it was; only a
 Cholesky kernel finds a singular matrix while factorizing it, and leaves a
-partial factor behind. A matrix the kernel cannot update in place (not
-float64, read-only, or neither C- nor Fortran-ordered; the Cholesky kernels
-take C order only) raises ``ValueError`` at the first write, also with the
-matrix untouched.
+partial factor behind, and ``sm_inverse_update`` one whose intermediate is
+singular, with the terms before it applied. A matrix the kernel cannot
+update in place (not float64, read-only, or neither C- nor Fortran-ordered;
+the Cholesky kernels take C order only) raises ``ValueError`` before any
+write, also with the matrix untouched.
 
 A symmetric matrix is stored as its lower triangle (``m[i, j]``, ``i >= j``);
 nothing here reads or writes the strict upper one. Every update is a sum of
-symmetric terms ``c x x^T``, the Sherman-Morrison update inverting one:
-``symv`` (``dsymv``) takes the products and ``dsyr`` writes each term, each
-picking BLAS's triangle flag from the matrix's memory order. The
+symmetric terms ``c x x^T``, and ``sm_inverse_update`` inverts a list of
+them, one Sherman-Morrison update each: ``dsymv`` takes the products and
+``dsyr`` writes each term. A kernel binds its matrix's BLAS operand and
+triangle flag, picked from the memory order, once per call; ``symv`` does
+the same for one product. A curvature kernel given the basis vector e_k as
+the int k reads ``B e_k`` as B's column k, with no product. The
 Cholesky kernels factorize the same triangle: ``cholesky_inverse``
 (``dpotrf`` + ``dpotri``) rebuilds an inverse over it and ``cholesky_solve``
 (``dposv``) solves with it. Only this module hands a stored matrix to
@@ -153,17 +157,20 @@ def symv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 # array, daxpy one of a vector that is not a contiguous float64 one, and
 # each writes through a read-only one. The update would then be lost, or
 # land in memory the caller protected, so the in-place writes below check
-# both and raise with their target untouched.
+# both and raise with their target untouched. A rank-one kernel binds its
+# matrix's BLAS operand once per call (_operand) and checks each dsyr's
+# result, which is that operand for every term or for none.
 _NOT_IN_PLACE = "the matrix must be a writeable C-ordered float64 array"
 _NOT_IN_PLACE_SYMMETRIC = "the matrix must be a writeable C- or Fortran-ordered float64 array"
 _NOT_IN_PLACE_VECTOR = "the vector must be a writeable contiguous float64 array"
 
 
-def _add_symmetric(m, c, x):
-    """``m += c x x^T`` in place, written to the lower triangle only."""
-    a, lower = (m.T, 0) if m.flags.c_contiguous else (m, 1)
-    if not m.flags.writeable or _dsyr(c, x, lower, 1, 0, len(x), a, 1) is not a:
+def _operand(m):
+    """(a, lower) for a matrix a kernel is about to update: the
+    Fortran-ordered array BLAS takes for m and its triangle flag."""
+    if not m.flags.writeable:
         raise ValueError(_NOT_IN_PLACE_SYMMETRIC)
+    return (m.T, 0) if m.flags.c_contiguous else (m, 1)
 
 
 def add_product_change(y: np.ndarray, bu: np.ndarray, terms: list,
@@ -240,35 +247,54 @@ def cholesky_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def sm_inverse_update(h: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
-    """Overwrite ``h = A^{-1}`` with ``(A + c x x^T)^{-1}`` (Sherman-Morrison).
+def sm_inverse_update(h: np.ndarray, terms: list) -> np.ndarray:
+    """Overwrite ``h = A^{-1}`` with ``(A + sum_j c_j x_j x_j^T)^{-1}``, one
+    Sherman-Morrison update per term.
 
     Parameters
     ----------
     h : (d, d) writeable C- or Fortran-ordered float64 array
         Inverse of the current matrix A (lower triangle); updated in place.
-    x, c : (d,) float array, float
-        The added term ``c x x^T``, as a curvature kernel returns it.
+    terms : list of ((d,) float array, float)
+        The added terms ``(x, c)``, each meaning ``A += c x x^T``, as the
+        curvature kernels return them.
 
     Returns
     -------
     h
-        Now ``(A + c x x^T)^{-1}``, applied as the symmetric term
-        ``-(c / den) w w^T`` with ``w = A^{-1} x`` and ``den = 1 + c <x, w>``.
-        A NaN c reaches ``h``.
+        Now the inverse of A plus every term. The positive c go first, then
+        the negative, each group in list order (a NaN c counts as positive
+        and reaches ``h``). Every intermediate then lies above the old or the
+        new sum in the PSD order, so none is singular while both are
+        definite. Each term is applied as the symmetric term
+        ``-(c / den) w w^T`` with ``w = A^{-1} x`` and ``den = 1 + c <x, w>``
+        for the A it meets.
 
     Raises
     ------
     SingularUpdate
-        If ``|1 + c <x, A^{-1} x>| < GUARD_TOL`` (A + c x x^T is singular).
+        If some ``|1 + c <x, A^{-1} x>| < GUARD_TOL``: an intermediate is
+        singular all the same. ``h`` then holds the terms before it and
+        must be rebuilt.
     ValueError
-        If ``h`` cannot be updated in place.
+        If ``h`` cannot be updated in place (h is then untouched).
     """
-    w = symv(h, x)
-    den = 1.0 + c * x.dot(w)
-    if abs(den) < GUARD_TOL:
-        raise SingularUpdate(f"rank-one update denominator {den:.3e} below {GUARD_TOL:.1e}")
-    _add_symmetric(h, -c / den, w)
+    a, lower = _operand(h)
+    n = len(h)
+    # dsymv's optional arguments cost f2py least when left out, as their
+    # defaults (lower = 0) allow for a C-ordered h such as the solvers' H.
+    optional = (0.0, None, 0, 1, 0, 1, 1) if lower else ()
+    for negative in (False, True):
+        for x, c in terms:
+            if (c < 0.0) != negative:
+                continue
+            w = _dsymv(1.0, a, x, *optional)
+            den = 1.0 + c * _ddot(x, w)
+            if abs(den) < GUARD_TOL:
+                raise SingularUpdate(
+                    f"rank-one update denominator {den:.3e} below {GUARD_TOL:.1e}")
+            if _dsyr(-c / den, w, lower, 1, 0, n, a, 1) is not a:
+                raise ValueError(_NOT_IN_PLACE_SYMMETRIC)
     return h
 
 
@@ -279,22 +305,25 @@ def _curvature_guards(b, ku, u):
     # 2-norms as sqrt(x . x), numpy's norm formula without its call overhead;
     # the max as a[a.argmax()], the value a.max() returns (argmax stops at
     # the first NaN) at a third of the reduction's cost on a short diagonal.
-    nu = math.sqrt(u.dot(u))
+    # An int u is the basis vector e_u, of norm 1.
+    nu = 1.0 if isinstance(u, (int, np.integer)) else math.sqrt(_ddot(u, u))
     diag = np.abs(b.diagonal())
     return (GUARD_TOL * nu * nu * diag[diag.argmax()],
-            GUARD_TOL * nu * math.sqrt(ku.dot(ku)))
+            GUARD_TOL * nu * math.sqrt(_ddot(ku, ku)))
 
 
-def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
-                   u: np.ndarray) -> tuple:
+def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float, u) -> tuple:
     """Overwrite B with its restricted Broyden update toward K along u,
     ``tau * DFP + (1 - tau) * BFGS``; returns ``(bu, terms)``: the product
     ``B u`` of the B it started from and the terms it added.
 
     ``b`` is a writeable C- or Fortran-ordered float64 array holding the
     symmetric B in its lower triangle, the only part read or written. K
-    enters only as ``ku = K u`` and ``uku = <u, K u>``. The update is
-    applied as symmetric rank-one terms
+    enters only as ``ku = K u`` and ``uku = <u, K u>``. ``u`` is a (d,)
+    array or an int k for the basis vector e_k, whose ``B e_k`` is B's
+    column k, read from the lower triangle with no d x d sweep (the bits of
+    ``symv(b, e_k)``), ``||e_k|| = 1`` and ``<e_k, B e_k> = B_kk``. The update
+    is applied as symmetric rank-one terms
 
         B - (1 - tau)/<u,Bu> bu bu^T + ((1 - tau) + tau c)/uku ku ku^T
           - tau/(2 uku) (ku + bu)(ku + bu)^T + tau/(2 uku) (ku - bu)(ku - bu)^T
@@ -317,15 +346,23 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
         If ``<u, B u>`` falls below ``GUARD_TOL * ||u||^2 * max|diag B|``
         or ``uku`` below ``GUARD_TOL * ||u|| * ||ku||``.
     ValueError
-        If ``b`` cannot be updated in place.
+        If ``b`` cannot be updated in place (b is then untouched).
     """
     if not 0.0 <= tau <= 1.0:
         raise InvalidTau(f"tau must lie in [0, 1], got {tau}")
+    a, lower = _operand(b)
+    # The guards read B's diagonal before the product B u: read after it,
+    # quad-wide IQN steps took ~5% longer at two BLAS threads.
     guard_ubu, guard_uku = _curvature_guards(b, ku, u)
-    bu = symv(b, u)
     # Python floats make the terms' c Python floats: numpy scalar
     # arithmetic costs their users ~0.15 us an operation at small d.
-    ubu, uku = float(u.dot(bu)), float(uku)
+    if isinstance(u, (int, np.integer)):
+        bu = np.concatenate((b[u, :u + 1], b[u + 1:, u]))
+        ubu = float(b[u, u])
+    else:
+        bu = _dsymv(1.0, a, u, 0.0, None, 0, 1, 0, 1, lower)
+        ubu = _ddot(u, bu)
+    uku = float(uku)
     if ubu <= guard_ubu or uku <= guard_uku:
         label = "BFGS" if tau == 0.0 else "DFP" if tau == 1.0 else f"Broyden(tau={tau})"
         raise DegenerateDirection(
@@ -337,8 +374,10 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float,
     if tau != 0.0:
         half = 0.5 * tau / uku
         terms += [(ku + bu, -half), (ku - bu, half)]
+    n = len(b)
     for x, c in terms:
-        _add_symmetric(b, c, x)
+        if _dsyr(c, x, lower, 1, 0, n, a, 1) is not a:
+            raise ValueError(_NOT_IN_PLACE_SYMMETRIC)
     return bu, terms
 
 

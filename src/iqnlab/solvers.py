@@ -26,13 +26,16 @@ NIM     exact component Hessian instead of stages      exact sum + Cholesky
 The scale stage multiplies D_i by (1 + c)^2 and the reference Hessian K by
 (1 + c), with beta = (M/2) ||s||_{z_i} per step (0 when the classic stage is
 skipped along a tiny step). The greedy coordinate e_k maximizes the ratio
-of the diagonals of Q and the Hessian. The memoized chain keeps
-H = (sum D_i)^{-1} by rank-one inverse updates in O(d^2); the direct
-strategy updates the exact sum of D_i in O(d^2) and solves it against
-phi - g in O(d^3). Every matrix a solver keeps (H, each D_i, the direct
-sum) is symmetric and stored as its lower triangle, and only matkernel's
-kernels touch it: mk.symv reads it, mk.cholesky_inverse rebuilds H from the
-summed curvature and mk.cholesky_solve solves the direct sum. Nothing reads
+of the diagonals of Q and the Hessian; the greedy stage hands the int k
+to mk.broyden_update, which reads D_i e_k as a column. The memoized chain
+keeps H = (sum D_i)^{-1} by rank-one inverse updates in O(d^2), one
+mk.sm_inverse_update call a step over every term the stages added; the
+direct strategy updates the exact sum of D_i in O(d^2) and solves it
+against phi - g in O(d^3). Every matrix a solver keeps (H, each D_i, the
+direct sum) is symmetric and stored as its lower triangle, and only
+matkernel's kernels touch it: mk.symv reads it, mk.cholesky_inverse
+rebuilds H from the summed curvature and mk.cholesky_solve solves the
+direct sum. Nothing reads
 the strict upper triangle. H, the direct sum and its scratch are C-ordered.
 The D_i come from mk.symmetric_stack, two to a buffer: D_i's strict upper
 triangle is its partner's lower one, so the scale stage, NIM's Hessian and
@@ -167,21 +170,6 @@ class StepResult:
     classic_skipped: bool = False
 
 
-def _apply_chain(h, terms):
-    """Invert each added term (x, c), B += c x x^T, into ``h`` in place: the
-    positive c first, then the negative, each in stage order (a NaN c counts
-    as positive). Every intermediate then lies above the old or the new sum
-    in the PSD order, so none is singular while both are definite. False
-    when one is all the same: ``h`` is then partly updated and must be
-    rebuilt."""
-    try:
-        for x, c in sorted(terms, key=lambda term: term[1] < 0.0):
-            mk.sm_inverse_update(h, x, c)
-    except SingularUpdate:
-        return False
-    return True
-
-
 class BaseSolver:
     """Shared tuple state: iterates z (n, d), gradients (n, d), curvature
     D (a list of n d x d views from mk.symmetric_stack), and the iteration
@@ -221,7 +209,6 @@ class BaseSolver:
         self.grads = np.ascontiguousarray(objective.gradients_at(x0))
         self.D = self._initial_curvature(x0)
         self.refresh_period = config.refresh_period or 10 * self.n  # 0: every 10 n steps
-        self._e = np.zeros(self.d) if self.greedy else None  # the greedy e_k
         self._rebuild()
 
     def _initial_curvature(self, x0):
@@ -284,19 +271,18 @@ class BaseSolver:
         # as module attributes so that a wrapper on matkernel sees each call,
         # and collect the rank-one terms each adds to D_i.
         if self.classic and not skipped:
-            # K s = (1 + c) y_raw, and <s, K s> = (1 + c) <s, y_raw>.
+            # K s = (1 + c) y_raw, and <s, K s> = (1 + c) <s, y_raw>. At
+            # c = 0, K s is y_raw itself: the bits of 1.0 * y_raw, no copy.
             k = 1.0 + c
-            bs, terms = mk.broyden_update(self.tau1, d_i, k * y_raw, k * s.dot(y_raw), s)
+            ks = y_raw if c == 0.0 else k * y_raw
+            bs, terms = mk.broyden_update(self.tau1, d_i, ks, k * s.dot(y_raw), s)
         if self.greedy:
             if self.config.track_sigma:
                 q = d_i.copy()  # the audits compare it with the updated D_i
             h_diag = self.objective.hessian_diag(i, x)
             k = mk.greedy_vector(d_i.diagonal(), h_diag)
             h_col = self.objective.hessian_column(i, x, k)
-            e_k = self._e
-            e_k[k] = 1.0
-            terms += mk.broyden_update(self.tau2, d_i, h_col, float(h_diag[k]), e_k)[1]
-            e_k[k] = 0.0
+            terms += mk.broyden_update(self.tau2, d_i, h_col, float(h_diag[k]), k)[1]
 
         self.z[i] = x
         self.grads[i] = grad_new
@@ -375,11 +361,14 @@ class MemoizedSolver(BaseSolver):
         return mk.symv(self.H, self.phi - self.g)
 
     def _fold(self, i, w, terms):
-        if not _apply_chain(self.H, terms):
-            # Rounding made an intermediate singular (see _apply_chain). H is
-            # then part-updated: rebuild it directly.
+        try:
+            mk.sm_inverse_update(self.H, terms)
+        except SingularUpdate:
+            # Rounding made an intermediate singular (see mk.sm_inverse_update).
+            # H is then part-updated: rebuild it directly.
             self.H = mk.cholesky_inverse(self._curvature_sum(self.H))
-        elif w != 1.0:
+            return
+        if w != 1.0:
             self.H /= w
 
 
@@ -387,11 +376,11 @@ class SharpenedLazySolver(MemoizedSolver):
     """SLIQN / G-SLIQN: classic then greedy stage, scaled by the pending
     epoch factor, with lazy omega scaling of the memoized aggregates.
 
-    The inverse chain applies the terms both stages added to D_i, the
-    positive ones first and then the negative ones, each group in stage
-    order (see _apply_chain), then the 1/omega scaling. Each term is one
-    dsyr write to H's lower triangle. Reordering changes rounding; the
-    golden traces pin this order.
+    The inverse chain applies the terms both stages added to D_i in one
+    mk.sm_inverse_update call, the positive ones first and then the
+    negative ones, each group in stage order, then the 1/omega scaling.
+    Each term is one dsymv and one dsyr of H's lower triangle. Reordering
+    changes rounding; the golden traces pin this order.
     """
 
     classic = True
@@ -500,9 +489,14 @@ class DirectSolver(BaseSolver):
 
     def _fold(self, i, w, terms):
         # hsum + (d_new - d_old), with the scratch as the difference's
-        # buffer. A Fortran-ordered D_i's difference is added across memory
-        # orders, the one transposing pass of its step.
-        np.subtract(self.D[i], self._old, out=self._old)
+        # buffer. A Fortran-ordered D_i's difference is taken on the
+        # C-ordered transposes, where numpy's loop runs faster at small d,
+        # and added across memory orders, the one transposing pass of its
+        # step.
+        new, old = self.D[i], self._old
+        if not old.flags.c_contiguous:
+            new, old = new.T, old.T
+        np.subtract(new, old, out=old)
         self._hsum += self._old
 
 

@@ -22,7 +22,6 @@ from hypothesis.extra import numpy as hnp
 from iqnlab import matkernel as mk
 from iqnlab.errors import DegenerateDirection, SingularAggregate, SingularUpdate
 from iqnlab.oracle import _broyden_explicit, full_matrix
-from iqnlab.solvers import _apply_chain
 
 from conftest import rand_spd
 
@@ -70,7 +69,7 @@ class TestAgainstTextbook:
         for c in (0.4, -0.2):
             expected = np.linalg.inv(a + c * np.outer(u, u))
             h = mk.symmetrize(np.linalg.inv(a))
-            got = apply(mk.sm_inverse_update, (h, u, c), h, in_place)
+            got = apply(mk.sm_inverse_update, (h, [(u, c)]), h, in_place)
             assert rel_err(full_matrix(got), expected) < 1e-10
 
     def test_bfgs_matches_oracle(self, rng, d, in_place):
@@ -129,7 +128,7 @@ def test_fresh_and_in_place_agree_bitwise_on_symmetric_input(rng, d):
     np.testing.assert_array_equal(apply(mk.broyden_update, args, b, in_place=True), fresh)
 
     h = mk.symmetrize(np.linalg.inv(sym_spd(rng, d)))
-    args = (h, u, 0.5)
+    args = (h, [(u, 0.5)])
     fresh = apply(mk.sm_inverse_update, args, h, in_place=False)
     np.testing.assert_array_equal(apply(mk.sm_inverse_update, args, h, in_place=True), fresh)
 
@@ -173,6 +172,64 @@ def test_broyden_reads_and_writes_the_lower_triangle_only(rng, d, tau):
         assert rel_err(np.tril(got), np.tril(expected)) < 1e-12
 
 
+def basis_stack(rng, d):
+    """D_1 (Fortran-ordered) and D_2 (C-ordered) of a three-matrix stack,
+    each SPD in its lower triangle with NaN in its strict upper one: D_0's
+    lower triangle and the last buffer's spare triangle."""
+    stack = mk.symmetric_stack(3, d)
+    mk.copy_lower(stack[0], np.full((d, d), np.nan))
+    stack[2].base[-1, :-1].T[np.tril_indices(d)] = np.nan  # the spare triangle
+    for m in stack[1:]:
+        mk.copy_lower(m, sym_spd(rng, d))
+        assert np.isnan(m[np.triu_indices(d, 1)]).all()
+    return stack[1:]
+
+
+# The greedy stage passes e_k as the int k: B e_k is then read as B's
+# column k, which must be the bits dsymv(B, e_k) gives.
+@pytest.mark.parametrize("d", (1, 2, 10, 64, 65))
+def test_basis_direction_reads_b_e_k_as_a_column(rng, d):
+    k_cycle = sorted({0, d // 2, d - 1})
+    for m, k in itertools.product(basis_stack(rng, d), k_cycle):
+        e_k = np.zeros(d)
+        e_k[k] = 1.0
+        expected = mk.symv(m, e_k)
+        ku = sym_spd(rng, d)[:, k]
+        before = m.copy()
+        reference = np.array(m, order="F" if m.flags.f_contiguous else "C")
+        bu, terms = mk.broyden_update(0.5, m, ku, float(ku[k]), k)
+        np.testing.assert_array_equal(bu, expected)
+        assert not np.isnan(bu).any()
+        # The whole update is the array direction's, bit for bit.
+        ref_bu, ref_terms = mk.broyden_update(0.5, reference, ku, float(ku[k]), e_k)
+        np.testing.assert_array_equal(bu, ref_bu)
+        assert [c for _, c in terms] == [c for _, c in ref_terms]
+        np.testing.assert_array_equal(np.tril(m), np.tril(reference))
+        assert_upper_kept(m, before)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("factor", [1.0, 0.5, 0.0, -1.0])
+def test_basis_direction_guard_message_is_unchanged(rng, tau, factor):
+    # B_kk at or below its guard GUARD_TOL * max|diag B| (here 4.0): the
+    # int k raises the message the array e_k raises, with B untouched.
+    d, k = 10, 3
+    b = sym_spd(rng, d)
+    b[np.diag_indices(d)] = 4.0
+    b[k, k] = factor * mk.GUARD_TOL * 4.0
+    e_k = np.eye(d)[k]
+    ku = sym_spd(rng, d)[:, k]
+    messages = []
+    for u in (k, e_k):
+        m = b.copy()
+        with pytest.raises(DegenerateDirection) as info:
+            mk.broyden_update(tau, m, ku, float(ku[k]), u)
+        np.testing.assert_array_equal(m, b)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "<u,Bu>" in messages[0]
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_sm_reads_and_writes_the_lower_triangle_only(rng, d):
     a = sym_spd(rng, d)
@@ -180,7 +237,7 @@ def test_sm_reads_and_writes_the_lower_triangle_only(rng, d):
     expected = np.linalg.inv(a + 0.4 * np.outer(u, u))
     h = mk.symmetrize(np.linalg.inv(a))
     for start, order in itertools.product((h, poisoned(h)), "CF"):
-        got = mk.sm_inverse_update(np.array(start, order=order), u, 0.4)
+        got = mk.sm_inverse_update(np.array(start, order=order), [(u, 0.4)])
         assert_upper_kept(got, start)
         assert rel_err(np.tril(got), np.tril(expected)) < 1e-10
 
@@ -277,7 +334,7 @@ def test_chain_leaves_the_upper_triangle_untouched(rng, d):
     for _ in range(50):
         u = rng.standard_normal(d)
         for h, b in runs:
-            mk.sm_inverse_update(h, u, 0.01)
+            mk.sm_inverse_update(h, [(u, 0.01)])
             bu = mk.symv(b, u)
             mk.bfgs_update(b, bu + 0.1 * u, float(u @ bu + 0.1 * u @ u), u)
     (h, b), (h_nan, b_nan) = runs
@@ -299,28 +356,46 @@ def test_tau_half_asymmetric_chain_matches_explicit_inverse(rng, d):
     sy = float(s @ y)
     expected = np.linalg.inv(_broyden_explicit(tau, b, y, sy, s))
     h = mk.symmetrize(np.linalg.inv(b))
-    assert _apply_chain(h, mk.broyden_update(tau, b.copy(), y, sy, s)[1])
+    assert mk.sm_inverse_update(h, mk.broyden_update(tau, b.copy(), y, sy, s)[1]) is h
     assert rel_err(full_matrix(h), expected) < 1e-10
 
 
 def test_chain_applies_positive_then_negative_terms_in_stage_order(monkeypatch):
     # Kernels return c as np.float64 or a Python float; a NaN c sorts with
-    # the positive ones. Each group keeps its stage order.
-    applied = []
-    monkeypatch.setattr(mk, "sm_inverse_update", lambda h, x, c: applied.append((x, c)))
+    # the positive ones. Each group keeps its stage order, and each term
+    # takes one dsymv and one dsyr of H.
+    applied, written = [], []
+
+    def dsymv(alpha, a, x, *rest):
+        applied.append(x)
+        return np.zeros(len(x))
+
+    def dsyr(alpha, x, *rest):
+        written.append(alpha)
+        return rest[-2]  # the operand a, updated in place
+    monkeypatch.setattr(mk, "_dsymv", dsymv)
+    monkeypatch.setattr(mk, "_dsyr", dsyr)
     cs = [np.float64(-1.0), 2.0, np.float64(3.0), -4.0, np.float64("nan"),
           np.float64(-5.0), 6.0]
     terms = [(np.full(2, float(k)), c) for k, c in enumerate(cs)]
-    assert _apply_chain(np.eye(2), terms)
+    h = np.eye(2)
+    assert mk.sm_inverse_update(h, terms) is h
     order = [1, 2, 4, 6, 0, 3, 5]
-    assert len(applied) == len(order)
-    for (x, c), k in zip(applied, order):
-        assert x is terms[k][0] and c is terms[k][1]
+    assert len(applied) == len(written) == len(order)
+    for x, alpha, k in zip(applied, written, order):
+        # With w = 0 every denominator is 1, so dsyr's alpha is -c.
+        assert x is terms[k][0]
+        np.testing.assert_array_equal(alpha, -terms[k][1])
 
 
 def test_chain_reports_a_singular_intermediate():
-    # I - e_1 e_1^T is singular: the chain stops and asks for a rebuild.
-    assert not _apply_chain(np.eye(2), [(np.array([1.0, 0.0]), -1.0)])
+    # I - e_1 e_1^T is singular: the chain stops at that term, after the
+    # positive one before it, and asks for a rebuild.
+    h = np.eye(2)
+    terms = [(np.array([1.0, 0.0]), -1.0), (np.array([0.0, 1.0]), 1.0)]
+    with pytest.raises(SingularUpdate, match="rank-one update denominator"):
+        mk.sm_inverse_update(h, terms)
+    np.testing.assert_array_equal(np.tril(h), np.diag([1.0, 0.5]))
 
 
 @st.composite
@@ -346,7 +421,7 @@ def test_broyden_terms_chain_is_symmetric_and_inverts_the_update(stage):
     ku = k @ u
     uku = float(u @ ku)
     h = mk.symmetrize(np.linalg.inv(b))
-    assert _apply_chain(h, mk.broyden_update(tau, b.copy(), ku, uku, u)[1])
+    assert mk.sm_inverse_update(h, mk.broyden_update(tau, b.copy(), ku, uku, u)[1]) is h
     expected = np.linalg.inv(_broyden_explicit(tau, b, ku, uku, u))
     assert rel_err(full_matrix(h), expected) < 1e-9
 
@@ -358,7 +433,7 @@ def test_sm_body_raises_like_kernel(d):
     u = np.eye(d)[0]
     h = np.eye(d)
     with pytest.raises(SingularUpdate, match="rank-one update denominator"):
-        mk.sm_inverse_update(h, u, -1.0)
+        mk.sm_inverse_update(h, [(u, -1.0)])
     np.testing.assert_array_equal(h, np.eye(d))
 
 
@@ -397,7 +472,7 @@ def test_out_must_be_c_ordered_float64(rng):
     d = 10
     u = rng.standard_normal(d)
     ku = sym_spd(rng, d) @ u
-    updates = (lambda m: mk.sm_inverse_update(m, u, 0.3),
+    updates = (lambda m: mk.sm_inverse_update(m, [(u, 0.3)]),
                lambda m: mk.broyden_update(0.0, m, ku, float(u @ ku), u),
                lambda m: mk.broyden_update(0.5, m, ku, float(u @ ku), u),
                mk.cholesky_inverse)

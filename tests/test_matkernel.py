@@ -21,20 +21,20 @@ from conftest import psd_dominates, rand_spd
 
 class TestShermanMorrison:
     def test_identity_plus_unit_rank_one(self):
-        out = mk.sm_inverse_update(np.eye(2), np.array([1.0, 0.0]), 1.0)
+        out = mk.sm_inverse_update(np.eye(2), [(np.array([1.0, 0.0]), 1.0)])
         np.testing.assert_allclose(out, np.diag([0.5, 1.0]), atol=0)
 
     def test_zero_update_is_noop(self):
-        out = mk.sm_inverse_update(np.eye(2), np.array([1.0, 2.0]), 0.0)
+        out = mk.sm_inverse_update(np.eye(2), [(np.array([1.0, 2.0]), 0.0)])
         np.testing.assert_allclose(out, np.eye(2), atol=0)
         # x = 0 comes from a cross pair with ku == bu exactly.
-        out = mk.sm_inverse_update(np.eye(2), np.zeros(2), 0.5)
+        out = mk.sm_inverse_update(np.eye(2), [(np.zeros(2), 0.5)])
         np.testing.assert_array_equal(out, np.eye(2))
 
     def test_singular_update_raises(self):
         # A = I, x = e1, c = -1 makes 1 + c <x, x> = 0 exactly.
         with pytest.raises(SingularUpdate):
-            mk.sm_inverse_update(np.eye(2), np.array([1.0, 0.0]), -1.0)
+            mk.sm_inverse_update(np.eye(2), [(np.array([1.0, 0.0]), -1.0)])
 
     def test_chain_of_100_updates_tracks_direct_inverse(self, rng):
         d = 32
@@ -44,7 +44,7 @@ class TestShermanMorrison:
             u = rng.standard_normal(d) * 0.1
             c = rng.uniform(-0.1, 1.0)
             a = a + c * np.outer(u, u)
-            a_inv = mk.sm_inverse_update(a_inv, u, c)
+            a_inv = mk.sm_inverse_update(a_inv, [(u, c)])
         expected = np.linalg.inv(a)
         err = np.linalg.norm(full_matrix(a_inv) - expected) / np.linalg.norm(expected)
         assert err < 1e-8

@@ -16,6 +16,7 @@ from iqnlab.errors import (
     DegenerateDirection,
     LazyInconsistency,
     SingularAggregate,
+    SingularUpdate,
     SwollenCurvature,
 )
 from iqnlab.objectives import LogisticObjective, QuadraticComponents, QuadraticObjective
@@ -384,12 +385,15 @@ class TestStateInvariants:
         # so each runs in full and is then reported singular. What remains
         # must be the direct Cholesky inverse, bit for bit, not that buffer.
         outcomes = []
-        chain = solvers._apply_chain
+        chain = mk.sm_inverse_update
 
         def apply_chain(h, terms):
-            outcomes.append(chain(h, terms))
-            return False
-        monkeypatch.setattr(solvers, "_apply_chain", apply_chain)
+            try:
+                outcomes.append(chain(h, terms) is h)
+            except SingularUpdate:
+                outcomes.append(False)
+            raise SingularUpdate("reported singular")
+        monkeypatch.setattr(mk, "sm_inverse_update", apply_chain)
         quad = QuadraticObjective(QuadraticComponents(
             a_diag=np.array([[3.0, 0.5, 1.5, 2.0]]), b=np.array([[10.0, -20.0, 5.0, 0.0]])))
         solver = make_solver(quad, np.array([1.0, -1.0, 0.5, 2.0]), SolverConfig(
@@ -402,7 +406,10 @@ class TestStateInvariants:
 
     def test_singular_fallback_raises_typed_error(self, monkeypatch):
         quad = small_quadratic(n=2, d=4)
-        monkeypatch.setattr(solvers, "_apply_chain", lambda h, terms: False)
+
+        def singular(h, terms):
+            raise SingularUpdate("reported singular")
+        monkeypatch.setattr(mk, "sm_inverse_update", singular)
         for method in ("IQN", "SLIQN"):
             solver = make_solver(quad, initial_point(quad.d, 1.0, 0),
                                  SolverConfig(method=method, gstop=1e-300))
@@ -636,38 +643,65 @@ def test_steps_call_the_public_kernels(method, monkeypatch):
     assert {name for name, count in calls.items() if count} == STEP_KERNELS[method]
 
 
-# Products m @ x (mk.symv) per step: the iterate solve's symv(H), B u in
-# each Broyden stage and symv(H) for each term of the inverse chain. phi's
-# change comes from the classic stage's B s and the terms, so no other
-# product of D_i is taken (taking D_i z_old and D_i x too made 6 and 9).
-STEP_PRODUCTS = {"IQN": 4, "SLIQN": 7}
+# d x d sweeps per step as (dsymv, dsyr) calls, the README "Kernels" table:
+# the memoized solve's dsymv(H) (a direct solver's dposv is neither), B s
+# in a classic stage, one dsyr per term each stage adds (a greedy stage
+# reads B e_k as a column), a dsymv and a dsyr of H per term of the inverse
+# chain, and the two products of D_i for phi where no classic stage ran from
+# the D_i phi holds (IGS). GSLIQN runs tau1 = tau2 = 0.5: four terms a stage.
+STEP_SWEEPS = {"IQN": (4, 4), "SLIQN": (6, 8), "GSLIQN": (10, 16),
+               "SIQN": (1, 4), "IGS": (2, 2)}
 
 
-@pytest.mark.parametrize("method", sorted(STEP_PRODUCTS))
+def counting_sweeps(monkeypatch, stack):
+    """Wrap matkernel's dsymv and dsyr; returns the list each call appends
+    to: (routine, whether its matrix is a view of the D stack)."""
+    calls = []
+    for name in ("_dsymv", "_dsyr"):
+        def counted(*args, _routine=getattr(mk, name), _name=name):
+            matrix = args[1] if _name == "_dsymv" else args[6]
+            calls.append((_name, np.shares_memory(matrix, stack)))
+            return _routine(*args)
+        monkeypatch.setattr(mk, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", sorted(STEP_SWEEPS))
+def test_step_sweeps_match_the_readme_table(method, monkeypatch):
+    # A quadratic has M = 0, so SIQN's and IGS's beta is 0.
+    quad = small_quadratic()
+    solver = make_solver(quad, initial_point(quad.d, 1.0, 0), SolverConfig(
+        method=method, tau1=0.5, tau2=0.5, gstop=1e-300))
+    calls = counting_sweeps(monkeypatch, solver.D[0].base)
+    for _ in range(2 * quad.n):  # short of the 10 n refresh
+        calls.clear()
+        assert not solver.step().classic_skipped
+        sweeps = tuple(sum(name == routine for name, _ in calls)
+                       for routine in ("_dsymv", "_dsyr"))
+        assert sweeps == STEP_SWEEPS[method]
+
+
+@pytest.mark.parametrize("method", ["IQN", "SLIQN"])
 def test_step_takes_no_product_of_d_i_for_phi(method, monkeypatch):
     # Exact curvature lands on x* at t = 1: the first n steps run the
     # classic stage, the next n skip it and take D_i z_old and D_i x.
     quad = small_quadratic()
     solver = make_solver(quad, initial_point(quad.d, 1.0, 0), SolverConfig(
         method=method, gstop=1e-300, **EXACT_START))
-    products = []
-    stack = solver.D[0].base  # the buffers every D_i is a view of
-
-    def counted(m, x, _symv=mk.symv):
-        products.append(np.shares_memory(m, stack))
-        return _symv(m, x)
-    monkeypatch.setattr(mk, "symv", counted)
-    greedy = int(solver.greedy)  # the greedy stage's B e_k
+    calls = counting_sweeps(monkeypatch, solver.D[0].base)
+    greedy = int(solver.greedy)
     for t in range(1, 2 * quad.n + 1):  # short of the 10 n refresh
-        products.clear()
+        calls.clear()
         skipped = solver.step().classic_skipped
         assert skipped == (t > quad.n)
+        products = [of_d_i for name, of_d_i in calls if name == "_dsymv"]
         if skipped:
-            # The solve, the greedy stage and its 2 terms, and the two
-            # fallback products of D_i.
-            assert (len(products), sum(products)) == (1 + 3 * greedy + 2, greedy + 2)
+            # The solve, the chain of the greedy stage's 2 terms, and the
+            # two fallback products of D_i.
+            assert (len(products), sum(products)) == (1 + 2 * greedy + 2, 2)
         else:
-            assert (len(products), sum(products)) == (STEP_PRODUCTS[method], 1 + greedy)
+            # The only product of D_i is the classic stage's B s.
+            assert (len(products), sum(products)) == (STEP_SWEEPS[method][0], 1)
 
 
 @pytest.mark.parametrize("method", solvers.METHODS)
