@@ -357,8 +357,7 @@ def broyden_update(tau: float, b: np.ndarray, ku: np.ndarray, uku: float, u) -> 
     # Python floats make the terms' c Python floats: numpy scalar
     # arithmetic costs their users ~0.15 us an operation at small d.
     if isinstance(u, (int, np.integer)):
-        bu = np.concatenate((b[u, :u + 1], b[u + 1:, u]))
-        ubu = float(b[u, u])
+        bu, ubu = np.concatenate((b[u, :u + 1], b[u + 1:, u])), float(b[u, u])
     else:
         bu = _dsymv(1.0, a, u, 0.0, None, 0, 1, 0, 1, lower)
         ubu = _ddot(u, bu)

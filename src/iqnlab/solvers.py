@@ -490,12 +490,11 @@ class DirectSolver(BaseSolver):
     def _fold(self, i, w, terms):
         # hsum + (d_new - d_old), with the scratch as the difference's
         # buffer. A Fortran-ordered D_i's difference is taken on the
-        # C-ordered transposes, where numpy's loop runs faster at small d,
+        # C-ordered transposes, where numpy's loop costs less at small d,
         # and added across memory orders, the one transposing pass of its
         # step.
-        new, old = self.D[i], self._old
-        if not old.flags.c_contiguous:
-            new, old = new.T, old.T
+        new, old = ((self.D[i], self._old) if self._old.flags.c_contiguous
+                    else (self.D[i].T, self._old.T))
         np.subtract(new, old, out=old)
         self._hsum += self._old
 
