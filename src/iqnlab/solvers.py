@@ -489,13 +489,9 @@ class DirectSolver(BaseSolver):
 
     def _fold(self, i, w, terms):
         # hsum + (d_new - d_old), with the scratch as the difference's
-        # buffer. A Fortran-ordered D_i's difference is taken on the
-        # C-ordered transposes, where numpy's loop costs less at small d,
-        # and added across memory orders, the one transposing pass of its
-        # step.
-        new, old = ((self.D[i], self._old) if self._old.flags.c_contiguous
-                    else (self.D[i].T, self._old.T))
-        np.subtract(new, old, out=old)
+        # buffer. A Fortran-ordered D_i's difference is added across memory
+        # orders, the one transposing pass of its step.
+        np.subtract(self.D[i], self._old, out=self._old)
         self._hsum += self._old
 
 
