@@ -7,10 +7,10 @@ overwrites its matrix argument in place, through BLAS level-2 routines from
 ``B u`` it took along its direction and the list of terms ``(x, c)`` it
 added, each meaning ``B += c x x^T``. An update costs a
 few O(d^2) passes and allocates only vectors. Guards are checked before anything
-is written, so a kernel that raises leaves its matrix as it was; only a
-Cholesky kernel finds a singular matrix while factorizing it, and leaves a
-partial factor behind, and ``sm_inverse_update`` one whose intermediate is
-singular, with the terms before it applied. A matrix the kernel cannot
+is written, so a kernel that raises leaves its matrix as it was, with two
+exceptions: a Cholesky kernel finds a singular matrix while factorizing it
+and leaves a partial factor behind, and ``sm_inverse_update`` meets a
+singular intermediate with the terms before it applied. A matrix the kernel cannot
 update in place (not float64, read-only, or neither C- nor Fortran-ordered;
 the Cholesky kernels take C order only) raises ``ValueError`` before any
 write, also with the matrix untouched.

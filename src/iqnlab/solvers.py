@@ -35,13 +35,13 @@ against phi - g in O(d^3). Every matrix a solver keeps (H, each D_i, the
 direct sum) is symmetric and stored as its lower triangle, and only
 matkernel's kernels touch it: mk.symv reads it, mk.cholesky_inverse
 rebuilds H from the summed curvature and mk.cholesky_solve solves the
-direct sum. Nothing reads
-the strict upper triangle. H, the direct sum and its scratch are C-ordered.
-The D_i come from mk.symmetric_stack, two to a buffer: D_i's strict upper
-triangle is its partner's lower one, so the scale stage, NIM's Hessian and
-the exact start write D_i through mk.scale_lower and mk.copy_lower. How far
-H has drifted from the inverse of the sum is the oracle's measure
-(oracle.inverse_residual), not the solvers'.
+direct sum. Nothing reads the strict upper triangle. H, the direct sum and
+its scratch are C-ordered. The D_i come from mk.symmetric_stack, two to a
+buffer: D_i's strict upper triangle is its partner's lower one, so the
+scale stage, NIM's Hessian and the exact start write D_i through
+mk.scale_lower and mk.copy_lower. How far H has drifted from the inverse
+of the sum is the oracle's measure (oracle.inverse_residual), not the
+solvers'.
 
 Lazy scaling (SLIQN/GSLIQN): stored matrices omit multiplicative epoch
 scalings. The stored value of a tuple written in epoch e equals its true

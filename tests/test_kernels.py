@@ -189,8 +189,7 @@ def basis_stack(rng, d):
 # column k, which must be the bits dsymv(B, e_k) gives.
 @pytest.mark.parametrize("d", (1, 2, 10, 64, 65))
 def test_basis_direction_reads_b_e_k_as_a_column(rng, d):
-    k_cycle = sorted({0, d // 2, d - 1})
-    for m, k in itertools.product(basis_stack(rng, d), k_cycle):
+    for m, k in itertools.product(basis_stack(rng, d), sorted({0, d // 2, d - 1})):
         e_k = np.zeros(d)
         e_k[k] = 1.0
         expected = mk.symv(m, e_k)
@@ -383,14 +382,15 @@ def test_chain_applies_positive_then_negative_terms_in_stage_order(monkeypatch):
     order = [1, 2, 4, 6, 0, 3, 5]
     assert len(applied) == len(written) == len(order)
     for x, alpha, k in zip(applied, written, order):
-        # With w = 0 every denominator is 1, so dsyr's alpha is -c.
+        # With w = 0 every denominator is 1 (NaN for the NaN c), so
+        # dsyr's alpha is -c.
         assert x is terms[k][0]
         np.testing.assert_array_equal(alpha, -terms[k][1])
 
 
 def test_chain_reports_a_singular_intermediate():
-    # I - e_1 e_1^T is singular: the chain stops at that term, after the
-    # positive one before it, and asks for a rebuild.
+    # I - e_1 e_1^T is singular: the chain stops at that term, with the
+    # positive term, which goes first, applied, and asks for a rebuild.
     h = np.eye(2)
     terms = [(np.array([1.0, 0.0]), -1.0), (np.array([0.0, 1.0]), 1.0)]
     with pytest.raises(SingularUpdate, match="rank-one update denominator"):
