@@ -87,7 +87,7 @@ def parse_libsvm(source):
             if indices and idx <= indices[-1]:
                 raise MalformedLine(
                     line_no, f"index {idx} not strictly increasing after {indices[-1]}")
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise MalformedLine(line_no, f"non-finite value in token {tok!r}")
             indices.append(idx)
             values.append(val)

@@ -7,6 +7,18 @@ logistic family combines a per-sample logistic loss with a full copy of the
 over components reproduces the total objective while keeping each component
 strictly convex away from the origin.
 
+The logistic per-component oracles read the sample row z_i from
+``LogisticObjective.rows``, a read-only, C-ordered dense copy of the
+features made once at construction: row i is a view, and the margin
+<z_i, x> is one dot of it with x: 0.6 us together at N = 125, d = 30,
+where rebuilding the row from the CSR arrays took 1.8 us and gathering the
+margin through them 2.2 (NumPy 2 on a 2-vCPU Xeon). The copy holds N d
+doubles; every
+solver already keeps a curvature stack of ceil(N/2) (d + 1) d, so the copy
+is at most 2/d of what the solver holds, at any density. The CSR arrays
+stay where the work is O(nnz) at any density: ``full_gradient`` and
+``gradients_at``'s margins, ``newton_system`` and ``estimate_constants``.
+
 ``LogisticObjective.full_gradient``, the stopping rule every iteration
 pays, calls the compiled kernels of the private
 ``scipy.sparse._sparsetools`` directly: ``csr_matvec`` with the arguments
@@ -106,6 +118,11 @@ class FiniteSumObjective:
     def hessian_column(self, i, x, j):
         raise NotImplementedError
 
+    def hessian_quad_form(self, i, x, s):
+        """<s, hessian(i, x) s> as a float, in O(d) work: the direct
+        solvers' scale stage reads this one scalar of the Hessian."""
+        raise NotImplementedError
+
     def estimate_constants(self) -> SmoothnessConstants:
         raise NotImplementedError
 
@@ -153,6 +170,9 @@ class QuadraticObjective(FiniteSumObjective):
         col = np.zeros(self.d)
         col[j] = self.a[i, j]
         return col
+
+    def hessian_quad_form(self, i, x, s):
+        return float((self.a[i] * s).dot(s))
 
     def estimate_constants(self):
         return SmoothnessConstants(mu=float(self.a.min()), L=float(self.a.max()))
@@ -223,20 +243,10 @@ class LogisticObjective(FiniteSumObjective):
         self.radius = float(radius)
         self.inner_radius = 1e-3 * self.radius
         self.n, self.d = self.features.shape
+        # Row i of this array is z_i, read by every per-component oracle.
+        self.rows = self.features.toarray()
+        self.rows.flags.writeable = False
         self._memo_key = self._memo = None  # see _point
-
-    # -- sparse row access -------------------------------------------------
-
-    def _row(self, i):
-        """Dense copy of sample row i."""
-        start, end = self.features.indptr[i], self.features.indptr[i + 1]
-        z = np.zeros(self.d)
-        z[self.features.indices[start:end]] = self.features.data[start:end]
-        return z
-
-    def _margin(self, i, x):
-        start, end = self.features.indptr[i], self.features.indptr[i + 1]
-        return float(x[self.features.indices[start:end]] @ self.features.data[start:end])
 
     # -- one point's pieces -------------------------------------------------
     # A greedy step asks for the gradient, the Hessian diagonal and a Hessian
@@ -255,7 +265,7 @@ class LogisticObjective(FiniteSumObjective):
     def _point(self, x):
         """The memo of point x. ``nx`` = ||x|| and ``c1`` = 0.5 lam p
         ||x||^(p-2) come at once; ``c2``, and the component pieces ``s`` =
-        expit(<x, z_i>), ``z`` = dense row i and ``w`` = s (1 - s) of
+        expit(<x, z_i>), ``z`` = row i of ``rows`` and ``w`` = s (1 - s) of
         component ``i``, are filled in on first use."""
         key = (x.dtype, x.shape, x.tobytes())
         if key != self._memo_key:
@@ -269,8 +279,8 @@ class LogisticObjective(FiniteSumObjective):
         """The memo of x with the pieces of component i."""
         memo = self._point(x)
         if memo.i != i:
-            memo.s, memo.z = expit(self._margin(i, x)), self._row(i)
-            memo.i, memo.w = i, None
+            memo.z = z = self.rows[i]
+            memo.s, memo.i, memo.w = expit(z.dot(x)), i, None
         return memo
 
     def _hessian_pieces(self, i, x):
@@ -325,7 +335,7 @@ class LogisticObjective(FiniteSumObjective):
     # -- component interface -------------------------------------------------
 
     def value(self, i, x):
-        t = self._margin(i, x)
+        t = self.rows[i].dot(x)
         sign = 1.0 - 2.0 * self.labels[i]
         return float(np.logaddexp(0.0, sign * t) + self._reg_value(x))
 
@@ -348,6 +358,11 @@ class LogisticObjective(FiniteSumObjective):
         col = w * z[j] * z + c2 * x[j] * x
         col[j] += c1
         return col
+
+    def hessian_quad_form(self, i, x, s):
+        z, w, c1, c2 = self._hessian_pieces(i, x)
+        zs, xs = z.dot(s), x.dot(s)
+        return float(w * zs * zs + c1 * s.dot(s) + c2 * xs * xs)
 
     def estimate_constants(self):
         row_norms_sq = np.asarray(self.features.multiply(self.features).sum(axis=1)).ravel()
@@ -400,6 +415,6 @@ class LogisticObjective(FiniteSumObjective):
         return value, h
 
     def gradients_at(self, x):
-        residual = self._residual(x)
-        dense = self.features.multiply(residual[:, None]).toarray()
-        return dense + self._reg_gradient(x)[None, :]
+        grads = self.rows * self._residual(x)[:, None]
+        grads += self._reg_gradient(x)
+        return grads

@@ -478,7 +478,7 @@ class DirectSolver(BaseSolver):
         if skipped or m_const == 0.0:
             self._beta = 0.0
         else:
-            quad = float(s @ (self.objective.hessian(i, self.z[i]) @ s))
+            quad = self.objective.hessian_quad_form(i, self.z[i], s)
             self._beta = 0.5 * m_const * np.sqrt(max(quad, 0.0))
         return self._beta
 

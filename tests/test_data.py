@@ -58,6 +58,12 @@ class TestParser:
         with pytest.raises(MalformedLine):
             parse_libsvm("+1 zero\n")
 
+    @pytest.mark.parametrize("token", ["1:nan", "2:inf", "3:-inf", "4:1e999"])
+    def test_non_finite_value_carries_line_number(self, token):
+        with pytest.raises(MalformedLine, match="non-finite value") as err:
+            parse_libsvm(f"+1 1:1\n# comment\n-1 {token}\n")
+        assert err.value.line_no == 3
+
     def test_unsupported_label_rejected(self):
         with pytest.raises(MalformedLine):
             parse_libsvm("3 1:1\n")

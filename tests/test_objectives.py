@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse
 from scipy.special import expit
 
+from iqnlab import objectives
 from iqnlab.data import initial_point
 from iqnlab.errors import DegenerateProblem
 from iqnlab.objectives import (
@@ -19,7 +20,7 @@ from iqnlab.objectives import (
     SmoothnessConstants,
 )
 from iqnlab.oracle import finite_diff_gradient, finite_diff_hessian
-from iqnlab.solvers import SolverConfig, make_solver
+from iqnlab.solvers import SolverConfig, index_of, make_solver
 
 
 def make_quadratic(a, b):
@@ -152,6 +153,17 @@ class TestLogisticDerivatives:
             np.testing.assert_allclose(obj.hessian_column(i, x, j), full[:, j],
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("family", ["quadratic", "logistic"])
+    def test_hessian_quad_form_matches_the_dense_hessian(self, rng, random_logistic, family):
+        obj = random_logistic if family == "logistic" else make_quadratic(
+            rng.uniform(0.5, 2.0, size=(6, 5)), rng.standard_normal((6, 5)))
+        for x in [rng.standard_normal(obj.d) for _ in range(10)] + [np.zeros(obj.d)]:
+            i = int(rng.integers(obj.n))
+            s = rng.standard_normal(obj.d)
+            got = obj.hessian_quad_form(i, x, s)
+            assert type(got) is float
+            assert got == pytest.approx(s @ obj.hessian(i, x) @ s, rel=1e-12, abs=0.0)
+
     def test_full_gradient_matches_component_sum(self, rng, random_logistic):
         obj = random_logistic
         x = rng.standard_normal(obj.d)
@@ -216,6 +228,56 @@ class TestLogisticDerivatives:
             tracemalloc.stop()
         assert obj.features.nnz == n * d
         assert peak < obj.features.data.nbytes // 2, peak
+
+
+class TestLogisticRows:
+    # The per-component oracles read z_i as row i of LogisticObjective.rows,
+    # a dense copy of the CSR features made once.
+    @pytest.fixture
+    def edge(self):
+        """Three CSR rows: empty (nothing stored), full, and one nonzero."""
+        d = 5
+        features = scipy.sparse.csr_matrix(
+            (np.append(np.linspace(-1.0, 1.5, d), 2.5), np.append(np.arange(d), 3),
+             [0, 0, d, d + 1]), shape=(3, d))
+        return LogisticObjective(features, np.array([1.0, 0.0, 1.0]), lam=0.05)
+
+    def test_rows_are_a_read_only_dense_copy(self, edge):
+        rows = edge.rows
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        np.testing.assert_array_equal(rows, edge.features.toarray())
+        with pytest.raises(ValueError, match="read-only"):
+            rows[1, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] += 1.0
+
+    @pytest.mark.parametrize("i", [0, 1, 2], ids=["empty", "full", "single-nonzero"])
+    def test_oracles_match_textbook_expressions(self, rng, edge, i):
+        obj, f = edge, edge.features
+        z = np.zeros(obj.d)
+        z[f.indices[f.indptr[i]:f.indptr[i + 1]]] = f.data[f.indptr[i]:f.indptr[i + 1]]
+        for x in (rng.standard_normal(obj.d), np.zeros(obj.d)):
+            nx = np.linalg.norm(x)
+            c1 = 0.5 * obj.lam * obj.p * nx ** (obj.p - 2.0) if nx else 0.0
+            c2 = 0.5 * obj.lam * obj.p * (obj.p - 2.0) * nx ** (obj.p - 4.0) if nx else 0.0
+            s = expit(z @ x)
+            hess = s * (1.0 - s) * np.outer(z, z) + c1 * np.eye(obj.d) + c2 * np.outer(x, x)
+            tol = dict(rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(obj.gradient(i, x), (s - obj.labels[i]) * z + c1 * x,
+                                       **tol)
+            np.testing.assert_allclose(obj.hessian(i, x), hess, **tol)
+            np.testing.assert_allclose(obj.hessian_diag(i, x), np.diagonal(hess), **tol)
+            for j in range(obj.d):
+                np.testing.assert_allclose(obj.hessian_column(i, x, j), hess[:, j], **tol)
+
+    def test_gradients_at_equals_the_sparse_product(self, rng, edge):
+        # Z's rows scaled by the residuals, through the dense rows or the
+        # CSR arrays: equal, zeros compared without their sign.
+        obj = edge
+        for x in (rng.standard_normal(obj.d), np.zeros(obj.d)):
+            residual = expit(obj.features @ x) - obj.labels
+            want = obj.features.multiply(residual[:, None]).toarray() + obj._reg_gradient(x)
+            np.testing.assert_array_equal(obj.gradients_at(x), want)
 
 
 class TestLogisticMemo:
@@ -289,42 +351,50 @@ class TestLogisticMemo:
                     oracles[name](obj, i, x)
             assert len(norms) == point
 
+    @staticmethod
+    def count_row_reads(obj, monkeypatch):
+        """Swap obj.rows for a view that records the key of every read; what
+        a read hands back is a plain array, as before."""
+        reads = []
+
+        class RowReads(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(key)
+                return np.asarray(self)[key]
+        monkeypatch.setattr(obj, "rows", obj.rows.view(RowReads))
+        return reads
+
     @pytest.mark.parametrize("method, rows", [
         ("SLIQN", 1), ("IQN", 1), ("NIM", 1), ("SIQN", 2), ("IGS", 2)])
     def test_dense_rows_per_step(self, random_logistic, monkeypatch, method, rows):
         # SIQN's and IGS's scale stage reads the Hessian at the old iterate;
         # every other oracle call of a step is at the new one.
-        calls = []
-        row = LogisticObjective._row
-        monkeypatch.setattr(LogisticObjective, "_row",
-                            lambda self, i: calls.append(i) or row(self, i))
         obj = random_logistic
+        reads = self.count_row_reads(obj, monkeypatch)
         assert obj.constants.M > 0.0  # the scale stage reads the Hessian
         solver = make_solver(obj, initial_point(obj.d, 0.5, 0),
                              SolverConfig(method=method, gstop=1e-300))
         for _ in range(2 * obj.n):
-            calls.clear()
+            reads.clear()
             solver.step()
-            assert len(calls) == rows
+            assert len(reads) == rows
 
     def test_sliqn_step_evaluates_each_point_once(self, random_logistic, monkeypatch):
         # A greedy step reads the gradient, the Hessian diagonal and one
-        # Hessian column at the same (i, x): one margin and one dense row.
-        calls = {"_margin": 0, "_row": 0}
-        for name in calls:
-            method = getattr(LogisticObjective, name)
-
-            def counted(self, *args, _name=name, _method=method):
-                calls[_name] += 1
-                return _method(self, *args)
-            monkeypatch.setattr(LogisticObjective, name, counted)
+        # Hessian column at the same (i, x): one row read, and one margin,
+        # which expit maps to s.
         obj = random_logistic
+        reads = self.count_row_reads(obj, monkeypatch)
+        margins = []
+        monkeypatch.setattr(objectives, "expit",
+                            lambda t, *args, **kw: margins.append(t) or expit(t, *args, **kw))
         solver = make_solver(obj, initial_point(obj.d, 0.5, 0),
                              SolverConfig(method="SLIQN", gstop=1e-300))
-        for _ in range(2 * obj.n):
-            calls.update(_margin=0, _row=0)
+        for t in range(1, 2 * obj.n + 1):
+            reads.clear()
+            margins.clear()
             solver.step()
-            assert calls == {"_margin": 1, "_row": 1}
+            assert reads == [index_of(t, obj.n)] and len(margins) == 1
 
 
 class TestLogisticConstants:

@@ -500,6 +500,26 @@ class TestAllocation:
             tracemalloc.stop()
         assert peak < d * d * 8, f"{method} step peaked at {peak / (d * d * 8):.2f} d^2 doubles"
 
+    @pytest.mark.parametrize("method", ["SIQN", "IGS"])
+    def test_logistic_scale_stage_allocates_no_d_by_d_array(self, rng, method):
+        # On the logistic problem (M > 0) the scale stage's beta reads
+        # <s, H_i(z_i) s> in O(d), not from a dense component Hessian.
+        d = 120
+        obj = small_logistic(rng, n=4, d=d)
+        assert obj.constants.M > 0.0
+        solver = make_solver(obj, initial_point(d, 1.0, 0), SolverConfig(
+            method=method, gstop=1e-300))
+        solver.step()
+        solver.step()
+        tracemalloc.start()
+        try:
+            solver.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solver._beta > 0.0
+        assert peak < d * d * 8, f"{method} step peaked at {peak / (d * d * 8):.2f} d^2 doubles"
+
     @pytest.mark.parametrize("method", ["IQN", "SLIQN", "SIQN", "IGS"])
     def test_refresh_step_allocates_no_d_by_d_array(self, method):
         # A rebuild sums the D_i into the buffer the aggregate already has
