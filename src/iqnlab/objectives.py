@@ -13,11 +13,10 @@ features made once at construction: row i is a view, and the margin
 <z_i, x> is one dot of it with x: 0.6 us together at N = 125, d = 30,
 where rebuilding the row from the CSR arrays took 1.8 us and gathering the
 margin through them 2.2 (NumPy 2 on a 2-vCPU Xeon). The copy holds N d
-doubles; every
-solver already keeps a curvature stack of ceil(N/2) (d + 1) d, so the copy
-is at most 2/d of what the solver holds, at any density. The CSR arrays
-stay where the work is O(nnz) at any density: ``full_gradient`` and
-``gradients_at``'s margins, ``newton_system`` and ``estimate_constants``.
+doubles; every solver already keeps a curvature stack of ceil(N/2) (d + 1) d,
+so the copy is at most 2/d of what the solver holds, at any density. The
+CSR arrays stay where the work is O(nnz) at any density: ``full_gradient``
+and ``gradients_at``'s margins, ``newton_system`` and ``estimate_constants``.
 
 ``LogisticObjective.full_gradient``, the stopping rule every iteration
 pays, calls the compiled kernels of the private
