@@ -404,10 +404,9 @@ class LogisticObjective(FiniteSumObjective):
         value = float(np.logaddexp(0.0, sign * t).sum() + self.n * self._reg_value(x))
         s = expit(t)
         f = self.features
-        weighted = scipy.sparse.csr_matrix(
-            (f.data * np.repeat(s * (1.0 - s), np.diff(f.indptr)), f.indices, f.indptr),
-            shape=f.shape)
-        h = (f.T @ weighted).toarray()
+        h = np.zeros((self.d, self.d))
+        _sparsetools.csc_matvecs(self.d, self.n, self.d, f.indptr, f.indices, f.data,
+                                 (s * (1.0 - s))[:, None] * self.rows, h)
         memo = self._point(x)
         h += (self.n * self._c2(memo)) * np.outer(x, x)
         h[np.diag_indices(self.d)] += self.n * memo.c1

@@ -97,6 +97,31 @@ class TestParser:
         np.testing.assert_array_equal(matrix.toarray(), [[2, 0, 4], [0, 5, 0]])
         np.testing.assert_array_equal(labels, [1.0, 0.0])
 
+    @pytest.mark.parametrize("dim", [None, 12], ids=["dim-inferred", "dim-given"])
+    @pytest.mark.parametrize("empty", ["one-empty", "all-empty"])
+    def test_rows_to_csr_equals_a_textbook_loop(self, rng, dim, empty):
+        rows = []
+        for i in range(6):
+            k = 0 if empty == "all-empty" or i == 2 else int(rng.integers(1, 5))
+            idx = np.sort(rng.choice(np.arange(1, 10), size=k, replace=False))
+            rows.append(SparseRow(indices=idx.astype(np.int64), values=rng.standard_normal(k),
+                                  label=int(rng.integers(0, 2))))
+        indptr, indices, data = [0], [], []
+        for row in rows:
+            for j, v in zip(row.indices, row.values):
+                indices.append(j - 1)
+                data.append(v)
+            indptr.append(len(indices))
+        width = max(indices, default=-1) + 1 if dim is None else dim
+        matrix, labels = rows_to_csr(rows, dim)
+        assert matrix.shape == (len(rows), width)
+        np.testing.assert_array_equal(matrix.indptr, indptr)
+        np.testing.assert_array_equal(matrix.indices, indices)
+        assert matrix.data.dtype == np.float64 and matrix.data.tobytes() == np.array(
+            data, dtype=np.float64).tobytes()
+        assert labels.dtype == np.float64
+        np.testing.assert_array_equal(labels, [row.label for row in rows])
+
 
 class TestGenerator:
     def test_xi_zero_gives_identity_components(self):

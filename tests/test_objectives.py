@@ -280,6 +280,63 @@ class TestLogisticRows:
             np.testing.assert_array_equal(obj.gradients_at(x), want)
 
 
+class TestNewtonSystem:
+    # newton_system builds Z^T diag(w) Z in one compiled call on Z's CSR
+    # arrays; the textbook forms below are built from features.toarray().
+    @pytest.fixture(params=[np.int32, np.int64], ids=["int32", "int64"])
+    def objective(self, request, rng):
+        """An empty row (nothing stored), a full row and a single-nonzero
+        row above four random sparse rows, with index arrays of the given
+        dtype: scipy downcasts small matrices to int32, and the compiled
+        kernel is templated on both."""
+        d = 5
+        dense = np.vstack([np.zeros(d), np.linspace(-1.0, 1.5, d), [0.0, 0.0, 0.0, 2.5, 0.0],
+                           rng.standard_normal((4, d)) * (rng.random((4, d)) < 0.5)])
+        features = scipy.sparse.csr_matrix(dense)
+        features.indices = features.indices.astype(request.param)
+        features.indptr = features.indptr.astype(request.param)
+        obj = LogisticObjective(features, (rng.random(7) > 0.5).astype(float), lam=0.05)
+        assert obj.features.indices.dtype == obj.features.indptr.dtype == request.param
+        assert obj.features.indptr[1] == 0 and np.diff(obj.features.indptr)[1:3].tolist() == [d, 1]
+        return obj
+
+    @staticmethod
+    def textbook(obj, x):
+        """sum_i loss_i + n (lam/2) ||x||^p and Z^T diag(w) Z + n (c1 I + c2 x x^T)."""
+        z, y = obj.features.toarray(), obj.labels
+        nx = np.linalg.norm(x)
+        c1 = 0.5 * obj.lam * obj.p * nx ** (obj.p - 2.0) if nx else 0.0
+        c2 = 0.5 * obj.lam * obj.p * (obj.p - 2.0) * nx ** (obj.p - 4.0) if nx else 0.0
+        t = z @ x
+        s = expit(t)
+        value = (np.where(y == 1.0, np.logaddexp(0.0, -t), np.logaddexp(0.0, t)).sum()
+                 + obj.n * 0.5 * obj.lam * nx ** obj.p)
+        hess = z.T @ ((s * (1.0 - s))[:, None] * z) + obj.n * (c1 * np.eye(obj.d)
+                                                                + c2 * np.outer(x, x))
+        return value, hess
+
+    def test_newton_system_matches_textbook_expressions(self, rng, objective):
+        obj = objective
+        for x in (rng.standard_normal(obj.d), np.zeros(obj.d)):
+            value, hess = obj.newton_system(x)
+            want_value, want_hess = self.textbook(obj, x)
+            assert hess.dtype == np.float64 and hess.shape == (obj.d, obj.d)
+            assert hess.flags.c_contiguous
+            assert abs(value - want_value) <= 1e-12 * abs(want_value)
+            assert np.abs(hess - want_hess).max() <= 1e-12 * np.abs(want_hess).max()
+
+    def test_newton_system_skips_scipys_sparse_product(self, rng, objective, monkeypatch):
+        # newton_system calls scipy's private csc_matvecs; a scipy that
+        # changes its arguments fails here or in the test above.
+        def refuse(*_args):
+            raise AssertionError("newton_system went through a sparse-sparse product")
+        monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "_matmul_sparse", refuse)
+        x = rng.standard_normal(objective.d)
+        _, hess = objective.newton_system(x)
+        want = self.textbook(objective, x)[1]
+        assert np.abs(hess - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestLogisticMemo:
     # LogisticObjective keeps the pieces its oracles share for the last
     # (i, x) it saw. Every result must be what an objective without that
