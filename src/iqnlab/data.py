@@ -124,12 +124,9 @@ def rows_to_csr(rows, dim=None):
         dim = max((int(r.indices[-1]) for r in rows if len(r.indices)), default=0)
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r.indices) for r in rows], out=indptr[1:])
-    if indptr[-1]:
-        indices = np.concatenate([r.indices for r in rows])
-        indices -= 1
-        data = np.concatenate([r.values for r in rows])
-    else:
-        indices, data = np.zeros(0, dtype=np.int64), np.zeros(0)
+    indices = np.concatenate([r.indices for r in rows]) if indptr[-1] else np.zeros(0, dtype=np.int64)
+    indices -= 1
+    data = np.concatenate([r.values for r in rows]) if indptr[-1] else np.zeros(0)
     labels = np.fromiter((r.label for r in rows), dtype=np.float64, count=len(rows))
     matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(rows), dim))
     return matrix, labels

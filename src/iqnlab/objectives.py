@@ -16,17 +16,25 @@ margin through them 2.2 (NumPy 2 on a 2-vCPU Xeon). The copy holds N d
 doubles; every solver already keeps a curvature stack of ceil(N/2) (d + 1) d,
 so the copy is at most 2/d of what the solver holds, at any density. The
 CSR arrays stay where the work is O(nnz) at any density: ``full_gradient``
-and ``gradients_at``'s margins, ``newton_system`` and ``estimate_constants``.
+and ``gradients_at``'s margins, and ``estimate_constants``.
+``newton_system`` reads both: Z^T diag(w) Z is one pass over Z's nonzeros,
+each scaling a row of ``w[:, None] * rows``, O(nnz d) work. SciPy's sparse
+product, O(sum_i nnz_i^2) plus about 0.2 ms of Python dispatch, took 6x as
+long at N = 125, d = 30 and 1.4x at N = 32561, d = 123, density 0.11. Of
+six shapes measured it won only the two at d >= 500 and density <= 0.02
+(10000 x 500: 14 ms against 29), where every solver's curvature stack
+alone needs 10-20 GB.
 
-``LogisticObjective.full_gradient``, the stopping rule every iteration
-pays, calls the compiled kernels of the private
-``scipy.sparse._sparsetools`` directly: ``csr_matvec`` with the arguments
-``csr_matrix @ x`` passes it, and ``csc_matvec`` on the same CSR arrays for
-the transposed product. ``@`` spends about 4 us of Python dispatch per
-product around kernels that take 2-3 us at N = 125, d = 30 (SciPy 1.17 on
-a 2-vCPU Xeon). A SciPy that changes those kernels' arguments fails
-``test_full_gradient_bit_equal_to_uncached_transpose``; one that drops the
-module fails this module's import.
+The logistic set-up and the stopping rule every iteration pays call the
+compiled kernels of the private ``scipy.sparse._sparsetools`` directly:
+``csr_matvec`` with the arguments ``csr_matrix @ x`` passes it, and
+``csc_matvec`` and ``csc_matvecs`` on the same CSR arrays, read as the CSC
+arrays of Z^T, for the transposed products. ``@`` spends about 4 us of
+Python dispatch per product around kernels that take 2-3 us at N = 125,
+d = 30 (SciPy 1.17 on a 2-vCPU Xeon). A SciPy that changes those kernels'
+arguments fails ``test_full_gradient_bit_equal_to_uncached_transpose``, or
+for ``csc_matvecs`` ``test_newton_system_skips_scipys_sparse_product``; one
+that drops the module fails this module's import.
 """
 
 from dataclasses import dataclass
@@ -395,10 +403,14 @@ class LogisticObjective(FiniteSumObjective):
         """(F(x), H) for the total objective F = sum_i f_i, which full-batch
         Newton needs: the value, and the Hessian
         H = Z^T diag(w) Z + n (c1 I + c2 x x^T), w = s (1 - s),
-        s = expit(Z x), as a fresh C-ordered (d, d) array. c1 and c2 come
-        from x's memo, so both vanish below ORIGIN_GUARD as in
-        :meth:`hessian`; Z^T diag(w) Z is then all there is, and singular
-        when Z has rank below d."""
+        s = expit(Z x), as a fresh C-ordered (d, d) array. Z^T diag(w) Z is
+        one compiled ``csc_matvecs`` call: Z's CSR arrays, read as the CSC
+        arrays of Z^T, times ``w[:, None] * rows``. Entry (j, k) sums
+        z_ij (w_i z_ik) and entry (k, j) z_ik (w_i z_ij), so H is symmetric
+        only up to rounding; ``matkernel.cholesky_solve`` reads its lower
+        triangle. c1 and c2 come from x's memo, so both vanish below
+        ORIGIN_GUARD as in :meth:`hessian`; Z^T diag(w) Z is then all there
+        is, and singular when Z has rank below d."""
         t = self._margins(x)
         sign = 1.0 - 2.0 * self.labels
         value = float(np.logaddexp(0.0, sign * t).sum() + self.n * self._reg_value(x))
