@@ -136,12 +136,14 @@ def build_problem(config: ExperimentConfig):
     The logistic reference minimizer is found by full-batch damped Newton
     to a 1e-12 averaged gradient norm (see :func:`_reference_minimizer`);
     the quadratic one is closed form. No solver is constructed. A problem
-    whose arrays cannot be allocated is a HarnessError naming N and d.
+    whose arrays cannot be allocated, or are past what numpy can address,
+    is a HarnessError naming N and d.
     """
     if config.problem == "quadratic":
         spec = GeneratorSpec(n=config.n, d=config.d, xi=config.xi,
                              b_max=config.b_max, seed=config.seed)
         try:
+            _check_addressable(spec.n, spec.d)
             objective = QuadraticObjective(generate_quadratic(spec))
             x0 = initial_point(objective.d, config.x0_scale, config.seed)
             return objective, x0, objective.exact_minimizer()
@@ -156,6 +158,7 @@ def build_problem(config: ExperimentConfig):
     if dim == 0:
         raise HarnessError(f"dataset {config.data} has no features (d = 0)")
     try:
+        _check_addressable(len(rows), dim)
         features, labels = rows_to_csr(rows, dim)
         lam = 1.0 / len(rows) if config.lam == "auto" else float(config.lam)
         x0 = initial_point(dim, config.x0_scale, config.seed)
@@ -167,15 +170,23 @@ def build_problem(config: ExperimentConfig):
                            f"does not fit in memory: {exc}") from exc
 
 
+def _check_addressable(n, d):
+    """Raise MemoryError when an (n, d) float64 array, the largest a problem
+    holds, is past what numpy can address: numpy itself would raise
+    ValueError ("array is too big") there, and MemoryError only below."""
+    if n * d * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{n} x {d} doubles exceed the address space")
+
+
 def _reference_minimizer(objective, x0):
     """x* of a logistic objective: damped Newton on the total objective
     (Boyd & Vandenberghe, *Convex Optimization*, 9.5) from x0 until the
     stopping rule's averaged gradient norm ``||full_gradient|| / n`` is
     below REFERENCE_GSTOP. It shares no code with the solvers under test.
 
-    Each iteration solves ``H step = -g`` with ``objective.newton_system``'s
-    Hessian by Cholesky, then halves the step until the total value meets
-    the Armijo condition. A step whose predicted decrease ``-g . step`` is
+    Each iteration solves ``H step = -g`` by Cholesky, g and H from the
+    ``objective.newton_system`` call that also gave the value at x, then
+    halves the step until the total value meets the Armijo condition. A step whose predicted decrease ``-g . step`` is
     below the values' resolution (``_VALUE_RESOLUTION * |F|``) is taken
     whole: there Newton converges quadratically, and comparing two values
     would only compare their rounding errors.
@@ -195,9 +206,8 @@ def _reference_minimizer(objective, x0):
     """
     n = objective.n
     x = np.array(x0, dtype=np.float64)
-    value, hessian = objective.newton_system(x)
+    value, g, hessian = objective.newton_system(x)
     for iteration in itertools.count():
-        g = objective.full_gradient(x)
         grad_norm = np.sqrt(g.dot(g)) / n
         if grad_norm < REFERENCE_GSTOP:
             return x
@@ -212,16 +222,16 @@ def _reference_minimizer(objective, x0):
             raise HarnessError(f"reference Newton run, iteration {iteration}: {exc}") from exc
         slope = g.dot(step)
         alpha = 1.0
-        value_new, hessian = objective.newton_system(x + step)
+        value_new, g_new, hessian = objective.newton_system(x + step)
         while (-slope > _VALUE_RESOLUTION * abs(value)
                and not value_new <= value + _ARMIJO_C * alpha * slope):
             if alpha < _MIN_STEP_LENGTH:
                 raise HarnessError(f"reference Newton run, iteration {iteration}: no step "
                                    f"length down to {alpha:.1e} decreases the objective")
             alpha *= 0.5
-            value_new, hessian = objective.newton_system(x + alpha * step)
+            value_new, g_new, hessian = objective.newton_system(x + alpha * step)
         x += alpha * step
-        value = value_new
+        value, g = value_new, g_new
 
 
 def _solver_config(config: ExperimentConfig, method: str, constants=None) -> SolverConfig:

@@ -390,18 +390,23 @@ class LogisticObjective(FiniteSumObjective):
         arrays (what ``Z.T @ r`` runs), plus n times the regularizer gradient
         from the point memo, which the step's ``gradient(i, x)`` at the same
         x has usually filled."""
+        return self._total_gradient(x, self._residual(x))
+
+    def _total_gradient(self, x, residual):
+        """Z^T residual + n c1 x, the total gradient at x from its residuals
+        expit(<x, z_i>) - y_i."""
         f = self.features
         g = np.zeros(self.d)
-        _sparsetools.csc_matvec(self.d, self.n, f.indptr, f.indices, f.data,
-                                self._residual(x), g)
+        _sparsetools.csc_matvec(self.d, self.n, f.indptr, f.indices, f.data, residual, g)
         reg = self._reg_gradient(x)  # a fresh array: summed into in place
         reg *= self.n
         g += reg
         return g
 
     def newton_system(self, x):
-        """(F(x), H) for the total objective F = sum_i f_i, which full-batch
-        Newton needs: the value, and the Hessian
+        """(F(x), g, H) for the total objective F = sum_i f_i, which
+        full-batch Newton needs: the value, the gradient g, bit for bit
+        :meth:`full_gradient`'s from the same margins, and the Hessian
         H = Z^T diag(w) Z + n (c1 I + c2 x x^T), w = s (1 - s),
         s = expit(Z x), as a fresh C-ordered (d, d) array. Z^T diag(w) Z is
         one compiled ``csc_matvecs`` call: Z's CSR arrays, read as the CSC
@@ -415,6 +420,7 @@ class LogisticObjective(FiniteSumObjective):
         sign = 1.0 - 2.0 * self.labels
         value = float(np.logaddexp(0.0, sign * t).sum() + self.n * self._reg_value(x))
         s = expit(t)
+        g = self._total_gradient(x, s - self.labels)
         f = self.features
         h = np.zeros((self.d, self.d))
         _sparsetools.csc_matvecs(self.d, self.n, self.d, f.indptr, f.indices, f.data,
@@ -422,7 +428,7 @@ class LogisticObjective(FiniteSumObjective):
         memo = self._point(x)
         h += (self.n * self._c2(memo)) * np.outer(x, x)
         h[np.diag_indices(self.d)] += self.n * memo.c1
-        return value, h
+        return value, g, h
 
     def gradients_at(self, x):
         grads = self.rows * self._residual(x)[:, None]

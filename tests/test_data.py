@@ -1,18 +1,93 @@
 """Parser grammar, round-trip identity, and generator range tests."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from iqnlab import data
 from iqnlab.data import (
     GeneratorSpec,
     SparseRow,
     generate_quadratic,
     initial_point,
+    load_libsvm,
     parse_libsvm,
     rows_to_csr,
     serialize_libsvm,
 )
 from iqnlab.errors import EmptyDataset, InvalidSpec, MalformedLine
+
+
+def outcome(parse, source):
+    """What a parse gives: dim and each row's label, dtypes and bytes, or
+    the type and message of a parser error. Any other exception escapes."""
+    try:
+        rows, dim = parse(source)
+    except (MalformedLine, EmptyDataset) as exc:
+        return type(exc), str(exc)
+    assert type(dim) is int and all(type(r.label) is int for r in rows)
+    return dim, [(r.label, r.indices.dtype, r.indices.tobytes(), r.values.dtype,
+                  r.values.tobytes()) for r in rows]
+
+
+def reference(text):
+    """The per-line parser on the text's lines."""
+    return data._parse_lines(data._lines(text))
+
+
+def as_file(text):
+    """The text as ``open(path, encoding="utf-8")`` would read it."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
+# Pieces of LIBSVM-like text, including what int() and float() accept that
+# the format does not name ("1_0", "+1", non-ASCII digits, "inf"), tokens
+# whose colons a count alone would misplace, and the whitespace and line
+# ends str.split() and a text file disagree on.
+SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+NEWLINES = ["\n", "\r\n", "\r"]
+ODD_TOKENS = ["1:2:3", "3:", ":5", ":", "7", "1_0:1", "+3:1", "\u0663:1", "1:1_0.5",
+              "2:inf", "2:nan", "2:1e999", "99999999999999999999:1", "9223372036854775807:1",
+              "-9223372036854775809:1", "0:1", "-1:1", "0x1:1", "1:0x1"]
+LABELS = ["+1", "-1", "1", "0", "2", "1.0", "-0", "+0", "1_0", "3", "nan", "x", "#", "\uff11"]
+PIECES = ["0", "1", "2", "9", "-", "+", ".", "e", "_", ":", "#", "1:2:3 4", "3:", ":5", "inf",
+          "nan", "a", "\u0661", *SPACES, *NEWLINES]
+
+
+def valid_line():
+    """label and strictly increasing positive indices with finite values."""
+    pairs = st.lists(st.integers(1, 60), unique=True, max_size=6).map(sorted).flatmap(
+        lambda idx: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=len(idx), max_size=len(idx)).map(
+            lambda vals: [f"{i}:{v!r}" for i, v in zip(idx, vals)]))
+    return st.tuples(st.sampled_from(["+1", "-1", "1", "0", "2"]), pairs)
+
+
+def any_line():
+    index = st.one_of(st.integers(-2, 60).map(str), st.sampled_from(["", "1_0", "+3"]))
+    value = st.one_of(st.floats().map(repr), st.sampled_from(["", "-0", "1e999", "x"]))
+    token = st.one_of(st.tuples(index, value).map(":".join), st.sampled_from(ODD_TOKENS))
+    return st.tuples(st.sampled_from(LABELS), st.lists(token, max_size=5))
+
+
+def text_of(line):
+    def render(parts):
+        lines, spaces, newline = parts
+        rendered = []
+        for (label, tokens), space in zip(lines, spaces):
+            rendered.append(space.join([label, *tokens]) if label != "#" else "# note")
+        return newline.join(rendered) + newline
+    return st.lists(line, max_size=6).flatmap(lambda lines: st.tuples(
+        st.just(lines), st.lists(st.sampled_from(SPACES), min_size=len(lines),
+                                 max_size=len(lines)),
+        st.sampled_from(NEWLINES))).map(render)
+
+
+TEXTS = st.one_of(text_of(valid_line()), text_of(st.one_of(valid_line(), any_line())),
+                  st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
 
 
 class TestParser:
@@ -121,6 +196,74 @@ class TestParser:
             data, dtype=np.float64).tobytes()
         assert labels.dtype == np.float64
         np.testing.assert_array_equal(labels, [row.label for row in rows])
+
+
+class TestBulkParse:
+    # parse_libsvm converts all tokens at once and hands any text its checks
+    # do not fully accept to the per-line parser, data._parse_lines.
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(TEXTS)
+    @example("1 1:2:3 4\n")  # as many colons as tokens, one token with two
+    @example("0 1:1\n1 2:3:4\n")  # the last token's second colon
+    def test_bulk_pass_matches_the_per_line_parser(self, text):
+        want = outcome(reference, text)
+        assert outcome(parse_libsvm, text) == want
+        assert outcome(parse_libsvm, text.encode("utf-8")) == want
+        assert outcome(parse_libsvm, as_file(text)) == want
+        # The bulk pass declines exactly the text the reference rejects.
+        accepted = data._parse_bulk(data._lines(text)) is not None
+        assert accepted == (type(want[0]) is int)
+        if accepted:
+            assert outcome(parse_libsvm, serialize_libsvm(parse_libsvm(text)[0])) == want
+
+    def test_valid_text_never_reaches_the_per_line_parser(self, monkeypatch):
+        def refuse(_lines):
+            raise AssertionError("valid text went through the per-line parser")
+        monkeypatch.setattr(data, "_parse_lines", refuse)
+        rows, dim = parse_libsvm("# c\n+1 1:0.5 3:2\n\n-1\n2 4:-1e-300 7:1_0.5\n0 2:3\n")
+        assert dim == 7 and [r.label for r in rows] == [1, 0, 0, 0]
+        np.testing.assert_array_equal(rows[2].indices, [4, 7])
+        np.testing.assert_array_equal(rows[2].values, [-1e-300, 10.5])
+        assert len(rows[1].indices) == 0 and rows[1].indices.dtype == np.int64
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 1:2:3 4\n", "line 1: feature token '1:2:3' is not numeric"),
+        ("1 1:1\n0 3:\n", "line 2: feature token '3:' is not numeric"),
+        ("1 :5\n", "line 1: feature token ':5' is not numeric"),
+        ("1 1:1 99999999999999999999:2\n", "line 1: index in token '99999999999999999999:2' "
+                                          "is past int64's largest value 9223372036854775807"),
+        ("1 2:1\n0 3:1 3:2\n", "line 2: index 3 not strictly increasing after 3"),
+    ], ids=["two-colons", "empty-value", "empty-index", "past-int64", "repeated-index"])
+    def test_tokens_the_bulk_checks_reject_are_named_by_line(self, text, message):
+        # A count of colons against tokens would read "1:2:3 4" as the
+        # pairs (1, 2) and (3, 4).
+        with pytest.raises(MalformedLine) as err:
+            parse_libsvm(text)
+        assert str(err.value) == message
+
+    def test_largest_int64_index_is_kept(self):
+        rows, dim = parse_libsvm("1 9223372036854775807:2\n")
+        assert dim == 9223372036854775807 == rows[0].indices[0]
+
+    @pytest.mark.parametrize("newline", NEWLINES, ids=["LF", "CRLF", "CR"])
+    def test_file_str_and_bytes_share_one_newline_rule(self, tmp_path, newline):
+        good = newline.join(["+1 1:0.5 3:2", "# c", "", "-1 2:1"]) + newline
+        bad = newline.join(["+1 1:1", "", "0 2:x"]) + newline
+        results = []
+        for text in (good, bad):
+            path = tmp_path / "data.libsvm"
+            path.write_bytes(text.encode("utf-8"))
+            results.append([outcome(load_libsvm, path), outcome(parse_libsvm, text),
+                            outcome(parse_libsvm, text.encode("utf-8"))])
+        rows_of, error_of = results
+        assert rows_of[0][0] == 3 and len(rows_of[0][1]) == 2
+        assert rows_of == [rows_of[0]] * 3
+        assert error_of == [(MalformedLine, "line 3: feature token '2:x' is not numeric")] * 3
+
+    def test_mixed_line_ends_count_as_a_file_counts_them(self):
+        with pytest.raises(MalformedLine) as err:
+            parse_libsvm("1 1:1\r0 2:1\r\n\n1 3:x\n")
+        assert err.value.line_no == 4
 
 
 class TestGenerator:

@@ -293,12 +293,16 @@ class TestFaultInjection:
     def test_nan_full_gradient_stops_the_reference_run(self, tmp_path, monkeypatch, capsys):
         # The Newton run that finds the logistic x* ends at the first
         # non-finite stopping-rule norm instead of stepping through its cap.
-        fault, calls, real = 3, [], LogisticObjective.full_gradient
+        # It reads the full gradient newton_system returns with the value.
+        fault, calls, real = 3, [], LogisticObjective.newton_system
 
         def poisoned(self, x):
             calls.append(1)
-            return np.full(self.d, np.nan) if len(calls) >= fault else real(self, x)
-        monkeypatch.setattr(LogisticObjective, "full_gradient", poisoned)
+            value, gradient, hessian = real(self, x)
+            if len(calls) >= fault:
+                gradient = np.full(self.d, np.nan)
+            return value, gradient, hessian
+        monkeypatch.setattr(LogisticObjective, "newton_system", poisoned)
         cfg = ExperimentConfig(problem="logistic", data=str(LOGISTIC60), x0_scale=0.5,
                                seed=7)
         message = "reference Newton run did not reach 1e-12 (got nan after 2 iterations)"
@@ -378,7 +382,7 @@ class TestReferenceMinimizer:
         assert not x0.any()
         # At the origin c1 = c2 = 0: the undamped Hessian is Z^T W Z alone,
         # finite, and singular for the four rows.
-        _, undamped = objective.newton_system(x0)
+        undamped = objective.newton_system(x0)[2]
         eigenvalues = np.linalg.eigvalsh(undamped)
         assert np.isfinite(eigenvalues).all()
         if data == "four-row":
@@ -390,30 +394,30 @@ class TestReferenceMinimizer:
         assert np.linalg.norm(x_star - x_nim) <= 1e-9 * np.linalg.norm(x_nim)
 
     def log_calls(self, monkeypatch):
-        """Wrap newton_system and full_gradient; returns the call log, one
-        ("value", F) or ("gradient", None) entry per call."""
+        """Wrap newton_system and the Cholesky solve; returns the call log,
+        one ("value", F) or ("solve", None) entry per call."""
         log = []
-        real_system, real_gradient = (LogisticObjective.newton_system,
-                                      LogisticObjective.full_gradient)
+        real_system, real_solve = LogisticObjective.newton_system, mk.cholesky_solve
 
         def system(self, x):
-            value, hessian = real_system(self, x)
+            value, gradient, hessian = real_system(self, x)
             log.append(("value", value))
-            return value, hessian
+            return value, gradient, hessian
 
-        def gradient(self, x):
-            log.append(("gradient", None))
-            return real_gradient(self, x)
+        def solve(m, b):
+            log.append(("solve", None))
+            return real_solve(m, b)
         monkeypatch.setattr(LogisticObjective, "newton_system", system)
-        monkeypatch.setattr(LogisticObjective, "full_gradient", gradient)
+        monkeypatch.setattr(mk, "cholesky_solve", solve)
         return log
 
     def test_a_far_start_backtracks(self, monkeypatch):
         log = self.log_calls(monkeypatch)
         objective, _, x_star = build_problem(self.logistic(x0_scale=2.0, seed=0))
-        # One value per iteration and the start; one more per halving.
-        gradients = sum(kind == "gradient" for kind, _ in log)
-        assert len(log) - 2 * gradients == 1
+        # One value at the start and one per iteration's solve; one more
+        # per halving.
+        solves = sum(kind == "solve" for kind, _ in log)
+        assert len(log) - 2 * solves - 1 == 1
         assert averaged_gradient_norm(objective, x_star) < harness.REFERENCE_GSTOP
 
     def test_a_decrease_below_the_value_resolution_takes_the_whole_step(self, monkeypatch):
@@ -422,15 +426,24 @@ class TestReferenceMinimizer:
         # so the Armijo comparison alone would halve it away.
         log = self.log_calls(monkeypatch)
         objective, _, x_star = build_problem(self.logistic(x0_scale=5.0))
-        accepted = [value for (kind, value), (after, _) in zip(log, log[1:])
-                    if kind == "value" and after == "gradient"]
-        assert len(log) == 2 * len(accepted)  # no halving
+        accepted = [value for kind, value in log if kind == "value"]
+        assert len(log) == 2 * len(accepted) - 1  # no halving
         assert any(b > a for a, b in zip(accepted, accepted[1:]))
+        assert averaged_gradient_norm(objective, x_star) < harness.REFERENCE_GSTOP
+
+    def test_the_gradient_comes_with_the_newton_system(self, monkeypatch):
+        # Each iteration reads the gradient newton_system returned at its
+        # point; full_gradient, the same bits from its own pass, is not called.
+        def refuse(*_):
+            raise AssertionError("the reference run recomputed a gradient")
+        monkeypatch.setattr(LogisticObjective, "full_gradient", refuse)
+        objective, _, x_star = build_problem(self.logistic())
+        monkeypatch.undo()
         assert averaged_gradient_norm(objective, x_star) < harness.REFERENCE_GSTOP
 
     def test_indefinite_hessian_is_named(self, monkeypatch):
         monkeypatch.setattr(LogisticObjective, "newton_system",
-                            lambda self, x: (1.0, -np.eye(self.d)))
+                            lambda self, x: (1.0, np.ones(self.d), -np.eye(self.d)))
         with pytest.raises(HarnessError, match="^reference Newton run, iteration 0: "
                                                "aggregate solve failed"):
             build_problem(self.logistic())
@@ -440,8 +453,8 @@ class TestReferenceMinimizer:
 
         def no_decrease(self, x):
             calls.append(1)
-            value, hessian = real(self, x)
-            return (value if len(calls) == 1 else np.nan), hessian
+            value, gradient, hessian = real(self, x)
+            return (value if len(calls) == 1 else np.nan), gradient, hessian
         monkeypatch.setattr(LogisticObjective, "newton_system", no_decrease)
         with pytest.raises(HarnessError, match="^reference Newton run, iteration 0: no step "
                                                "length down to 8.9e-16"):
@@ -598,6 +611,28 @@ class TestCli:
         err = capsys.readouterr().err
         size = "N = 60 and d = 12" if "logistic" in problem else "N = 4 and d = 6"
         assert err.startswith("error:") and f"{size} does not fit in memory" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    # Sizes past what numpy can address raise ValueError ("array is too
+    # big") in numpy, not MemoryError; the harness checks them before any
+    # allocation, so these tests allocate nothing large.
+    @pytest.mark.parametrize("problem,named", [
+        ("logistic\ndata = {big_index}", "N = 2 and d = 9223372036854775807 does not fit"),
+        ("quadratic\nd = 1000000000000000000", "N = 20 and d = 1000000000000000000 does not fit"),
+        ("logistic\ndata = {past_int64}", "line 1: index in token '99999999999999999999:2' is "
+                                         "past int64's largest value 9223372036854775807"),
+    ], ids=["index-int64-max", "quadratic-d-1e18", "index-past-int64"])
+    def test_run_oversized_problem_exits_before_output(self, tmp_path, capsys, problem, named):
+        (tmp_path / "big.libsvm").write_text("1 1:1\n0 9223372036854775807:2\n")
+        (tmp_path / "past.libsvm").write_text("1 1:1 99999999999999999999:2\n")
+        problem = problem.format(big_index=tmp_path / "big.libsvm",
+                                 past_int64=tmp_path / "past.libsvm")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = {problem}\nmethods = IQN\nout = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -318,8 +318,10 @@ class TestNewtonSystem:
     def test_newton_system_matches_textbook_expressions(self, rng, objective):
         obj = objective
         for x in (rng.standard_normal(obj.d), np.zeros(obj.d)):
-            value, hess = obj.newton_system(x)
+            value, grad, hess = obj.newton_system(x)
             want_value, want_hess = self.textbook(obj, x)
+            # The gradient from newton_system's own margins is full_gradient's.
+            assert grad.dtype == np.float64 and grad.tobytes() == obj.full_gradient(x).tobytes()
             assert hess.dtype == np.float64 and hess.shape == (obj.d, obj.d)
             assert hess.flags.c_contiguous
             assert abs(value - want_value) <= 1e-12 * abs(want_value)
@@ -332,7 +334,7 @@ class TestNewtonSystem:
             raise AssertionError("newton_system went through a sparse-sparse product")
         monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "_matmul_sparse", refuse)
         x = rng.standard_normal(objective.d)
-        _, hess = objective.newton_system(x)
+        hess = objective.newton_system(x)[2]
         want = self.textbook(objective, x)[1]
         assert np.abs(hess - want).max() <= 1e-12 * np.abs(want).max()
 
