@@ -25,6 +25,8 @@ TRACE_COLUMNS = ("t", "epoch", "grad_norm", "normalized_error", "sigma_max", "wa
 SUMMARY_COLUMNS = ("method", "epochs_to_gstop", "final_grad_norm", "wall_ms_total",
                    "status", "x0_sha256")
 
+# The most bytes one numpy array can span.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 # The full-batch Newton run that finds the logistic minimizer x*.
 REFERENCE_GSTOP = 1e-12
 REFERENCE_MAX_NEWTON_ITERATIONS = 100
@@ -174,7 +176,7 @@ def _check_addressable(n, d):
     """Raise MemoryError when an (n, d) float64 array, the largest a problem
     holds, is past what numpy can address: numpy itself would raise
     ValueError ("array is too big") there, and MemoryError only below."""
-    if n * d * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+    if 8 * n * d > _MAX_ARRAY_BYTES:
         raise MemoryError(f"{n} x {d} doubles exceed the address space")
 
 
