@@ -115,8 +115,9 @@ def _parse_bulk(lines):
             if len(seps) != 2 * k - 1 or (seps[::2] != _COLON).any():
                 return None
             pairs = text.replace(":", " ").split(" ")
-            indices = np.fromiter(map(int, pairs[::2]), np.int64, count=k)
-            values = np.fromiter(map(float, pairs[1::2]), np.float64, count=k)
+            # numpy calls int() and float() on each string, in its own loop.
+            indices = np.array(pairs[::2], dtype=np.int64)
+            values = np.array(pairs[1::2], dtype=np.float64)
         else:
             indices, values = np.zeros(0, np.int64), np.zeros(0)
     except (KeyError, ValueError, OverflowError):  # a bad label, number or index

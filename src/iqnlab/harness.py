@@ -188,10 +188,11 @@ def _reference_minimizer(objective, x0):
 
     Each iteration solves ``H step = -g`` by Cholesky, g and H from the
     ``objective.newton_system`` call that also gave the value at x, then
-    halves the step until the total value meets the Armijo condition. A step whose predicted decrease ``-g . step`` is
-    below the values' resolution (``_VALUE_RESOLUTION * |F|``) is taken
-    whole: there Newton converges quadratically, and comparing two values
-    would only compare their rounding errors.
+    halves the step until the total value meets the Armijo condition. A
+    step whose predicted decrease ``-g . step`` is below the values'
+    resolution (``_VALUE_RESOLUTION * |F|``) is taken whole: there Newton
+    converges quadratically, and comparing two values would only compare
+    their rounding errors.
 
     At ``||x|| < ORIGIN_GUARD`` the regularizer adds no curvature, and
     Z^T W Z is singular when the data have rank below d; the step there is
