@@ -1,16 +1,17 @@
 """Problem sources: LIBSVM text parsing and the synthetic quadratic generator.
 
 LIBSVM text is parsed in bulk: :func:`parse_libsvm` converts every feature
-index with one ``map(int, ...)`` and every value with one
-``map(float, ...)`` into flat int64 and float64 arrays, checks each token's
-single ':', positivity, strict increase and finiteness with numpy, and
-hands out each row as slices of the flat arrays. Text those checks do not
-fully accept goes to :func:`_parse_lines`, the per-line parser. It is the
-reference the bulk pass is tested against, and the only code that names a
-fault, so a malformed line's error and line number do not depend on which
-pass met it. On the logistic-sparse seed-1 text (125 rows, 1295 feature
-tokens) the bulk pass cut the parse from 1.3-1.4 ms to about 1.0, most of
-it the ``float`` and ``int`` conversions themselves (``BENCH_parse.json``).
+index and every value with one ``np.array(strings, dtype)`` call each,
+which applies ``int`` and ``float`` to each string in numpy's own loop,
+into flat int64 and float64 arrays. It checks each token's single ':',
+positivity, strict increase and finiteness with numpy, and hands out each
+row as slices of the flat arrays. Text those checks do not fully accept
+goes to :func:`_parse_lines`, the per-line parser. It is the reference the
+bulk pass is tested against, and the only code that names a fault, so a
+malformed line's error and line number do not depend on which pass met
+it. On the logistic-sparse seed-1 text (125 rows, 1295 feature tokens) the
+bulk pass cut the parse from 1.23-1.33 ms to 0.77-0.80 ms in one process,
+about 0.4 ms of it the ``float`` and ``int`` calls (``BENCH_parse.json``).
 
 Every source follows the newline rule of a file opened in text mode:
 ``"\\n"``, ``"\\r\\n"`` and ``"\\r"`` each end a line.
