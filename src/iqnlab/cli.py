@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .data import GeneratorSpec, generate_quadratic
-from .errors import IqnLabError
+from .errors import HarnessError, IqnLabError
 from .harness import config_from_mapping, emit_plot_data, parse_config_file, run_experiment
 from .oracle import run_check_suite
 
@@ -45,8 +45,11 @@ def _cmd_gen_quadratic(args):
     spec = GeneratorSpec(n=args.n, d=args.d, xi=args.xi, b_max=args.b_max,
                          seed=args.seed)
     components = generate_quadratic(spec)
-    np.savez(args.out, a_diag=components.a_diag, b=components.b,
-             n=spec.n, d=spec.d, xi=spec.xi, b_max=spec.b_max, seed=spec.seed)
+    try:
+        np.savez(args.out, a_diag=components.a_diag, b=components.b,
+                 n=spec.n, d=spec.d, xi=spec.xi, b_max=spec.b_max, seed=spec.seed)
+    except OSError as exc:
+        raise HarnessError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {spec.n} components of dimension {spec.d} to {args.out}")
     return 0
 

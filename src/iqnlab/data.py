@@ -9,9 +9,9 @@ row as slices of the flat arrays. Text those checks do not fully accept
 goes to :func:`_parse_lines`, the per-line parser. It is the reference the
 bulk pass is tested against, and the only code that names a fault, so a
 malformed line's error and line number do not depend on which pass met
-it. On the logistic-sparse seed-1 text (125 rows, 1295 feature tokens) the
-bulk pass cut the parse from 1.23-1.33 ms to 0.77-0.80 ms in one process,
-about 0.4 ms of it the ``float`` and ``int`` calls (``BENCH_parse.json``).
+it. A per-token Python loop cost more than the ``int`` and ``float``
+conversions themselves; in bulk those conversions are most of the parse
+(timings in ``BENCH_parse.json``).
 
 Every source follows the newline rule of a file opened in text mode:
 ``"\\n"``, ``"\\r\\n"`` and ``"\\r"`` each end a line.
@@ -200,10 +200,8 @@ def load_libsvm(path):
         return parse_libsvm(fh)
 
 
-def rows_to_csr(rows, dim=None):
-    """Stack SparseRows into a CSR matrix plus a 0/1 label vector."""
-    if dim is None:
-        dim = max((int(r.indices[-1]) for r in rows if len(r.indices)), default=0)
+def rows_to_csr(rows, dim):
+    """Stack SparseRows into an (N, dim) CSR matrix plus a 0/1 label vector."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r.indices) for r in rows], out=indptr[1:])
     indices = np.concatenate([r.indices for r in rows]) if indptr[-1] else np.zeros(0, dtype=np.int64)

@@ -263,12 +263,21 @@ def _fmt(value):
     return str(value)
 
 
+def _write_csv(path, header, rows, what):
+    """Write a header and rows as CSV; a HarnessError naming the path when
+    that fails."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise HarnessError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def write_trace_csv(path, records):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, column)) for column in TRACE_COLUMNS])
+    rows = ([_fmt(getattr(rec, column)) for column in TRACE_COLUMNS] for rec in records)
+    _write_csv(path, TRACE_COLUMNS, rows, "trace")
 
 
 def run_experiment(config: ExperimentConfig, log=print):
@@ -279,7 +288,8 @@ def run_experiment(config: ExperimentConfig, log=print):
     :func:`~iqnlab.solvers.diverged` gradient norm is recorded as diverged
     without failing its siblings; solver exceptions, and a MemoryError from
     a method whose state cannot be allocated, are recorded as failures and
-    re-raised collectively at the end.
+    re-raised collectively at the end. So is a trace that cannot be
+    written; the summary is still written.
     """
     config.validate()
     objective, x0, x_star = build_problem(config)  # validates data before any output
@@ -300,6 +310,7 @@ def run_experiment(config: ExperimentConfig, log=print):
         solver_cfg = _solver_config(config, method, constants)
         try:
             records = run(objective, x0, solver_cfg, x_star=x_star)
+            write_trace_csv(out_dir / f"{method}.csv", records)
         except (IqnLabError, MemoryError) as exc:
             reason = (f"out of memory at N = {objective.n}, d = {objective.d}: {exc}"
                       if isinstance(exc, MemoryError) else str(exc))
@@ -317,14 +328,11 @@ def run_experiment(config: ExperimentConfig, log=print):
                         "final_grad_norm": _fmt(last.grad_norm),
                         "wall_ms_total": _fmt(sum(r.wall_ms for r in records)),
                         "status": status, "x0_sha256": x0_hash})
-        write_trace_csv(out_dir / f"{method}.csv", records)
         log(f"{method}: {status} after {last.t} iterations "
             f"({last.t / objective.n:.2f} passes), grad_norm {last.grad_norm:.3e}")
 
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(summary)
+    _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS,
+               ([row[column] for column in SUMMARY_COLUMNS] for row in summary), "summary")
 
     if failures:
         raise HarnessError("; ".join(failures))
@@ -351,8 +359,6 @@ def emit_plot_data(trace_paths, out_path):
         for epoch in sorted(per_epoch):
             value = per_epoch[epoch]
             rows.append((method, epoch, max(value, 1e-16)))
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "epoch", "normalized_error"])
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+    _write_csv(out_path, ("method", "epoch", "normalized_error"),
+               ([_fmt(v) for v in row] for row in rows), "plot data")
     return rows

@@ -10,28 +10,26 @@ strictly convex away from the origin.
 The logistic per-component oracles read the sample row z_i from
 ``LogisticObjective.rows``, a read-only, C-ordered dense copy of the
 features made once at construction: row i is a view, and the margin
-<z_i, x> is one dot of it with x: 0.6 us together at N = 125, d = 30,
-where rebuilding the row from the CSR arrays took 1.8 us and gathering the
-margin through them 2.2 (NumPy 2 on a 2-vCPU Xeon). The copy holds N d
-doubles; every solver already keeps a curvature stack of ceil(N/2) (d + 1) d,
-so the copy is at most 2/d of what the solver holds, at any density. The
-CSR arrays stay where the work is O(nnz) at any density: ``full_gradient``
-and ``gradients_at``'s margins, and ``estimate_constants``.
+<z_i, x> is one dot of it with x, cheaper than rebuilding the row or
+gathering the margin from the CSR arrays (``BENCH_rows.json``). The copy
+holds N d doubles; every solver already keeps a curvature stack of
+ceil(N/2) (d + 1) d, so the copy is at most 2/d of what the solver holds,
+at any density, and no density switch is needed. The CSR arrays stay where
+the work is O(nnz) at any density: ``full_gradient`` and
+``gradients_at``'s margins, and ``estimate_constants``.
 ``newton_system`` reads both: Z^T diag(w) Z is one pass over Z's nonzeros,
 each scaling a row of ``w[:, None] * rows``, O(nnz d) work. SciPy's sparse
-product, O(sum_i nnz_i^2) plus about 0.2 ms of Python dispatch, took 6x as
-long at N = 125, d = 30 and 1.4x at N = 32561, d = 123, density 0.11. Of
-six shapes measured it won only the two at d >= 500 and density <= 0.02
-(10000 x 500: 14 ms against 29), where every solver's curvature stack
-alone needs 10-20 GB.
+product, O(sum_i nnz_i^2) plus its Python dispatch, won only at shapes
+where every solver's curvature stack alone needs gigabytes
+(``BENCH_setup.json``), so no switch selects it.
 
 The logistic set-up and the stopping rule every iteration pays call the
 compiled kernels of the private ``scipy.sparse._sparsetools`` directly:
 ``csr_matvec`` with the arguments ``csr_matrix @ x`` passes it, and
 ``csc_matvec`` and ``csc_matvecs`` on the same CSR arrays, read as the CSC
-arrays of Z^T, for the transposed products. ``@`` spends about 4 us of
-Python dispatch per product around kernels that take 2-3 us at N = 125,
-d = 30 (SciPy 1.17 on a 2-vCPU Xeon). A SciPy that changes those kernels'
+arrays of Z^T, for the transposed products. At the benchmark's shapes
+``@`` spends longer in Python dispatch than in the kernels it calls
+(``BENCH_stoprule.json``). A SciPy that changes those kernels'
 arguments fails ``test_full_gradient_bit_equal_to_uncached_transpose``, or
 for ``csc_matvecs`` ``test_newton_system_skips_scipys_sparse_product``; one
 that drops the module fails this module's import.

@@ -45,14 +45,15 @@ class AuditReport:
 # finite differences
 # ---------------------------------------------------------------------------
 
-def _default_h(x):
+def _difference_step(x):
+    """The central-difference step at x."""
     return 1e-6 * (1.0 + float(np.linalg.norm(x)))
 
 
-def finite_diff_gradient(objective, i, x, h=None):
+def finite_diff_gradient(objective, i, x):
     """Central-difference gradient of component i at x."""
     x = np.asarray(x, dtype=np.float64)
-    h = _default_h(x) if h is None else h
+    h = _difference_step(x)
     grad = np.zeros_like(x)
     for j in range(x.size):
         e = np.zeros_like(x)
@@ -61,10 +62,10 @@ def finite_diff_gradient(objective, i, x, h=None):
     return grad
 
 
-def finite_diff_hessian(objective, i, x, h=None):
+def finite_diff_hessian(objective, i, x):
     """Central differences of the analytic gradient, symmetrized."""
     x = np.asarray(x, dtype=np.float64)
-    h = _default_h(x) if h is None else h
+    h = _difference_step(x)
     cols = np.zeros((x.size, x.size))
     for j in range(x.size):
         e = np.zeros_like(x)
@@ -266,7 +267,7 @@ def lazy_eager_audit(objective, x0, config, steps):
 
 
 @_audit("memoization_exactness")
-def memoization_audit(objective, x0, config, steps, tolerance=1e-9):
+def memoization_audit(objective, x0, config, steps):
     """After every step, memoized phi and g must match the direct sums
     (relative error), and H must invert the directly summed curvature
     (:func:`inverse_residual`)."""
@@ -280,7 +281,7 @@ def memoization_audit(objective, x0, config, steps, tolerance=1e-9):
         g_err = (np.linalg.norm(solver.g - g_direct)
                  / max(np.linalg.norm(g_direct), 1.0))
         worst = max(worst, float(phi_err), float(g_err), inverse_residual(solver))
-    return worst, tolerance, f"{config.method}, {steps} steps"
+    return worst, 1e-9, f"{config.method}, {steps} steps"
 
 
 # How far the direct_sums audit pushes the sums just before a rebuild
@@ -289,7 +290,7 @@ SEEDED_DRIFT = 1e-6
 
 
 @_audit("direct_sums_exactness")
-def direct_sums_audit(objective, x0, config, steps, tolerance=1e-9):
+def direct_sums_audit(objective, x0, config, steps):
     """After every step, a direct solver's incremental sum of D_i and its
     phi - g must match :func:`direct_sums` (relative errors, on the lower
     triangles). Over a few passes rounding alone drifts them by ~1e-16, so
@@ -308,7 +309,7 @@ def direct_sums_audit(objective, x0, config, steps, tolerance=1e-9):
         if step_no == solver.refresh_period - 1:
             solver._hsum *= 1.0 + SEEDED_DRIFT
             solver.phi *= 1.0 + SEEDED_DRIFT
-    return (worst, tolerance,
+    return (worst, 1e-9,
             f"{config.method}, {steps} steps, rebuild every {solver.refresh_period}")
 
 
@@ -330,7 +331,7 @@ def drift_audit(objective, x0, config, steps):
 
 
 @_audit("sigma_greedy_contraction")
-def sigma_decay_audit(objective, x0, config, steps, tolerance=1e-9):
+def sigma_decay_audit(objective, x0, config, steps):
     """On quadratics every greedy update must contract the approximation
     error: sigma(D_new, A_i) <= (1 - mu/(dL)) sigma(Q, A_i) + tol."""
     from . import matkernel as mk
@@ -352,11 +353,11 @@ def sigma_decay_audit(objective, x0, config, steps, tolerance=1e-9):
         if before > 1e-12:
             worst = max(worst, after - rate * before)
             checked += 1
-    return worst, tolerance, f"{config.method}, {checked} greedy updates, rate {rate:.6f}"
+    return worst, 1e-9, f"{config.method}, {checked} greedy updates, rate {rate:.6f}"
 
 
 @_audit("psd_dominance")
-def psd_dominance_audit(objective, x0, config, steps, tolerance=1e-8):
+def psd_dominance_audit(objective, x0, config, steps):
     """On quadratics, Q and the omega-free updated curvature must stay PSD
     above the component Hessian at every step."""
     if not isinstance(objective, QuadraticObjective):
@@ -371,30 +372,33 @@ def psd_dominance_audit(objective, x0, config, steps, tolerance=1e-8):
                 continue
             min_eig = float(np.linalg.eigvalsh(full_matrix(mat) - hess)[0])
             worst = max(worst, -min_eig)
-    return worst, tolerance, f"{config.method}, {steps} steps"
+    return worst, 1e-8, f"{config.method}, {steps} steps"
+
+
+def _random_points(objective, rng):
+    """The 20 (component, point) pairs a derivative audit checks."""
+    for _ in range(20):
+        i = int(rng.integers(objective.n))
+        yield i, rng.uniform(0.5, 1.5) * rng.standard_normal(objective.d)
 
 
 @_audit("gradient_vs_finite_differences")
-def gradient_audit(objective, rng, points=20, tolerance=1e-5):
+def gradient_audit(objective, rng):
     """Component gradients against central differences (relative error)."""
     worst = 0.0
-    for _ in range(points):
-        i = int(rng.integers(objective.n))
-        x = rng.uniform(0.5, 1.5) * rng.standard_normal(objective.d)
+    for i, x in _random_points(objective, rng):
         fd = finite_diff_gradient(objective, i, x)
         an = objective.gradient(i, x)
         worst = max(worst, float(np.linalg.norm(an - fd) / max(np.linalg.norm(fd), 1.0)))
-    return worst, tolerance, f"{points} random points"
+    return worst, 1e-5, "20 random points"
 
 
 @_audit("hessian_vs_differenced_gradient")
-def hessian_audit(objective, rng, points=20, tolerance=1e-4):
+def hessian_audit(objective, rng):
     """Component Hessians against differenced gradients, plus exactness of
     the diagonal and column slices."""
     worst = 0.0
-    for _ in range(points):
-        i = int(rng.integers(objective.n))
-        x = rng.uniform(0.5, 1.5) * rng.standard_normal(objective.d)
+    for i, x in _random_points(objective, rng):
         full = objective.hessian(i, x)
         fd = finite_diff_hessian(objective, i, x)
         worst = max(worst, float(np.linalg.norm(full - fd) / max(np.linalg.norm(fd), 1.0)))
@@ -402,21 +406,21 @@ def hessian_audit(objective, rng, points=20, tolerance=1e-4):
         col_err = np.max(np.abs(objective.hessian_column(i, x, j) - full[:, j]))
         diag_err = np.max(np.abs(objective.hessian_diag(i, x) - np.diagonal(full)))
         worst = max(worst, float(col_err), float(diag_err))
-    return worst, tolerance, f"{points} random points"
+    return worst, 1e-4, "20 random points"
 
 
 # ---------------------------------------------------------------------------
 # check suite
 # ---------------------------------------------------------------------------
 
-def _synthetic_logistic(rng, n, d, lam=None):
+def _synthetic_logistic(rng, n, d):
     """Well-scaled random logistic instance for self-contained audits."""
     weights = rng.standard_normal(d)
     dense = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.4)
     margins = dense @ weights
     labels = (margins + 0.5 * rng.standard_normal(n) > 0.0).astype(float)
     features = scipy.sparse.csr_matrix(dense)
-    return LogisticObjective(features, labels, lam=lam or 1.0 / n, p=2.1, radius=10.0)
+    return LogisticObjective(features, labels, lam=1.0 / n, p=2.1, radius=10.0)
 
 
 def run_check_suite(seed=20240111):

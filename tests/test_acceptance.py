@@ -223,8 +223,8 @@ def test_criterion_07_memoized_inverse_drift():
 def test_criterion_08_logistic_objective_correctness():
     rng = np.random.default_rng(8)
     objective = _synthetic_logistic(rng, n=12, d=10)
-    grad_report = gradient_audit(objective, rng, points=20, tolerance=1e-5)
-    hess_report = hessian_audit(objective, rng, points=20, tolerance=1e-4)
+    grad_report = gradient_audit(objective, rng)
+    hess_report = hessian_audit(objective, rng)
     _report(8, grad_report.passed and hess_report.passed,
             f"gradient dev {grad_report.max_deviation:.3e} (<= 1e-5), "
             f"hessian dev {hess_report.max_deviation:.3e} (<= 1e-4)")

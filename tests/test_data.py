@@ -172,9 +172,8 @@ class TestParser:
         np.testing.assert_array_equal(matrix.toarray(), [[2, 0, 4], [0, 5, 0]])
         np.testing.assert_array_equal(labels, [1.0, 0.0])
 
-    @pytest.mark.parametrize("dim", [None, 12], ids=["dim-inferred", "dim-given"])
     @pytest.mark.parametrize("empty", ["one-empty", "all-empty"])
-    def test_rows_to_csr_equals_a_textbook_loop(self, rng, dim, empty):
+    def test_rows_to_csr_equals_a_textbook_loop(self, rng, empty):
         rows = []
         for i in range(6):
             k = 0 if empty == "all-empty" or i == 2 else int(rng.integers(1, 5))
@@ -187,9 +186,8 @@ class TestParser:
                 indices.append(j - 1)
                 data.append(v)
             indptr.append(len(indices))
-        width = max(indices, default=-1) + 1 if dim is None else dim
-        matrix, labels = rows_to_csr(rows, dim)
-        assert matrix.shape == (len(rows), width)
+        matrix, labels = rows_to_csr(rows, 12)
+        assert matrix.shape == (len(rows), 12)
         np.testing.assert_array_equal(matrix.indptr, indptr)
         np.testing.assert_array_equal(matrix.indices, indices)
         assert matrix.data.dtype == np.float64 and matrix.data.tobytes() == np.array(

@@ -656,6 +656,39 @@ class TestCli:
         assert not (tmp_path / "out" / "IQN.csv").exists()
         assert (tmp_path / "out" / "SLIQN.csv").exists()
 
+    def test_run_unwritable_trace_fails_alone(self, tmp_path, capsys):
+        # A trace path that is a directory: the method is recorded as a
+        # failure, its sibling still runs and the summary is still written.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = quadratic\nn = 4\nd = 6\nmethods = IQN, SLIQN\n"
+                       f"out = {tmp_path / 'out'}\n")
+        (tmp_path / "out" / "IQN.csv").mkdir(parents=True)
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IQN: cannot write trace {tmp_path / 'out' / 'IQN.csv'}")
+        assert "Traceback" not in err
+        rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert [row["method"] for row in rows] == ["IQN", "SLIQN"]
+        assert rows[0]["status"].startswith("error: cannot write trace")
+        assert rows[1]["status"] == "ok"
+        assert (tmp_path / "out" / "SLIQN.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run --plot-data", "gen-quadratic --out"])
+    def test_unwritable_output_path_exits_nonzero(self, tmp_path, capsys, command):
+        path = tmp_path / "missing" / "out.csv"
+        if command.startswith("run"):
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text("problem = quadratic\nn = 4\nd = 6\nmethods = SLIQN\n"
+                           f"out = {tmp_path / 'out'}\n")
+            argv = ["run", "--config", str(cfg), "--plot-data", str(path)]
+        else:
+            argv = ["gen-quadratic", "--n", "2", "--d", "4", "--xi", "1", "--out", str(path)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and str(path) in err
+        assert "Traceback" not in err
+        assert not path.parent.exists()
+
     def test_run_overflowing_constants_exit_before_output(self, tmp_path, capsys):
         # mu = lam p / 2 ~ 1e-250 overflows mu^(-3/2) in M = L_tilde mu^(-3/2).
         cfg = tmp_path / "exp.cfg"
