@@ -45,12 +45,14 @@ def _cmd_gen_quadratic(args):
     spec = GeneratorSpec(n=args.n, d=args.d, xi=args.xi, b_max=args.b_max,
                          seed=args.seed)
     components = generate_quadratic(spec)
+    # np.savez would append the suffix itself; name the file it writes.
+    path = args.out if args.out.endswith(".npz") else f"{args.out}.npz"
     try:
-        np.savez(args.out, a_diag=components.a_diag, b=components.b,
+        np.savez(path, a_diag=components.a_diag, b=components.b,
                  n=spec.n, d=spec.d, xi=spec.xi, b_max=spec.b_max, seed=spec.seed)
     except OSError as exc:
-        raise HarnessError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {spec.n} components of dimension {spec.d} to {args.out}")
+        raise HarnessError(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {spec.n} components of dimension {spec.d} to {path}")
     return 0
 
 
@@ -119,9 +121,11 @@ def pin_blas_threads():
     unless OPENBLAS_NUM_THREADS is set.
 
     The pin buys reproducible traces, at a measured cost in time. The
-    thread count sets BLAS rounding (`dsymv` and the Cholesky routines
-    return other bits with two threads at d >= 256), so one pinned count
-    makes traces independent of the host's core count. On a 2-vCPU host
+    thread count sets BLAS rounding: with two threads the Cholesky inverse
+    returns other bits from d = 10, the Cholesky solve from d = 128 and
+    `dsymv` from d = 200 (the README's "Threads" map, for one OpenBLAS
+    build), so one pinned count makes traces independent of the host's
+    core count. On a 2-vCPU host
     `iqn-lab run` at n = 20, d = 500 finished sooner with two threads in
     every pair raced (see the README's "Kernels"). The setting is
     process-wide, so only the command line makes it; the library never

@@ -38,10 +38,6 @@ class DegenerateProblem(IqnLabError):
     """Estimated smoothness constants are unusable (e.g. mu <= 0)."""
 
 
-class LazyInconsistency(IqnLabError):
-    """Internal invariant violation in the lazy scaling bookkeeping."""
-
-
 class MalformedLine(IqnLabError):
     """A dataset line could not be parsed; carries the 1-based line number."""
 

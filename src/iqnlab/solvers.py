@@ -43,12 +43,13 @@ mk.scale_lower and mk.copy_lower. How far H has drifted from the inverse
 of the sum is the oracle's measure (oracle.inverse_residual), not the
 solvers'.
 
-Lazy scaling (SLIQN/GSLIQN): stored matrices omit multiplicative epoch
-scalings. The stored value of a tuple written in epoch e equals its true
-(eager) value divided by every boundary factor (1 + alpha_k)^2 with
-e <= k <= floor(t/n). Under the cyclic schedule exactly one factor is
-pending when a tuple is touched; memoized aggregates always hold eager
-values.
+Lazy scaling (SLIQN/GSLIQN): stored matrices omit the epoch-end factor
+(1 + alpha_k)^2, which the memoized aggregates carry (omega). Under the
+cyclic schedule at most one factor is pending, so it follows from the
+completed steps t and the index i alone: stored D_i lacks
+(1 + alpha_{floor(t/n)})^2 when i >= t mod n (every tuple at t = 0) and
+nothing otherwise. The scale stage folds that factor in when the tuple is
+touched.
 """
 
 import math
@@ -59,13 +60,7 @@ from typing import Optional
 import numpy as np
 
 from . import matkernel as mk
-from .errors import (
-    DegenerateDirection,
-    IqnLabError,
-    LazyInconsistency,
-    SingularUpdate,
-    SwollenCurvature,
-)
+from .errors import DegenerateDirection, IqnLabError, SingularUpdate, SwollenCurvature
 from .objectives import FiniteSumObjective
 
 # Steps shorter than this (relative to the iterate scale) skip the classic
@@ -390,30 +385,23 @@ class SharpenedLazySolver(MemoizedSolver):
         self.tau1 = config.tau1 if config.method == "GSLIQN" else 0.0
         self.tau2 = config.tau2 if config.method == "GSLIQN" else 0.0
         self.alpha0 = config.alpha0
-        # Stored matrices are the unscaled I_i^0; the (1 + alpha_0)^2 factor
-        # is pending from epoch 0.
-        self.scale_epoch = np.zeros(objective.n, dtype=np.int64)
         super().__init__(objective, x0, config)
 
+    def _pending(self, i):
+        """alpha of the one epoch-end factor (1 + alpha)^2 that stored D[i]
+        lacks after self.t steps: alpha_{t/n} for a tuple not yet touched in
+        the current epoch (i >= t mod n; every tuple at t = 0), 0 otherwise."""
+        return alpha(self.alpha0, self.t // self.n) if i >= self.t % self.n else 0.0
+
     def eager_curvature(self, i):
-        """D[i] times the epoch-boundary scalings not yet folded into it."""
-        factor = 1.0
-        for k in range(int(self.scale_epoch[i]), self.t // self.n + 1):
-            a = alpha(self.alpha0, k)
-            if a != 0.0:
-                factor *= (1.0 + a) ** 2
-        return self.D[i] if factor == 1.0 else factor * self.D[i]
+        """D[i] times the epoch-end factor it lacks."""
+        a = self._pending(i)
+        return self.D[i] if a == 0.0 else (1.0 + a) ** 2 * self.D[i]
 
     def _correction(self, t, i, s, skipped):
-        """alpha of the one epoch end still pending on tuple i, which this
-        step folds in."""
-        epoch = (t + self.n - 1) // self.n
-        if self.scale_epoch[i] != epoch - 1:
-            raise LazyInconsistency(
-                f"tuple {i} stored in epoch {self.scale_epoch[i]}, touched in "
-                f"epoch {epoch}; pending scaling spans more than one epoch")
-        self.scale_epoch[i] = epoch
-        return alpha(self.alpha0, epoch - 1)
+        """alpha of the epoch-end factor pending on tuple i, which this step
+        folds in."""
+        return self._pending(i)
 
 
 class IqnSolver(MemoizedSolver):

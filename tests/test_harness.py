@@ -503,9 +503,12 @@ class TestCli:
         assert [get_threads() for get_threads, _ in openblas] == [2, 2]
 
     def test_run_traces_do_not_depend_on_the_host_thread_count(self, tmp_path):
-        # At d >= 256, dsymv, dposv and dpotrf return other bits with two
-        # BLAS threads than with one, so a trace is reproducible only if the
-        # CLI pins both OpenBLAS pools when OPENBLAS_NUM_THREADS is unset.
+        # With two BLAS threads dpotrf/dpotri return other bits than with
+        # one from d = 10, dposv from d = 128 and dsymv from d = 200 (the
+        # README's "Threads" map, for one OpenBLAS build). At d = 256 every
+        # step and rebuild of SLIQN and NIM runs on them, so a trace is
+        # reproducible only if the CLI pins both OpenBLAS pools when
+        # OPENBLAS_NUM_THREADS is unset.
         # On a 1-CPU host both runs use one thread and this passes trivially.
         src = str(Path(__file__).resolve().parent.parent / "src")
         columns = {}
@@ -751,3 +754,11 @@ class TestCli:
         cli_main(["gen-quadratic", "--n", "3", "--d", "4", "--xi", "1.5",
                   "--seed", "2", "--out", str(out2)])
         np.testing.assert_array_equal(data["a_diag"], np.load(out2)["a_diag"])
+
+    @pytest.mark.parametrize("out, written", [("q", "q.npz"), ("q.npz", "q.npz")])
+    def test_gen_quadratic_prints_the_path_it_wrote(self, tmp_path, capsys, out, written):
+        assert cli_main(["gen-quadratic", "--n", "2", "--d", "4", "--xi", "1",
+                         "--out", str(tmp_path / out)]) == 0
+        printed = capsys.readouterr().out.rstrip("\n").rpartition(" to ")[2]
+        assert printed == str(tmp_path / written)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [written]
